@@ -70,6 +70,17 @@ def _parse_system(spec: str) -> System:
         raise SystemExit(str(err))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (--top, --batch)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """The shared observability flags: --trace FILE, --stats, --progress."""
     parser.add_argument(
@@ -127,9 +138,10 @@ def _add_adaptive_flags(parser: argparse.ArgumentParser) -> None:
     """Knobs for the adaptive best-bound-first columnar search path."""
     parser.add_argument(
         "--prune-seed", type=int, default=0, metavar="N",
-        help="seed-sample size: a stride pre-pass length on the scalar "
-        "path, the surrogate-picked tile-0 bucket count on the adaptive "
-        "columnar path (0 = auto, negative = no seeding; the answer is "
+        help="seed-sample size: the surrogate-picked tile-0 bucket count on "
+        "the default adaptive columnar path; a stride pre-pass length on the "
+        "scalar path (--workers N>1, --no-columnar, --events, checkpoints or "
+        "fault flags) (0 = auto, negative = no seeding; the answer is "
         "identical either way)",
     )
     parser.add_argument(
@@ -1014,10 +1026,12 @@ def main(argv: list[str] | None = None) -> int:
     srch.add_argument("--workload", choices=("train", "serve"), default="train",
                       help="search training executions (default) or serving "
                       "deployments (equivalent to serve-search)")
-    srch.add_argument("--batch", type=int, default=4096)
+    srch.add_argument("--batch", type=_positive_int, default=4096)
     srch.add_argument("--options", default="all")
-    srch.add_argument("--top", type=int, default=10)
-    srch.add_argument("--workers", type=int, default=None)
+    srch.add_argument("--top", type=_positive_int, default=10)
+    srch.add_argument("--workers", type=int, default=None,
+                      help="worker processes (default: serial columnar, or "
+                      "auto on the scalar path; 0/1 = serial)")
     _add_serve_workload_flags(srch)
     _add_prune_flag(srch)
     _add_adaptive_flags(srch)
@@ -1047,12 +1061,13 @@ def main(argv: list[str] | None = None) -> int:
     swp = sub.add_parser("sweep", help="optimal performance vs system size")
     swp.add_argument("llm")
     swp.add_argument("system")
-    swp.add_argument("--batch", type=int, default=4096)
+    swp.add_argument("--batch", type=_positive_int, default=4096)
     swp.add_argument("--max-size", type=int, default=8192)
     swp.add_argument("--step", type=int, default=512)
     swp.add_argument("--options", default="all")
     swp.add_argument("--workers", type=int, default=None,
-                     help="processes per inner search (default: auto)")
+                     help="processes per inner search (default: serial "
+                     "columnar, or auto on the scalar path; 0/1 = serial)")
     _add_prune_flag(swp)
     _add_columnar_flag(swp)
     _add_obs_flags(swp)

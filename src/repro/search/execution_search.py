@@ -64,9 +64,10 @@ from .surrogate import (
 
 logger = logging.getLogger(__name__)
 
-# Below this many candidates per worker, pool startup + pickling costs more
-# than the evaluation itself (the per-candidate model runs in ~tens of
-# microseconds), so the auto heuristic stays serial.  See auto_workers().
+# Scalar path only: below this many candidates per worker, pool startup +
+# pickling costs more than the evaluation itself (the per-candidate scalar
+# model runs in ~tens of microseconds), so the auto heuristic stays serial.
+# The pure-columnar path never consults it — see auto_workers().
 MIN_STRATEGIES_PER_WORKER = 2000
 
 
@@ -245,7 +246,7 @@ def candidate_strategies(
 
 
 def auto_workers(num_strategies: int, cpu_count: int | None = None) -> int:
-    """Process count for a sweep of ``num_strategies`` candidates.
+    """Process count for a scalar-path sweep of ``num_strategies`` candidates.
 
     The heuristic: one worker per :data:`MIN_STRATEGIES_PER_WORKER`
     candidates, capped at the machine's core count and floored at one.
@@ -253,6 +254,14 @@ def auto_workers(num_strategies: int, cpu_count: int | None = None) -> int:
     machine — because forking a pool and pickling the problem costs more
     than evaluating a few thousand sub-millisecond candidates.  Callers who
     know better pass ``workers`` explicitly.
+
+    :func:`search` consults it only on the scalar path (a ``constraint``,
+    ``columnar=False``, or a fault-tolerance feature).  When the
+    pure-columnar path applies, ``workers=None`` always runs serially: the
+    pool's serial prefix in the parent — enumerating ~10⁵
+    :class:`ExecutionStrategy` objects and pickling them — alone takes
+    5-20x longer than the whole serial columnar search (measured in
+    ``docs/PERFORMANCE.md``), so no core count wins it back.
     """
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     return max(1, min(cpus, num_strategies // MIN_STRATEGIES_PER_WORKER))
@@ -372,6 +381,8 @@ def _evaluate_chunk(
         feasible += 1
         rate = res.sample_rate
         rates.append(rate)
+        if top_k == 0:
+            continue  # rates only: nothing to rank
         entry = (rate, idx, strategies[idx], res)
         if len(heap) < top_k:
             heapq.heappush(heap, entry)
@@ -598,10 +609,13 @@ def search(
     Args:
         llm, system, batch: the fixed problem.
         options: sweep restrictions; defaults to the full Table-1 space.
-        top_k: how many best configurations to retain.
-        workers: process count; ``None`` applies :func:`auto_workers`
-            (serial below ~2k candidates per core, documented there);
-            0/1 forces serial.
+        top_k: how many best configurations to retain; 0 keeps only the
+            counts and ``sample_rates`` (negative raises ``ValueError``).
+        workers: process count; 0/1 forces serial.  ``None`` runs serially
+            whenever the pure-columnar path applies (see ``columnar``) and
+            otherwise, on the scalar path, applies :func:`auto_workers`
+            (serial below ~2k candidates per core; the measured reason for
+            the split is documented there).
         keep_rates: retain every feasible sample rate (Fig. 6 histograms).
         constraint: optional predicate on feasible results — return False to
             reject a configuration (e.g. a memory or MFU floor).  Must be a
@@ -616,31 +630,33 @@ def search(
             ``num_feasible`` still counts pruned candidates (the comm and
             assembly stages never reject).
         prune_seed: seed the prune threshold before the main pass.  On the
-            scalar chunked path this many evenly-strided candidates are
-            evaluated serially first and the k-th best rate found seeds
-            every chunk's ceiling (with seeding the top-k *rates* are
-            unchanged, but a different member of an exact k-th-rate tie
-            may be retained).  On the pure-columnar adaptive path it sizes
-            the surrogate-picked tile-0 seed sample instead (0 keeps the
-            default size, negative disables seeding) and the result stays
-            fully bit-identical — seeding only reorders evaluation.
+            scalar chunked path (``workers > 1``, ``columnar=False``,
+            ``events``, a checkpoint or another fault-tolerance feature)
+            this many evenly-strided candidates are evaluated serially first
+            and the k-th best rate found seeds every chunk's ceiling (with
+            seeding the top-k *rates* are unchanged, but a different member
+            of an exact k-th-rate tie may be retained).  On the pure-columnar
+            adaptive path it sizes the surrogate-picked tile-0 seed sample
+            instead (0 keeps the default size, negative disables seeding)
+            and the result stays fully bit-identical — seeding only reorders
+            evaluation.
         columnar: route evaluation through the vectorized columnar engine
             (:mod:`repro.engine.batch`).  ``None`` (the default) engages it
             whenever it applies; ``False`` forces the scalar pipeline
-            everywhere.  A serial search with no ``constraint`` and no
-            fault-tolerance features runs *pure*-columnar: candidates are
-            enumerated straight into NumPy columns and the whole space is
-            evaluated as one struct-of-arrays batch, materializing only
-            the top-k winners.  With ``bound_prune`` and
-            ``keep_rates=False`` that batch runs the adaptive
-            best-bound-first tiled path — buckets visited in roofline-
-            bound order, a strict self-tightening threshold skipping
-            hopeless buckets — which is where the engine's pruning pays
-            off most (see :func:`_search_columnar`).  Multi-worker and
-            supervised searches keep their chunked dispatch, with each
-            chunk evaluated columnar inside
-            :func:`~repro.engine.iter_evaluate`.  Results are bit-identical
-            either way.
+            everywhere.  A search with ``workers`` ``None``, 0 or 1, no
+            ``constraint`` and no fault-tolerance features runs
+            *pure*-columnar: candidates are enumerated straight into NumPy
+            columns and the whole space is evaluated as one struct-of-arrays
+            batch, materializing only the top-k winners.  With
+            ``bound_prune`` and ``keep_rates=False`` that batch runs the
+            adaptive best-bound-first tiled path — buckets visited in
+            roofline-bound order, a strict self-tightening threshold
+            skipping hopeless buckets — which is where the engine's pruning
+            pays off most (see :func:`_search_columnar`).  Explicit
+            multi-worker (``workers > 1``) and supervised searches keep
+            their chunked dispatch, with each chunk evaluated columnar
+            inside :func:`~repro.engine.iter_evaluate`.  Results are
+            bit-identical either way.
         surrogate: let the adaptive columnar path seed tile 0 from the
             online learned ranking persisted in the surrogate store (see
             :mod:`repro.search.surrogate`).  Speed-only — top-k identical
@@ -679,6 +695,8 @@ def search(
     dispatch path (and forces chunked evaluation); without them the fast
     legacy dispatch is used and behavior is unchanged.
     """
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
     t_start = perf_counter()
@@ -693,10 +711,14 @@ def search(
     # Pure-columnar dispatch: a serial, unsupervised, unconstrained search
     # never needs per-candidate scalar results, so enumerate straight into
     # NumPy columns and evaluate the whole space as one vectorized batch.
-    # ImportError (NumPy below the columnar floor) and unencodable option
-    # spaces fall back to the scalar enumeration below.
+    # workers=None counts as serial here: the pool would first have to
+    # enumerate and pickle scalar strategies, which alone outlasts the whole
+    # columnar search (see auto_workers).  ImportError (NumPy below the
+    # columnar floor) and unencodable option spaces fall back to the scalar
+    # enumeration below.
     engine_batch = search_columns = None
-    if columnar is not False and constraint is None and not fault_mode:
+    serial = workers is None or workers <= 1
+    if serial and columnar is not False and constraint is None and not fault_mode:
         try:
             from ..engine import batch as engine_batch
             from . import columns as search_columns
@@ -709,20 +731,17 @@ def search(
             llm, system, batch, options or SearchOptions()
         )
     if cols is not None:
-        n_cand = int(cols["t"].shape[0])
-        workers = auto_workers(n_cand) if workers is None else workers
-        if workers <= 1:
-            if tracer is not None:
-                tracer.add_span("enumerate", "search", t0,
-                                perf_counter() - t0, candidates=n_cand)
-            return _search_columnar(
-                llm, system, batch, cols, engine_batch,
-                top_k=top_k, keep_rates=keep_rates, instrument=instrument,
-                collect_stats=collect_stats, tracer=tracer,
-                progress=progress, t_start=t_start,
-                options=options, bound_prune=bound_prune,
-                prune_seed=prune_seed, surrogate=surrogate,
-            )
+        if tracer is not None:
+            tracer.add_span("enumerate", "search", t0, perf_counter() - t0,
+                            candidates=int(cols["t"].shape[0]))
+        return _search_columnar(
+            llm, system, batch, cols, engine_batch,
+            top_k=top_k, keep_rates=keep_rates, instrument=instrument,
+            collect_stats=collect_stats, tracer=tracer,
+            progress=progress, t_start=t_start,
+            options=options, bound_prune=bound_prune,
+            prune_seed=prune_seed, surrogate=surrogate,
+        )
     strategies = list(candidate_strategies(llm, system, batch, options))
     if tracer is not None:
         tracer.add_span("enumerate", "search", t0, perf_counter() - t0,

@@ -101,8 +101,10 @@ def best_at_size(
     """Search the execution space at one system size.
 
     ``workers`` is forwarded to :func:`repro.search.search`; the default
-    ``None`` applies its :func:`~repro.search.auto_workers` heuristic, so
-    large per-size spaces parallelize while small ones stay serial.
+    ``None`` runs each per-size search serially on the columnar path, and
+    applies the :func:`~repro.search.auto_workers` heuristic only when the
+    search falls back to the scalar path (``columnar=False`` or an
+    ``events`` journal).
     ``bound_prune`` is forwarded too, and bites hard here: the inner search
     keeps only the single best configuration (``top_k=1``, no rate
     histogram), the exact regime where roofline bound pruning skips the
@@ -163,10 +165,11 @@ def scaling_sweep(
     """Best performance at each system size (one Fig. 7 / Fig. 10 panel).
 
     ``workers`` is honored by every inner per-size search (``None`` =
-    auto-select, 0/1 = serial, N = process count), so a Fig. 7 sweep over
-    thousands of processors can use the whole machine.  ``bound_prune``
-    and ``columnar`` reach every inner search (see :func:`best_at_size`;
-    the curve is identical either way).
+    serial columnar, or auto-select on the scalar path; 0/1 = serial;
+    N = process count, so a Fig. 7 sweep over thousands of processors can
+    use the whole machine).  ``bound_prune`` and ``columnar`` reach every
+    inner search (see :func:`best_at_size`; the curve is identical either
+    way).
 
     With a ``tracer``, each per-size search is wrapped in a ``size=N`` span
     (chunk and stage spans of the inner searches nest beneath it);

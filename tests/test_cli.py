@@ -91,6 +91,20 @@ def test_sweep_subcommand(capsys):
     assert "rel scaling" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "tiny-test", "a100:8", "--top", "0"],
+    ["search", "tiny-test", "a100:8", "--top", "-1"],
+    ["search", "tiny-test", "a100:8", "--batch", "0"],
+    ["search", "tiny-test", "a100:8", "--batch", "-4"],
+    ["sweep", "tiny-test", "a100:8", "--batch", "0"],
+])
+def test_counts_below_one_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_presets_subcommand(capsys):
     rc = main(["presets"])
     out = capsys.readouterr().out

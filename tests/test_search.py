@@ -1,10 +1,15 @@
 """Execution-search engine tests (paper §5.1)."""
 
+import os
+
+import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import calculate
 from repro.hardware import a100_system, ddr5_offload
 from repro.llm import LLMConfig, TINY_TEST
+from repro.obs import Tracer
 from repro.search import SearchOptions, auto_workers, candidate_strategies, search
 from repro.search.execution_search import MIN_STRATEGIES_PER_WORKER
 
@@ -196,13 +201,52 @@ def test_auto_workers_scales_with_candidates_and_caps_at_cores():
     assert auto_workers(10 * per, cpu_count=1) == 1
 
 
-def test_search_workers_none_matches_explicit_serial():
+def test_search_workers_none_matches_explicit_serial(monkeypatch, capsys):
     opts = small_options()
     auto = search(LLM, SYS, 16, opts, workers=None)
     serial = search(LLM, SYS, 16, opts, workers=0)
     assert auto.num_evaluated == serial.num_evaluated
     assert auto.num_feasible == serial.num_feasible
     assert auto.best.sample_rate == serial.best.sample_rate
+
+    # A space large enough for auto_workers to pick a pool on 8 cores still
+    # runs as one serial columnar batch, and ranks exactly like the pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    system = a100_system(8)
+    n = sum(1 for _ in candidate_strategies(TINY_TEST, system, 16))
+    assert n >= 2 * MIN_STRATEGIES_PER_WORKER
+    tracer = Tracer()
+    auto = search(TINY_TEST, system, 16, workers=None, keep_rates=False,
+                  collect_stats=True, tracer=tracer)
+    assert auto.stats.workers == 1
+    chunks = [e for e in tracer.events() if e.get("cat") == "search.chunk"]
+    assert len(chunks) == 1
+    pool = search(TINY_TEST, system, 16, workers=2, keep_rates=False)
+    assert [s.to_dict() for s, _ in auto.top] == [s.to_dict() for s, _ in pool.top]
+    assert [r.sample_rate for _, r in auto.top] == [r.sample_rate for _, r in pool.top]
+
+    rc = main(["search", "tiny-test", "a100:8", "--batch", "16", "--stats"])
+    assert rc == 0
+    assert "1 worker)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["serial", "pool", "checkpoint"])
+def test_search_top_k_zero_keeps_rates_and_negative_raises(mode, tmp_path):
+    opts = small_options(max_microbatch=16)
+    kwargs = {
+        "serial": {"workers": 0},
+        "pool": {"workers": 2},
+        "checkpoint": {"workers": 0, "checkpoint": tmp_path / "journal.jsonl"},
+    }[mode]
+    ref = search(LLM, SYS, 16, opts, workers=0, top_k=10)
+    got = search(LLM, SYS, 16, opts, top_k=0, **kwargs)
+    assert got.top == [] and got.best is None
+    assert got.num_feasible == ref.num_feasible > 0
+    # The rate order follows each path's evaluation stream; the histogram
+    # is the multiset.
+    assert np.array_equal(np.sort(got.sample_rates), np.sort(ref.sample_rates))
+    with pytest.raises(ValueError, match="top_k"):
+        search(LLM, SYS, 16, opts, top_k=-1, **kwargs)
 
 
 def test_top_k_heap_matches_brute_force_ranking():
