@@ -92,7 +92,7 @@ def main() -> int:
     # -- uninterrupted single-process reference ------------------------------
     t0 = time.perf_counter()
     ref = search(llm, system, BATCH, options, top_k=TOP_K,
-                 workers=0, keep_rates=False, columnar=True)
+                 workers=0, keep_rates=False)
     ref_s = time.perf_counter() - t0
     print(f"single-process reference: {ref.num_evaluated} candidates "
           f"({ref.num_feasible} feasible) in {ref_s:.2f} s")

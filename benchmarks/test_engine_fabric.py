@@ -53,7 +53,7 @@ def _timed_columnar():
         t0 = time.perf_counter()
         result = search(
             llm, system, batch, top_k=TOP_K, workers=0,
-            keep_rates=False, columnar=True,
+            keep_rates=False,
         )
         best_t = min(best_t, time.perf_counter() - t0) if best_t else \
             time.perf_counter() - t0

@@ -29,9 +29,7 @@ def _run():
 
     # Retaining ~100k results while the other path runs would distort the
     # timing with garbage-collector pressure: keep only the feasibility bits
-    # and let each phase's results die young.  ``columnar=False`` keeps this
-    # a measurement of the *scalar* batched path — the columnar engine has
-    # its own benchmark (test_engine_columnar.py).
+    # and let each phase's results die young.
     clear_caches()
     gc.collect()
     t0 = time.perf_counter()
@@ -43,7 +41,7 @@ def _run():
     clear_caches()
     gc.collect()
     t0 = time.perf_counter()
-    batched = evaluate_many(llm, system, strategies, prune=True, columnar=False)
+    batched = evaluate_many(llm, system, strategies)
     t_batched = time.perf_counter() - t0
     batched_feasible = [r.feasible for r in batched]
     del batched
@@ -53,9 +51,7 @@ def _run():
     clear_caches()
     gc.collect()
     t0 = time.perf_counter()
-    counted, stats = evaluate_many(
-        llm, system, strategies, prune=True, stats=True, columnar=False,
-    )
+    counted, stats = evaluate_many(llm, system, strategies, stats=True)
     t_stats = time.perf_counter() - t0
     del counted
 
@@ -74,10 +70,7 @@ def _run():
             clear_caches()
             gc.collect()
             t0 = time.perf_counter()
-            counted, _ = evaluate_many(
-                llm, system, strategies, prune=True, stats=True,
-                columnar=False,
-            )
+            counted, _ = evaluate_many(llm, system, strategies, stats=True)
             t_stats_best = min(t_stats_best, time.perf_counter() - t0)
             del counted
 
@@ -91,8 +84,7 @@ def _run():
                 journal.emit("chunk.dispatch", chunk=0, attempt=0,
                              mode="serial")
                 counted, _ = evaluate_many(
-                    llm, system, strategies, prune=True, stats=True,
-                    metrics=registry, columnar=False,
+                    llm, system, strategies, stats=True, metrics=registry,
                 )
                 journal.emit("chunk.done", chunk=0,
                              seconds=time.perf_counter() - t0)

@@ -55,7 +55,7 @@ def batch_sweep_fixed(
     strats = [replace(strategy, batch=batch) for batch in batches]
     points = []
     for batch, strat, res in zip(
-        batches, strats, evaluate_many(llm, system, strats, prune=True)
+        batches, strats, evaluate_many(llm, system, strats)
     ):
         points.append(
             BatchPoint(

@@ -134,36 +134,6 @@ def _add_prune_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_adaptive_flags(parser: argparse.ArgumentParser) -> None:
-    """Knobs for the adaptive best-bound-first columnar search path."""
-    parser.add_argument(
-        "--prune-seed", type=int, default=0, metavar="N",
-        help="seed-sample size: the surrogate-picked tile-0 bucket count on "
-        "the default adaptive columnar path; a stride pre-pass length on the "
-        "scalar path (--workers N>1, --no-columnar, --events, checkpoints or "
-        "fault flags) (0 = auto, negative = no seeding; the answer is "
-        "identical either way)",
-    )
-    parser.add_argument(
-        "--no-surrogate", action="store_true",
-        help="disable learned tile-0 seeding on the adaptive columnar "
-        "path (same answer, possibly slower; see docs/PERFORMANCE.md)",
-    )
-
-
-def _add_columnar_flag(parser: argparse.ArgumentParser) -> None:
-    """The columnar-engine escape hatch shared by the batched commands."""
-    parser.add_argument(
-        "--no-columnar", action="store_true",
-        help="force the scalar engine instead of the vectorized columnar "
-        "batch path (same answer, slower; see docs/PERFORMANCE.md)",
-    )
-
-
-def _columnar_arg(args: argparse.Namespace) -> bool | None:
-    return False if getattr(args, "no_columnar", False) else None
-
-
 def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
     """The fault-tolerance flags shared by the long-running sweeps."""
     parser.add_argument(
@@ -317,9 +287,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         result = search(
             llm, system, args.batch, opts, top_k=args.top, workers=args.workers,
             keep_rates=False, bound_prune=not args.no_prune,
-            prune_seed=getattr(args, "prune_seed", 0),
-            surrogate=not getattr(args, "no_surrogate", False),
-            columnar=_columnar_arg(args),
             tracer=tracer, collect_stats=args.stats, progress=progress,
             events=events,
             **_fault_kwargs(args),
@@ -379,7 +346,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         curve = scaling_sweep(
             llm, factory, sizes, args.batch, opts, workers=args.workers,
             bound_prune=not args.no_prune,
-            columnar=_columnar_arg(args),
             tracer=tracer, collect_stats=args.stats, progress=progress,
             events=events,
             **fault,
@@ -799,7 +765,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_window=args.batch_window,
         max_batch=args.max_batch,
         request_timeout=args.request_timeout,
-        columnar=_columnar_arg(args),
         events_path=args.events,
     )
     host, port = server.server_address[0], server.port
@@ -865,7 +830,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         import logging
 
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
-        done = run_worker(args.join, name=args.name, columnar=_columnar_arg(args))
+        done = run_worker(args.join, name=args.name)
         sys.stderr.write(f"fabric worker finished {done} chunks\n")
         return 0
     if not args.llm or not args.system:
@@ -889,7 +854,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             lease_timeout=args.lease_timeout,
             checkpoint=args.checkpoint, resume=args.resume,
             events=events, tracer=tracer,
-            columnar=_columnar_arg(args),
             timeout=args.timeout,
         )
     finally:
@@ -999,7 +963,6 @@ def main(argv: list[str] | None = None) -> int:
     srv.add_argument("--max-batch", type=int, default=64,
                      help="max evaluations per micro-batch (default 64)")
     srv.add_argument("--request-timeout", type=float, default=60.0, metavar="SECONDS")
-    _add_columnar_flag(srv)
     _add_events_flag(srv)
     srv.set_defaults(func=_cmd_serve)
 
@@ -1030,12 +993,10 @@ def main(argv: list[str] | None = None) -> int:
     srch.add_argument("--options", default="all")
     srch.add_argument("--top", type=_positive_int, default=10)
     srch.add_argument("--workers", type=int, default=None,
-                      help="worker processes (default: serial columnar, or "
-                      "auto on the scalar path; 0/1 = serial)")
+                      help="worker processes (default: serial, or auto with "
+                      "--events, checkpoints or fault flags; 0/1 = serial)")
     _add_serve_workload_flags(srch)
     _add_prune_flag(srch)
-    _add_adaptive_flags(srch)
-    _add_columnar_flag(srch)
     _add_obs_flags(srch)
     _add_events_flag(srch)
     _add_fault_flags(srch)
@@ -1066,10 +1027,9 @@ def main(argv: list[str] | None = None) -> int:
     swp.add_argument("--step", type=int, default=512)
     swp.add_argument("--options", default="all")
     swp.add_argument("--workers", type=int, default=None,
-                     help="processes per inner search (default: serial "
-                     "columnar, or auto on the scalar path; 0/1 = serial)")
+                     help="processes per inner search (default: serial, "
+                     "or auto with --events; 0/1 = serial)")
     _add_prune_flag(swp)
-    _add_columnar_flag(swp)
     _add_obs_flags(swp)
     _add_events_flag(swp)
     _add_fault_flags(swp)
@@ -1104,7 +1064,6 @@ def main(argv: list[str] | None = None) -> int:
                      help="journal merged chunks to FILE for later --resume")
     fab.add_argument("--resume", action="store_true",
                      help="fold chunks already journaled in --checkpoint FILE")
-    _add_columnar_flag(fab)
     _add_obs_flags(fab)
     _add_events_flag(fab)
     fab.set_defaults(func=_cmd_fabric)

@@ -16,11 +16,12 @@ searches pass a ``prune_above`` threshold to :func:`evaluate_many` /
 :func:`iter_evaluate` to skip the comm/assembly stages for candidates that
 provably cannot enter the current top-k.
 
-The columnar engine (:mod:`repro.engine.batch`) vectorizes the batched path
-over NumPy struct-of-arrays; ``evaluate_many``/``iter_evaluate`` route large
-batches through it by default (``columnar=False`` opts out), with results
-bit-identical to the scalar oracle.  ``COLUMNAR_AVAILABLE`` reports whether
-the installed NumPy clears the module's version floor.
+The columnar engine (:mod:`repro.engine.batch`) is the batched path: it
+runs the same stages over NumPy struct-of-arrays, and
+``evaluate_many``/``iter_evaluate`` send every batch of 32 or more
+candidates (or any batch with a ``prune_above`` threshold) through it.
+Smaller batches run :func:`evaluate`, the scalar oracle the columnar
+results are held bit-identical to.
 """
 
 from .api import (
@@ -55,15 +56,7 @@ from .stages import (
     stage_validate,
 )
 
-# The columnar engine needs NumPy >= 1.24; keep the engine importable (with
-# the scalar pipeline) on older installs and let callers introspect.
-try:
-    from .batch import EvalBatch  # noqa: F401
-
-    COLUMNAR_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via monkeypatched floor
-    EvalBatch = None  # type: ignore[assignment, misc]
-    COLUMNAR_AVAILABLE = False
+from .batch import EvalBatch
 
 
 def clear_caches() -> None:
@@ -78,7 +71,6 @@ def clear_caches() -> None:
 
 __all__ = [
     "BlockProfile",
-    "COLUMNAR_AVAILABLE",
     "CommExposure",
     "ENGINE_VERSION",
     "EvalBatch",

@@ -14,9 +14,8 @@ carried as mask updates instead of early returns.
 Bit-exactness contract
 ----------------------
 The scalar pipeline stays the oracle: for any candidate list the columnar
-path produces results **bit-identical** to the scalar batched iterator (and
-therefore to :func:`repro.engine.evaluate`).  Three disciplines make that
-hold:
+path produces results **bit-identical** to :func:`repro.engine.evaluate`
+mapped over the list.  Three disciplines make that hold:
 
 * every float expression mirrors the scalar code's structure and evaluation
   order — NumPy elementwise float64 ops round exactly like CPython floats,
@@ -27,21 +26,13 @@ hold:
   returns would have produced;
 * the comm kernels (:func:`~repro.engine.stages.tp_exposure`,
   :func:`~repro.engine.stages.pp_p2p_time`, ...) are *not* vectorized: they
-  are called once per profile-group / memory-bucket cell with Python scalar
-  keys — the exact call set of the scalar batched path, so the process-global
-  comm caches see the same keys, hits and misses.
+  are called once per distinct argument tuple with Python scalar keys, so
+  they return exactly the floats the scalar pipeline computes.
 
-Grouping mirrors the scalar batched path too: candidates are factorized into
-profile groups and memory buckets (numbered in first-seen order), the memory
-plan and roofline bound are computed once per bucket, and result objects are
-materialized only for survivors — rejected/pruned buckets share one frozen
-result, like the scalar path's shared-infeasible optimization.
-
-One scalar/columnar divergence is deliberate: a *callable* ``prune_above``
-threshold is read once per batch instead of once per candidate.  Pruning
-stays lossless for top-k selection (the threshold only ever tightens), but a
-dynamically-tightening search may prune fewer candidates per batch than the
-scalar path would; ``docs/PERFORMANCE.md`` discusses the trade.
+Candidates are factorized into profile groups and memory buckets (numbered
+in first-seen order), the memory plan and roofline bound are computed once
+per bucket, and result objects are materialized only for survivors —
+rejected/pruned buckets share one frozen result.
 """
 
 from __future__ import annotations
@@ -49,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -61,8 +52,7 @@ def check_numpy_version(version: str | None = None) -> None:
 
     Runs at import time with the installed ``numpy.__version__`` so the
     columnar engine fails with a clear message instead of a cryptic dtype or
-    ufunc error deep inside a sweep.  Callers that want the scalar pipeline
-    anyway pass ``columnar=False`` / ``--no-columnar``.
+    ufunc error deep inside a sweep.
     """
     v = np.__version__ if version is None else version
     parts: list[int] = []
@@ -80,8 +70,7 @@ def check_numpy_version(version: str | None = None) -> None:
         floor = ".".join(str(x) for x in NUMPY_MIN_VERSION)
         raise ImportError(
             f"repro.engine.batch requires NumPy >= {floor} (found {v}); "
-            "upgrade NumPy or pass columnar=False / --no-columnar to use "
-            "the scalar pipeline"
+            "upgrade NumPy"
         )
 
 
@@ -112,7 +101,6 @@ from ..obs.stats import (  # noqa: E402
     M_REJECT_MEMORY,
     M_REJECT_VALIDATE,
     M_SHARED_INFEASIBLE,
-    M_SURROGATE_SEEDED,
     stage_metric,
 )
 from .bounds import (  # noqa: E402
@@ -389,9 +377,9 @@ def batch_validate(eb: EvalBatch) -> EvalBatch:
 def batch_profile(eb: EvalBatch) -> EvalBatch:
     """Factorize valid candidates into profile groups; profile each once.
 
-    Groups are keyed by the scalar path's ``profile_key`` fields and
-    numbered in first-seen order, so the stream order (and the group count)
-    matches the scalar batched iterator exactly.  The profile computation
+    Groups are keyed by the :func:`~repro.engine.profile.profile_key`
+    fields and numbered in first-seen order, which fixes the stream order
+    results come out in.  The profile computation
     itself stays scalar — one (cached) :func:`profile_block` call per group
     — and its float fields are lifted into per-group columns.
     """
@@ -447,7 +435,7 @@ def batch_profile(eb: EvalBatch) -> EvalBatch:
 def batch_memory(eb: EvalBatch) -> EvalBatch:
     """Per-bucket memory plans and capacity masks, vectorized.
 
-    Buckets refine profile groups by the scalar path's memory key (p, d,
+    Buckets refine profile groups by the memory-relevant fields (p, d,
     batch, v, 1F1B, sharding, the offload switches, training), numbered in
     first-seen order.  Every plan quantity is computed once per bucket with
     the exact expression structure of :func:`~repro.engine.stages.stage_memory`,
@@ -557,7 +545,7 @@ def batch_memory(eb: EvalBatch) -> EvalBatch:
 
 
 # ---------------------------------------------------------------------------
-# Bound pruning (between memory and comm, like the scalar batched path)
+# Bound pruning (between memory and comm)
 # ---------------------------------------------------------------------------
 
 
@@ -565,8 +553,8 @@ def batch_prune(eb: EvalBatch, threshold: float | None) -> EvalBatch:
     """Apply the roofline bound as a vectorized mask over feasible buckets.
 
     ``threshold`` is the already-resolved ``prune_above`` value (a batch
-    time in seconds) or ``None`` to disable pruning.  Mirrors the scalar
-    path: bounds are computed once per feasible bucket (via
+    time in seconds) or ``None`` to disable pruning.  Bounds are computed
+    once per feasible bucket (via
     :func:`~repro.engine.bounds.batch_lower_bounds`, which reuses the cached
     scalar ``optim_step_time`` kernel), and every candidate of a bucket
     whose bound reaches the threshold is masked out of the comm/assembly
@@ -603,8 +591,8 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
     :func:`pp_p2p_time` per (bucket, pp_rs_ag) cell with ``p > 1``,
     :func:`dp_collectives` and :func:`optim_step_time` per unique kernel
     shape across the surviving buckets that need them.  Every kernel is
-    deterministic in its arguments, so deduplicating the scalar path's
-    per-bucket calls changes no value; outputs are gathered onto survivor
+    deterministic in its arguments, so deduplicating the per-candidate
+    calls changes no value; outputs are gathered onto survivor
     lanes and all per-candidate arithmetic runs elementwise, mirroring
     :func:`~repro.engine.stages.stage_comm` term for term.
     """
@@ -941,22 +929,13 @@ class AdaptivePlan:
     over everything evaluated so far becomes the rate floor that
     :func:`~repro.engine.bounds.strict_prune_threshold_for_rate` converts
     into a batch-time ceiling between tiles.  ``floor_rate`` pre-seeds the
-    floor (e.g. from fabric threshold gossip); non-finite or negative
-    values are ignored, never trusted.  ``seed_fn`` is the surrogate hook:
-    called once after the memory stage, it may return bucket ids to
-    evaluate first (tile 0), pre-tightening the threshold before bound
-    order takes over — a pure speed hint, never a correctness input.
-    ``on_tile`` observes each completed tile ``(tile_bucket_ids,
-    survivor_bucket_ids, survivor_rates)`` for online surrogate training.
+    floor (e.g. from threshold gossip between chunks); non-finite or
+    negative values are ignored, never trusted.
     """
 
     top_k: int
     floor_rate: float = 0.0
     tile_buckets: int = 64  # initial tile; doubles per tile (speed only)
-    seed_fn: Callable[["EvalBatch"], Sequence[int] | None] | None = None
-    on_tile: (
-        Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None
-    ) = None
 
 
 # Ceiling for the geometric tile growth in batch_adaptive: large enough to
@@ -1015,27 +994,6 @@ def batch_adaptive(
     b = eb.b
     fb = np.flatnonzero(b["ok"])
     order = fb[np.argsort(bounds[fb], kind="stable")]
-
-    n_seeded = 0
-    if plan.seed_fn is not None and order.size:
-        raw = plan.seed_fn(eb)
-        if raw is None:
-            raw = ()
-        ok = b["ok"]
-        seen: set[int] = set()
-        seed: list[int] = []
-        for s in raw:
-            s = int(s)
-            if 0 <= s < eb.n_buckets and ok[s] and s not in seen:
-                seen.add(s)
-                seed.append(s)
-        if seed:
-            seed_arr = np.asarray(seed, dtype=order.dtype)
-            in_seed = np.zeros(eb.n_buckets, dtype=bool)
-            in_seed[seed_arr] = True
-            order = np.concatenate([seed_arr, order[~in_seed[order]]])
-            n_seeded = len(seed)
-    eb.n_seeded_buckets = n_seeded
 
     k = max(int(plan.top_k), 0)
     tile_n = max(int(plan.tile_buckets), 1)
@@ -1113,13 +1071,6 @@ def batch_adaptive(
                     new_floor = float(top_rates.min())
                     if new_floor > floor:
                         floor = new_floor
-            if plan.on_tile is not None:
-                plan.on_tile(tile_b, eb.bid_s, eb.rate_s)
-        elif plan.on_tile is not None:
-            plan.on_tile(
-                tile_b, np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
 
     # -- final pruned/survivor state (mirrors batch_prune's shapes) ----------
     eb.pruned_b = skipped_b
@@ -1181,16 +1132,14 @@ def run_batch(
 ) -> EvalBatch:
     """Run every batch stage in order; apply counters and stage timings.
 
-    ``prune_above`` must already be resolved to a float threshold (or
-    ``None``); callable thresholds are read once by the caller.  Passing an
-    :class:`AdaptivePlan` replaces the prune/comm/assemble tail with the
-    best-bound-first tiled path (:func:`batch_adaptive`); ``prune_above``
-    is ignored in that case — the plan's self-tightening threshold
-    subsumes it.  Counters land on ``metrics`` with the same names and
-    totals the scalar batched path produces; stage wall-time histograms
-    are observed once per stage with the aggregate duration (the scalar
-    path observes per candidate / group / bucket / survivor — totals are
-    comparable, sample counts are not).
+    ``prune_above`` is a batch-time threshold in seconds (or ``None``).
+    Passing an :class:`AdaptivePlan` replaces the prune/comm/assemble tail
+    with the best-bound-first tiled path (:func:`batch_adaptive`);
+    ``prune_above`` is ignored in that case — the plan's self-tightening
+    threshold subsumes it.  Counters land on ``metrics`` under the
+    ``engine.*`` names; stage wall-time histograms are observed once per
+    stage with the aggregate duration (the scalar :func:`evaluate` observes
+    once per candidate — totals are comparable, sample counts are not).
     """
     mx = metrics
     timed = mx is not None
@@ -1239,8 +1188,6 @@ def run_batch(
         if adaptive is not None:
             mx.inc(M_BOUND_TILES, float(eb.n_tiles))
             mx.inc(M_BOUND_SKIPPED_BUCKETS, float(eb.n_skipped_buckets))
-            if eb.n_seeded_buckets:
-                mx.inc(M_SURROGATE_SEEDED, float(eb.n_seeded_buckets))
         mx.inc(M_EVALUATED_FULL, float(eb.n_survivors))
         mx.inc(M_COLUMNAR_BATCHES)
         mx.inc(M_COLUMNAR_CANDIDATES, float(eb.n))
@@ -1307,12 +1254,13 @@ def _invalid_result(eb: EvalBatch, i: int) -> PerformanceResult:
     )
 
 
-def _materialize_survivors(eb: EvalBatch) -> list[PerformanceResult]:
+def survivor_results(eb: EvalBatch) -> list[PerformanceResult]:
     """Build one PerformanceResult per survivor, in survivor order.
 
-    Per-bucket components (strategy name, memory breakdown) are shared
-    across a bucket's survivors, like the scalar batched path shares the
-    memoized plan; non-offload survivors share one zero OffloadStats.
+    Entry ``k`` belongs to input row ``eb.inp_s[k]`` and has rate
+    ``eb.rate_s[k]``.  Per-bucket components (strategy name, memory
+    breakdown) are shared across a bucket's survivors; non-offload
+    survivors share one zero OffloadStats.
     """
     asm, b = eb.asm, eb.b
     n_s = eb.n_s
@@ -1372,18 +1320,17 @@ def _materialize_survivors(eb: EvalBatch) -> list[PerformanceResult]:
 
 
 def iter_results(eb: EvalBatch) -> Iterator[tuple[int, PerformanceResult]]:
-    """Yield ``(input_index, result)`` in the scalar engine's stream order.
+    """Yield ``(input_index, result)`` in stream order.
 
     Validate-rejects first (input order), then profile groups in first-seen
-    order with members in input order — the exact order
-    ``repro.engine.iter_evaluate`` streams, so downstream heaps and
-    tie-breaks behave identically.
+    order with members in input order — the order
+    ``repro.engine.iter_evaluate`` streams batched results in.
     """
     for i in np.flatnonzero(~eb.valid).tolist():
         yield i, _invalid_result(eb, i)
     if eb.n_valid == 0:
         return
-    survivors = _materialize_survivors(eb)
+    survivors = survivor_results(eb)
     pos_in_surv = np.full(eb.n_valid, -1, dtype=np.int64)
     if eb.n_s:
         pos_in_surv[eb.sidx] = np.arange(eb.n_s, dtype=np.int64)
@@ -1426,4 +1373,5 @@ __all__ = [
     "columns_from_strategies",
     "iter_results",
     "run_batch",
+    "survivor_results",
 ]

@@ -20,7 +20,7 @@ batch time, and the remaining ``batch_time`` fields are all non-negative.
 ``docs/PERFORMANCE.md`` walks through the derivation.
 
 That inequality is what makes pruning *exact*: a candidate is skipped only
-when even its lower bound is too slow to be admitted by the search heap, so
+when even its lower bound is too slow to be retained by the search, so
 the surviving top-k is bit-identical to an unpruned run (see
 :func:`prune_threshold_for_rate` for the rate/time conversion that keeps the
 float round-trip sound).
@@ -123,12 +123,10 @@ def batch_lower_bounds(eb: "EvalBatch") -> np.ndarray:
     structure and summation order, so feasible buckets get bit-identical
     bounds; entries of capacity-rejected buckets are meaningless (the
     caller masks them out) and their optimizer-step kernel is *not*
-    invoked, matching the scalar path's per-feasible-bucket call set —
-    :func:`optim_step_time` is invoked once per *distinct* feasible
-    ``(opt_bytes, traffic, tier)`` triple — many buckets share one
+    invoked — :func:`optim_step_time` is invoked once per *distinct*
+    feasible ``(opt_bytes, traffic, tier)`` triple.  Many buckets share one
     optimizer shape, and the kernel is deterministic in its arguments, so
-    deduplicating the scalar calls changes no bound value (it only shifts
-    comm-cache hits onto the vectorized scatter).
+    deduplicating the calls changes no bound value.
     """
     b = eb.b
 
@@ -182,17 +180,17 @@ def batch_lower_bounds(eb: "EvalBatch") -> np.ndarray:
 def prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
     """The smallest batch time whose sample rate cannot beat ``rate_floor``.
 
-    Search heaps admit a candidate when ``fl(batch / batch_time) >
-    rate_floor``.  Because float division is inexact, pruning directly on
+    A top-k search retains a candidate over a full list only when
+    ``fl(batch / batch_time) > rate_floor``.  Because float division is inexact, pruning directly on
     ``batch_time >= batch / rate_floor`` could discard a candidate whose
     *rounded* rate still exceeds the floor by an ulp.  This returns a
     threshold ``T`` with ``fl(batch / T) <= rate_floor``; division is
     antitone in the denominator, so every ``batch_time >= T`` (and hence
-    every lower bound ``>= T``) yields a rate ``<= rate_floor`` — the heap
+    every lower bound ``>= T``) yields a rate ``<= rate_floor`` — the search
     would have rejected it anyway, making pruning provably lossless.
 
     ``rate_floor <= 0`` disables pruning (returns ``inf``), and so does any
-    non-finite floor: an empty or all-infeasible heap reports its k-th-best
+    non-finite floor: an empty or all-infeasible top-k reports its k-th-best
     rate as ``-inf`` (or ``nan`` after degenerate arithmetic), and treating
     either as a real floor would prune the entire space.
     """
@@ -209,8 +207,9 @@ def prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
 def strict_prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
     """The smallest batch time whose sample rate is *strictly* below the floor.
 
-    :func:`prune_threshold_for_rate` is exact for the scalar stream-order
-    path, where the heap itself breaks rate ties by arrival order.  Tiled
+    :func:`prune_threshold_for_rate` is exact when candidates are priced in
+    stream order, so that ties break by arrival order (``hill_climb``'s
+    strictly-better moves, a fixed ``prune_above``).  Tiled
     best-bound-first evaluation processes candidates *out* of stream order,
     so a tie at the floor must never be pruned — the final ``lexsort`` tie
     break might still retain it.  This variant keeps bumping until

@@ -9,13 +9,13 @@ retries (the serial-fallback mirror of
 :func:`repro.search.faults.run_supervised`), so a degraded cluster computes
 exactly what a healthy one would.
 
-Bit-identity: the columnar path slices the global column arrays and runs
-the batch stages over the slice.  Per-candidate results are independent of
-batch composition (the columnar engine's equivalence contract), so the
-rates produced for rows ``[start, stop)`` are bit-identical to a
-whole-space run.  Local top-k selection uses the same
-``lexsort((stream_rank, -rate))`` retention as ``_search_columnar``; the
-shipped entries carry ``gidx = start + row`` so the coordinator's
+Bit-identity: a chunk is a row range of the global candidate columns,
+evaluated by the search's own row-range evaluator
+(:func:`repro.search.execution_search.evaluate_rows`).  Per-candidate
+results are independent of batch composition (the columnar engine's
+equivalence contract), so the rates produced for rows ``[start, stop)``
+are bit-identical to a whole-space run.  The shipped entries carry
+``gidx = start + row`` so the coordinator's
 :class:`~repro.fabric.merge.TopKMerge` ranks them on the global
 ``(-rate, gidx)`` total order.
 """
@@ -25,13 +25,11 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any
 
-from ..engine import comm_cache_stats
 from ..hardware.system import System
 from ..llm.config import LLMConfig
-from ..obs import M_COMM_CACHE_HITS, M_COMM_CACHE_MISSES, MetricsRegistry, Tracer
+from ..obs import MetricsRegistry, Tracer
 from ..obs.stats import M_CHUNK_SECONDS
-from ..search.execution_search import _chunk_trace_events
-from .merge import TopKMerge
+from ..search.execution_search import _evaluate_chunk
 
 __all__ = ["evaluate_chunk", "evaluate_serve_chunk"]
 
@@ -43,8 +41,7 @@ def evaluate_chunk(
     stop: int,
     top_k: int,
     *,
-    cols: dict | None = None,
-    strategies: list | None = None,
+    cols: dict,
     chunk_index: int = 0,
     instrument: bool = True,
     trace_id: str | None = None,
@@ -52,15 +49,14 @@ def evaluate_chunk(
 ) -> dict[str, Any]:
     """Evaluate global candidates ``[start, stop)``; return a wire payload.
 
-    Exactly one of ``cols`` (full-space columnar arrays) or ``strategies``
-    (the full scalar candidate list) must be provided; the slice is taken
+    ``cols`` holds the full-space candidate columns; the slice is taken
     here so callers hold one enumeration for all their chunks.
 
     ``floor_rate`` is the coordinator's gossiped rate ceiling — the
-    cluster-wide k-th-best rate at lease-grant time.  The columnar path
-    seeds its adaptive threshold with it, so buckets provably below the
-    cluster's already-achieved top-k are skipped without pricing a single
-    comm kernel.  Lossless by construction: only candidates whose rate is
+    cluster-wide k-th-best rate at lease-grant time.  It seeds the chunk's
+    adaptive threshold, so buckets provably below the cluster's
+    already-achieved top-k are skipped without pricing a single comm
+    kernel.  Lossless by construction: only candidates whose rate is
     *strictly* below the floor are skipped, and the merge could never
     retain those.  Non-finite or negative floors are ignored.
 
@@ -73,82 +69,25 @@ def evaluate_chunk(
          "events": [trace spans] | None,
          "elapsed_s": float}
     """
-    if (cols is None) == (strategies is None):
-        raise ValueError("provide exactly one of cols / strategies")
-    registry = MetricsRegistry() if instrument else None
+    rows = {name: arr[start:stop] for name, arr in cols.items()}
     t0 = perf_counter()
-    cc0 = comm_cache_stats() if registry is not None else (0, 0)
-    if cols is not None:
-        n, feasible, top = _evaluate_columnar(
-            llm, system, cols, start, stop, top_k, registry, floor_rate
-        )
-    else:
-        n, feasible, top = _evaluate_scalar(
-            llm, system, strategies, start, stop, top_k
-        )
+    n, feasible, top, _rates, snapshot, events = _evaluate_chunk((
+        llm, system, rows, start, top_k, False, None, True, floor_rate,
+        instrument, chunk_index, None, trace_id,
+    ))
     elapsed = perf_counter() - t0
-    # Local k-th-best report for threshold gossip: the shipped list is
-    # ranked best-first, so a full list's tail is the chunk's k-th best.
+    # Local k-th-best report for threshold gossip: the list is ranked
+    # best-first, so a full list's tail is the chunk's k-th best.
     local_floor = float(top[-1][0]) if len(top) == top_k and top else 0.0
-    snapshot = events = None
-    if registry is not None:
-        cc1 = comm_cache_stats()
-        registry.inc(M_COMM_CACHE_HITS, cc1[0] - cc0[0])
-        registry.inc(M_COMM_CACHE_MISSES, cc1[1] - cc0[1])
-        registry.observe(M_CHUNK_SECONDS, elapsed)
-        tracer = Tracer(trace_id=trace_id)
-        _chunk_trace_events(tracer, chunk_index, registry, t0, elapsed,
-                            n, feasible)
-        snapshot = registry.snapshot()
-        events = tracer.events()
     return {
         "n": n,
         "feasible": feasible,
-        "top": top,
+        "top": [[rate, gidx, strat.to_dict()] for rate, gidx, strat in top],
         "floor_rate": local_floor,
         "snapshot": snapshot,
         "events": events,
         "elapsed_s": elapsed,
     }
-
-
-def _evaluate_columnar(
-    llm, system, cols, start, stop, top_k, registry, floor_rate=0.0
-):
-    import numpy as np
-
-    from ..engine import batch as engine_batch
-
-    sub = {name: arr[start:stop] for name, arr in cols.items()}
-    eb = engine_batch.EvalBatch.from_columns(llm, system, sub)
-    # Best-bound-first tiling with the gossiped floor as the starting
-    # threshold.  Skipped candidates are provably strictly below the floor
-    # (and below this chunk's own k-th best), so the shipped top-k is
-    # bit-identical to an untiled, un-gossiped evaluation of the slice.
-    plan = None
-    if top_k > 0:
-        plan = engine_batch.AdaptivePlan(top_k=top_k, floor_rate=floor_rate)
-    engine_batch.run_batch(eb, prune_above=None, metrics=registry,
-                           adaptive=plan)
-    # Bound-skipped candidates are memory-feasible by construction, so they
-    # count toward feasibility exactly as fully-priced survivors do.
-    feasible = int(eb.n_s) + int(getattr(eb, "n_pruned", 0))
-    top: list[list[Any]] = []
-    if top_k > 0 and eb.n_s > 0:
-        # Same retention rule as _search_columnar: ties at the k-th rate
-        # keep the earliest candidates in *stream* order; the shipped list
-        # is then ranked by (-rate, global index).
-        srank = eb.stream_rank[eb.sidx]
-        keep = np.lexsort((srank, -eb.rate_s))[:top_k]
-        order = np.lexsort((eb.sidx[keep], -eb.rate_s[keep]))
-        for i in keep[order]:
-            row = int(eb.sidx[i])
-            top.append([
-                float(eb.rate_s[i]),
-                start + row,
-                eb.strategy_at(row).to_dict(),
-            ])
-    return int(eb.n), feasible, top
 
 
 def evaluate_serve_chunk(
@@ -227,22 +166,3 @@ def evaluate_serve_chunk(
         "events": events,
         "elapsed_s": elapsed,
     }
-
-
-def _evaluate_scalar(llm, system, strategies, start, stop, top_k):
-    from ..engine import evaluate
-
-    merge = TopKMerge(top_k)
-    feasible = 0
-    chunk = strategies[start:stop]
-    for offset, strategy in enumerate(chunk):
-        result = evaluate(llm, system, strategy)
-        if not result.feasible:
-            continue
-        feasible += 1
-        merge.add(result.sample_rate, start + offset, strategy)
-    top = [
-        [rate, gidx, strategy.to_dict()]
-        for rate, gidx, strategy in merge.entries()
-    ]
-    return len(chunk), feasible, top

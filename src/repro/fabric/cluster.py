@@ -48,7 +48,6 @@ def run_fabric(
     resume: bool = False,
     events=None,
     tracer=None,
-    columnar: bool | None = None,
     timeout: float = 600.0,
     spawn: str = "process",
     worker_env: dict[str, str] | None = None,
@@ -79,7 +78,7 @@ def run_fabric(
         lease_timeout=lease_timeout,
         retry_policy=retry_policy,
         checkpoint=checkpoint, resume=resume,
-        events=events, tracer=tracer, columnar=columnar,
+        events=events, tracer=tracer,
     )
     url = f"http://{host}:{server.port}"
     serve_thread = threading.Thread(

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
@@ -159,7 +159,6 @@ class FabricCoordinator:
         metrics: MetricsRegistry | None = None,
         events: EventJournal | None = None,
         tracer: Tracer | None = None,
-        columnar: bool | None = None,
     ):
         if expected_workers < 1:
             raise ValueError("expected_workers must be >= 1")
@@ -181,9 +180,8 @@ class FabricCoordinator:
         self.key = fabric_run_key(llm, system, batch, self.options,
                                   top_k=self.top_k)
 
-        self._cols, self._strategies, self.total = enumerate_space(
-            llm, system, batch, self.options,
-            columnar=columnar is not False,
+        self._cols, self.total = enumerate_space(
+            llm, system, batch, self.options
         )
 
         step = None
@@ -324,7 +322,7 @@ class FabricCoordinator:
             )
             payload = evaluate_chunk(
                 self.llm, self.system, spec.start, spec.stop, self.top_k,
-                cols=self._cols, strategies=self._strategies,
+                cols=self._cols,
                 chunk_index=spec.index, instrument=self.instrument,
                 trace_id=self.tracer.trace_id if self.tracer else None,
                 floor_rate=self._gossip_floor_locked(),
@@ -561,7 +559,7 @@ class FabricCoordinator:
         Waits for completion, then materializes the winners: each retained
         ``(rate, gidx, strategy_dict)`` entry is rebuilt and re-evaluated
         through the deterministic scalar engine — the same re-evaluation
-        ``_search_columnar`` performs, so the ``PerformanceResult`` objects
+        ``search()`` performs, so the ``PerformanceResult`` objects
         (not just the rates) match the single-process answer exactly.
         """
         if not self.wait(timeout=timeout):

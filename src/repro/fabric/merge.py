@@ -17,11 +17,10 @@ independent of partitioning and arrival order — which makes the merge
 associative and commutative (property-tested across arbitrary partitions
 in ``tests/test_fabric_merge.py``).
 
-The admission rule mirrors the serial scalar heap in
-``execution_search._evaluate_chunk`` exactly: a full heap admits a new
-entry only when it *strictly* beats the current k-th best, so ties at the
-boundary keep the earliest candidate.  ``_search_columnar`` emulates the
-same retention with ``np.lexsort``; see ``docs/FABRIC.md`` for the full
+A full heap admits a new entry only when it *strictly* beats the current
+k-th best under that order, so ties at the boundary keep the earliest
+candidate.  ``search()`` merges its own chunks on the same order
+(``execution_search._merge_tops``); see ``docs/FABRIC.md`` for the full
 bit-identity argument.
 """
 

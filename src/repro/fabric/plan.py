@@ -1,9 +1,9 @@
 """Chunk planning and problem serialization for the search fabric.
 
-The coordinator owns the *plan*: the candidate space is the exact sequence
-:func:`repro.search.execution_search.candidate_strategies` emits (or its
-columnar twin :func:`repro.search.columns.candidate_columns`), sliced into
-contiguous ``[start, stop)`` chunks.  A chunk is identified by its index
+The coordinator owns the *plan*: the candidate space is the exact row
+sequence :func:`repro.search.columns.candidate_columns` emits (the same
+order as :func:`repro.search.execution_search.candidate_strategies`),
+sliced into contiguous ``[start, stop)`` chunks.  A chunk is identified by its index
 into that plan; the plan itself is identified by the content-addressed
 :func:`fabric_run_key` over the full problem, so a worker that joined the
 wrong cluster — or a checkpoint journal from a different problem — is
@@ -24,7 +24,8 @@ from typing import Any
 from ..cachekey import run_key
 from ..hardware.system import System
 from ..llm.config import LLMConfig
-from ..search.execution_search import SearchOptions, candidate_strategies
+from ..search.columns import candidate_columns
+from ..search.execution_search import SearchOptions
 
 __all__ = [
     "ChunkSpec",
@@ -198,27 +199,12 @@ def enumerate_space(
     system: System,
     batch: int,
     options: SearchOptions,
-    *,
-    columnar: bool = True,
-) -> tuple[dict | None, list | None, int]:
-    """Enumerate the candidate space once: ``(cols, strategies, total)``.
+) -> tuple[dict, int]:
+    """Enumerate the candidate space once, as columns: ``(cols, total)``.
 
-    Prefers the vectorized columnar enumerator (milliseconds even for
-    ~100k-candidate spaces); falls back to materializing the scalar
-    strategy list when NumPy is below the columnar floor or the option
-    space uses mode names the columnar codes don't cover.  Both forms
-    describe the *same sequence* — global index ``i`` means the same
-    candidate either way.
+    The vectorized enumerator takes milliseconds even for ~100k-candidate
+    spaces and is deterministic, so global index ``i`` means the same
+    candidate on the coordinator and on every worker.
     """
-    cols = None
-    if columnar:
-        try:
-            from ..search.columns import candidate_columns
-        except ImportError:
-            cols = None
-        else:
-            cols = candidate_columns(llm, system, batch, options)
-    if cols is not None:
-        return cols, None, int(cols["t"].shape[0])
-    strategies = list(candidate_strategies(llm, system, batch, options))
-    return None, strategies, len(strategies)
+    cols = candidate_columns(llm, system, batch, options)
+    return cols, int(cols["t"].shape[0])

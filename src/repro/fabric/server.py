@@ -127,7 +127,6 @@ def make_fabric_server(
     resume: bool = False,
     events: EventJournal | None = None,
     tracer: Tracer | None = None,
-    columnar: bool | None = None,
 ) -> FabricHTTPServer:
     """Assemble coordinator + evaluation service + HTTP server (not serving).
 
@@ -150,7 +149,6 @@ def make_fabric_server(
         metrics=metrics,
         events=events,
         tracer=tracer,
-        columnar=columnar,
     )
     service = EvaluationService(metrics=metrics, events=events)
     service.start()

@@ -57,11 +57,9 @@ class FabricWorker:
         *,
         name: str | None = None,
         client: ServiceClient | None = None,
-        columnar: bool | None = None,
     ):
         self.client = client if client is not None else ServiceClient(base_url)
         self.name = name or f"worker-{os.getpid()}"
-        self.columnar = columnar
         self.worker_id: str | None = None
         self.key: str | None = None
         self.trace_id: str | None = None
@@ -70,7 +68,6 @@ class FabricWorker:
         self._llm = None
         self._system = None
         self._cols = None
-        self._strategies = None
         self._top_k = 0
         self._poll_s = 0.02
 
@@ -98,9 +95,8 @@ class FabricWorker:
             )
         from .plan import enumerate_space
 
-        self._cols, self._strategies, total = enumerate_space(
-            self._llm, self._system, int(problem["batch"]), options,
-            columnar=self.columnar is not False,
+        self._cols, total = enumerate_space(
+            self._llm, self._system, int(problem["batch"]), options
         )
         if total != int(problem["total"]):
             raise RuntimeError(
@@ -173,7 +169,7 @@ class FabricWorker:
         return evaluate_chunk(
             self._llm, self._system,
             int(chunk["start"]), int(chunk["stop"]), self._top_k,
-            cols=self._cols, strategies=self._strategies,
+            cols=self._cols,
             chunk_index=int(chunk["index"]),
             instrument=self.instrument,
             trace_id=self.trace_id,
@@ -185,10 +181,9 @@ def run_worker(
     url: str,
     *,
     name: str | None = None,
-    columnar: bool | None = None,
 ) -> int:
     """CLI entry: join ``url``, work until done, return chunk count."""
-    worker = FabricWorker(url, name=name, columnar=columnar)
+    worker = FabricWorker(url, name=name)
     worker.register()
     done = worker.run()
     logger.info("fabric worker %s finished %d chunks", worker.name, done)

@@ -38,7 +38,6 @@ from .stats import (
     M_CANDIDATES,
     M_COLUMNAR_BATCHES,
     M_COLUMNAR_CANDIDATES,
-    M_COLUMNAR_FALLBACK,
     M_COMM_CACHE_HITS,
     M_COMM_CACHE_MISSES,
     M_EVALUATED_FULL,
@@ -47,7 +46,6 @@ from .stats import (
     M_REJECT_MEMORY,
     M_REJECT_VALIDATE,
     M_SHARED_INFEASIBLE,
-    M_SURROGATE_SEEDED,
     STAGE_NAMES,
     PruneStats,
     SweepStats,
@@ -86,7 +84,6 @@ __all__ = [
     "M_CANDIDATES",
     "M_COLUMNAR_BATCHES",
     "M_COLUMNAR_CANDIDATES",
-    "M_COLUMNAR_FALLBACK",
     "M_COMM_CACHE_HITS",
     "M_COMM_CACHE_MISSES",
     "M_EVALUATED_FULL",
@@ -95,7 +92,6 @@ __all__ = [
     "M_REJECT_MEMORY",
     "M_REJECT_VALIDATE",
     "M_SHARED_INFEASIBLE",
-    "M_SURROGATE_SEEDED",
     "escape_label_value",
     "new_trace_id",
     "prometheus_name",

@@ -36,12 +36,10 @@ M_BOUND_EVALS = "engine.bound.evals"
 M_BOUND_PRUNED = "engine.bound.pruned"
 M_BOUND_TILES = "engine.bound.tiles"
 M_BOUND_SKIPPED_BUCKETS = "engine.bound.skipped_buckets"
-M_SURROGATE_SEEDED = "engine.surrogate.seeded"
 M_COMM_CACHE_HITS = "engine.comm_cache.hits"
 M_COMM_CACHE_MISSES = "engine.comm_cache.misses"
 M_COLUMNAR_BATCHES = "engine.columnar.batches"
 M_COLUMNAR_CANDIDATES = "engine.columnar.candidates"
-M_COLUMNAR_FALLBACK = "engine.columnar.fallback"
 
 # -- search metric names ------------------------------------------------------
 # Histogram of per-chunk wall seconds, observed inside each worker and merged
@@ -56,15 +54,14 @@ def stage_metric(stage: str) -> str:
 
 @dataclass(frozen=True)
 class PruneStats:
-    """What one batched ``evaluate_many(prune=True)`` call actually did.
+    """What one batched ``evaluate_many`` call (or search) actually did.
 
     ``shared_infeasible`` counts candidates short-circuited by an already-
     rejected memory bucket (they never allocated an evaluation context);
     ``bucket_hits`` counts every candidate served an existing memory plan or
     rejection, feasible or not.  ``stage_seconds`` is aggregate wall time
-    per pipeline stage, at the granularity the pruned path runs them
-    (validate per candidate, profile per group, memory per bucket,
-    comm/assemble per survivor).
+    per pipeline stage (one sample per stage per columnar batch, one per
+    candidate for small batches run through the scalar ``evaluate``).
 
     The bound-and-prune layer adds four counters: ``bound_evals`` roofline
     lower bounds computed (one per feasible memory bucket when a
@@ -75,18 +72,18 @@ class PruneStats:
     the process-global comm kernel caches
     (:func:`repro.engine.stages.comm_cache_stats`).
 
-    The columnar engine adds three more: ``columnar_batches`` struct-of-
-    arrays batches executed, ``columnar_candidates`` candidates those
-    batches covered (the remaining ``candidates`` went through the scalar
-    path), and ``columnar_fallback`` requests that asked for the columnar
-    path but fell back to scalar (NumPy too old / import failure).
+    The columnar engine adds two more: ``columnar_batches`` struct-of-
+    arrays batches executed and ``columnar_candidates`` candidates those
+    batches covered (the remaining ``candidates`` were small batches run
+    through the scalar :func:`~repro.engine.evaluate`).
 
     The adaptive best-bound-first layer adds ``bound_tiles`` bucket-ordered
-    tiles executed, ``bound_skipped_buckets`` memory buckets whose comm and
-    assembly stages never ran because their sound lower bound already
+    tiles executed and ``bound_skipped_buckets`` memory buckets whose comm
+    and assembly stages never ran because their sound lower bound already
     exceeded the tightening threshold (their candidates are a subset of
-    ``bound_pruned``), and ``surrogate_seeded`` tile-0 seed buckets picked
-    by the online surrogate ranking instead of bound order.
+    ``bound_pruned``).  ``surrogate_seeded`` is always 0: the engine no
+    longer seeds tile 0 out of bound order, and the field stays so readers
+    of older stats keep working.
     """
 
     candidates: int = 0
@@ -106,7 +103,6 @@ class PruneStats:
     comm_cache_misses: int = 0
     columnar_batches: int = 0
     columnar_candidates: int = 0
-    columnar_fallback: int = 0
     stage_seconds: Mapping[str, float] = field(default_factory=dict)
 
     @classmethod
@@ -124,12 +120,10 @@ class PruneStats:
             bound_pruned=int(reg.value(M_BOUND_PRUNED)),
             bound_tiles=int(reg.value(M_BOUND_TILES)),
             bound_skipped_buckets=int(reg.value(M_BOUND_SKIPPED_BUCKETS)),
-            surrogate_seeded=int(reg.value(M_SURROGATE_SEEDED)),
             comm_cache_hits=int(reg.value(M_COMM_CACHE_HITS)),
             comm_cache_misses=int(reg.value(M_COMM_CACHE_MISSES)),
             columnar_batches=int(reg.value(M_COLUMNAR_BATCHES)),
             columnar_candidates=int(reg.value(M_COLUMNAR_CANDIDATES)),
-            columnar_fallback=int(reg.value(M_COLUMNAR_FALLBACK)),
             stage_seconds=MappingProxyType(
                 {s: reg.stage_total(stage_metric(s)) for s in STAGE_NAMES}
             ),
@@ -194,12 +188,10 @@ class PruneStats:
             bound_skipped_buckets=(
                 self.bound_skipped_buckets + other.bound_skipped_buckets
             ),
-            surrogate_seeded=self.surrogate_seeded + other.surrogate_seeded,
             comm_cache_hits=self.comm_cache_hits + other.comm_cache_hits,
             comm_cache_misses=self.comm_cache_misses + other.comm_cache_misses,
             columnar_batches=self.columnar_batches + other.columnar_batches,
             columnar_candidates=self.columnar_candidates + other.columnar_candidates,
-            columnar_fallback=self.columnar_fallback + other.columnar_fallback,
             stage_seconds=MappingProxyType(seconds),
         )
 
@@ -224,8 +216,7 @@ class PruneStats:
         if self.bound_tiles:
             lines.append(
                 f"adaptive tiles        {self.bound_tiles:,} "
-                f"({self.bound_skipped_buckets:,} buckets skipped, "
-                f"{self.surrogate_seeded:,} surrogate-seeded)"
+                f"({self.bound_skipped_buckets:,} buckets skipped)"
             )
         if self.comm_cache_hits or self.comm_cache_misses:
             lines.append(
@@ -233,11 +224,10 @@ class PruneStats:
                 f"{self.comm_cache_misses:,} misses "
                 f"({self.comm_cache_hit_rate * 100:.1f}% hit rate)"
             )
-        if self.columnar_batches or self.columnar_fallback:
+        if self.columnar_batches:
             lines.append(
                 f"columnar batches      {self.columnar_batches:,} "
-                f"({self.columnar_candidates:,} candidates, "
-                f"{self.columnar_fallback:,} scalar fallbacks)"
+                f"({self.columnar_candidates:,} candidates)"
             )
         total = sum(self.stage_seconds.values())
         if total > 0:

@@ -6,7 +6,7 @@ same order — directly as int64 NumPy columns, without ever constructing the
 (hundreds of thousands of) :class:`~repro.execution.strategy.ExecutionStrategy`
 objects.  The columns feed
 :meth:`repro.engine.batch.EvalBatch.from_columns`; the handful of candidates
-a search actually reports (the top-k winners, the prune-seed sample) are
+a search actually reports (the top-k winners) are
 materialized on demand via :meth:`~repro.engine.batch.EvalBatch.strategy_at`.
 
 The inner option product — recompute x seq-par modes x TP overlap x DP
@@ -17,9 +17,6 @@ filter (``sp`` requires ``t > 1`` and ``t | seq``), which depends only on
 sp-free variant), and each prefix contributes ``tile(combos)`` against
 ``repeat(m, v)`` — enumeration cost scales with the number of *distinct*
 prefixes, not with the candidate count.
-
-Importing this module requires the columnar engine (NumPy >= 1.24);
-callers treat ``ImportError`` as "fall back to scalar enumeration".
 """
 
 from __future__ import annotations
@@ -49,31 +46,17 @@ _COMBO_NAMES = (
 _TPM_1D = TP_MODE_NAMES.index("1d")
 
 
-def _name_codes(names, table: tuple[str, ...]) -> list[int] | None:
-    """Map mode names to their columnar codes; None if any name is unknown."""
-    codes = []
-    for name in names:
-        try:
-            codes.append(table.index(name))
-        except ValueError:
-            return None
-    return codes
-
-
-def _combo_table(opts) -> np.ndarray | None:
+def _combo_table(opts) -> np.ndarray:
     """The inner option product as an (n_combos, 12) int64 table.
 
     Rows appear in the exact ``itertools.product`` order of the scalar
     enumerator's inner loop; the dependent flags (``tp_redo_sp``,
     ``pp_rs_ag``) are already and-ed with ``seq_par``, mirroring the
-    strategy constructor.  Returns None when an option uses a mode name the
-    columnar codes don't cover (the caller then falls back to scalar
-    enumeration, whose validate stage reports the bad name).
+    strategy constructor.  Mode names are known by construction
+    (:class:`~repro.search.execution_search.SearchOptions` rejects others).
     """
-    rc_codes = _name_codes(opts.recompute, RECOMPUTE_NAMES)
-    tpo_codes = _name_codes(opts.tp_overlap, TP_OVERLAP_NAMES)
-    if rc_codes is None or tpo_codes is None:
-        return None
+    rc_codes = [RECOMPUTE_NAMES.index(name) for name in opts.recompute]
+    tpo_codes = [TP_OVERLAP_NAMES.index(name) for name in opts.tp_overlap]
     rows = [
         (
             rc,
@@ -108,7 +91,7 @@ def candidate_columns(
     system: System,
     batch: int,
     opts,
-) -> dict[str, np.ndarray] | None:
+) -> dict[str, np.ndarray]:
     """Every candidate of the option space, as int64 columns.
 
     Row ``i`` of the returned columns is candidate ``i`` of
@@ -116,13 +99,10 @@ def candidate_columns(
     filters (head/shape divisibility, block and batch bounds, the
     microbatch/interleaving ranges, the seq-par degeneracy rules) are
     replicated exactly, so a batch built from these columns evaluates the
-    identical candidate stream.  Returns None when the option space cannot
-    be encoded (unknown mode names); ``opts`` must be a resolved
+    identical candidate stream.  ``opts`` must be a resolved
     :class:`~repro.search.execution_search.SearchOptions`.
     """
     combo_full = _combo_table(opts)
-    if combo_full is None:
-        return None
     combo_nosp = combo_full[combo_full[:, _COMBO_NAMES.index("sp")] == 0]
 
     t_l: list[np.ndarray] = []

@@ -6,14 +6,17 @@ best performer (by sample rate) plus distribution statistics.  The
 enumeration covers the full Table-1 space; :class:`SearchOptions` restricts
 any dimension for scoped studies (e.g. Fig. 5's "original optimizations").
 
-A multi-core map mirrors the paper's "minutes on a standard desktop" claim:
-the per-configuration model is fast (well under a millisecond) and
-configurations are independent, so the sweep parallelizes trivially.
+The space is enumerated straight into NumPy columns
+(:func:`~repro.search.columns.candidate_columns`) and every candidate is
+priced as a row of the columnar engine (:mod:`repro.engine.batch`).  One
+row-range evaluator, :func:`evaluate_rows`, serves the serial search, the
+chunked (multi-worker, checkpointed, journaled) search and the fabric; only
+the handful of winners are ever materialized as
+:class:`~repro.execution.strategy.ExecutionStrategy` objects.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 import math
@@ -25,13 +28,9 @@ from time import perf_counter
 import numpy as np
 
 from ..core.results import PerformanceResult
-from ..engine import (
-    comm_cache_stats,
-    evaluate,
-    evaluate_many,
-    iter_evaluate,
-    prune_threshold_for_rate,
-)
+from ..engine import batch as engine_batch
+from ..engine import comm_cache_stats, evaluate
+from ..engine.batch import RECOMPUTE_NAMES, TP_OVERLAP_NAMES
 from ..execution.strategy import ExecutionStrategy, divisors, factorizations
 from ..hardware.system import System
 from ..llm.config import LLMConfig
@@ -49,25 +48,18 @@ from ..obs.stats import (
     M_BOUND_SKIPPED_BUCKETS,
     M_BOUND_TILES,
     M_CHUNK_SECONDS,
-    M_SURROGATE_SEEDED,
     STAGE_NAMES,
     stage_metric,
 )
 from .checkpoint import CheckpointJournal, run_key
+from .columns import candidate_columns
 from .faults import FaultInjector, RetryPolicy, run_supervised
-from .surrogate import (
-    load_surrogate,
-    seed_sample_size,
-    store_surrogate,
-    surrogate_key,
-)
 
 logger = logging.getLogger(__name__)
 
-# Scalar path only: below this many candidates per worker, pool startup +
-# pickling costs more than the evaluation itself (the per-candidate scalar
-# model runs in ~tens of microseconds), so the auto heuristic stays serial.
-# The pure-columnar path never consults it — see auto_workers().
+# Below this many candidates per worker, pool startup costs more than the
+# evaluation itself, so the auto heuristic stays serial.  Only searches with
+# a constraint or fault-tolerance features consult it — see auto_workers().
 MIN_STRATEGIES_PER_WORKER = 2000
 
 
@@ -78,7 +70,9 @@ class SearchOptions:
     Each tuple lists the values tried for that dimension; fixing a dimension
     to a single value removes it from the sweep.  ``seq_par_modes`` entries
     are ``(seq_par, tp_redo_sp, pp_rs_ag)`` triples, keeping the dependent
-    flags consistent by construction.
+    flags consistent by construction.  ``recompute`` and ``tp_overlap``
+    entries must name modes the engine knows; anything else raises
+    ``ValueError`` instead of silently producing an all-infeasible space.
     """
 
     recompute: tuple[str, ...] = ("none", "attn_only", "full")
@@ -97,6 +91,16 @@ class SearchOptions:
     microbatch_powers_of_two: bool = True
     interleaving_values: tuple[int, ...] | None = None  # None -> divisors of L/p
     training: bool = True
+
+    def __post_init__(self) -> None:
+        for name, known in (("recompute", RECOMPUTE_NAMES),
+                            ("tp_overlap", TP_OVERLAP_NAMES)):
+            for value in getattr(self, name):
+                if value not in known:
+                    raise ValueError(
+                        f"unknown {name} mode {value!r}; "
+                        f"expected one of {', '.join(known)}"
+                    )
 
     @classmethod
     def megatron_baseline(cls) -> "SearchOptions":
@@ -178,7 +182,9 @@ def candidate_strategies(
 
     Structural constraints that need no model evaluation (t beyond the head
     count, p beyond the block count, batch divisibility) are pruned here;
-    everything else is left to the model's feasibility check.
+    everything else is left to the model's feasibility check.  The search
+    itself enumerates :func:`~repro.search.columns.candidate_columns`, the
+    columnar twin of this generator; this one stays as its readable oracle.
     """
     opts = options or SearchOptions()
     n = system.num_procs
@@ -246,22 +252,20 @@ def candidate_strategies(
 
 
 def auto_workers(num_strategies: int, cpu_count: int | None = None) -> int:
-    """Process count for a scalar-path sweep of ``num_strategies`` candidates.
+    """Process count for a sweep of ``num_strategies`` candidates.
 
     The heuristic: one worker per :data:`MIN_STRATEGIES_PER_WORKER`
     candidates, capped at the machine's core count and floored at one.
     Small sweeps therefore run serially *by design* — even on a many-core
-    machine — because forking a pool and pickling the problem costs more
-    than evaluating a few thousand sub-millisecond candidates.  Callers who
-    know better pass ``workers`` explicitly.
+    machine — because forking a pool costs more than evaluating a few
+    thousand candidates.  Callers who know better pass ``workers``
+    explicitly.
 
-    :func:`search` consults it only on the scalar path (a ``constraint``,
-    ``columnar=False``, or a fault-tolerance feature).  When the
-    pure-columnar path applies, ``workers=None`` always runs serially: the
-    pool's serial prefix in the parent — enumerating ~10⁵
-    :class:`ExecutionStrategy` objects and pickling them — alone takes
-    5-20x longer than the whole serial columnar search (measured in
-    ``docs/PERFORMANCE.md``), so no core count wins it back.
+    :func:`search` consults it only for a search with a ``constraint`` or a
+    fault-tolerance feature.  A plain top-k or histogram search with
+    ``workers=None`` always runs serially: the whole serial columnar search
+    takes 0.08-0.15 s on the paper problems (``docs/PERFORMANCE.md``),
+    less than a pool takes to start.
     """
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     return max(1, min(cpus, num_strategies // MIN_STRATEGIES_PER_WORKER))
@@ -307,96 +311,121 @@ def _chunk_trace_events(
         offset += dur
     tiles = int(registry.value(M_BOUND_TILES))
     if tiles > 0:
-        # Adaptive tiled pass: one synthetic span carrying the tile/skip/
-        # seed counters, so traces show how hard the threshold bit.
+        # Adaptive tiled pass: one synthetic span carrying the tile/skip
+        # counters, so traces show how hard the threshold bit.
         tracer.add_span(
             "adaptive", "engine.stage", start, elapsed, aggregate=True,
             bound_tiles=tiles,
             bound_skipped_buckets=int(registry.value(M_BOUND_SKIPPED_BUCKETS)),
-            surrogate_seeded=int(registry.value(M_SURROGATE_SEEDED)),
         )
+
+
+def evaluate_rows(
+    llm: LLMConfig,
+    system: System,
+    rows: dict[str, np.ndarray],
+    *,
+    offset: int = 0,
+    top_k: int,
+    keep_rates: bool = False,
+    constraint=None,
+    bound_prune: bool = True,
+    floor_rate: float = 0.0,
+    metrics: MetricsRegistry | None = None,
+) -> tuple[int, int, list[tuple[float, int, ExecutionStrategy]], np.ndarray | None]:
+    """Evaluate one row range of the candidate columns as a columnar batch.
+
+    ``rows`` holds the candidate columns of the range (a slice of
+    :func:`~repro.search.columns.candidate_columns`) and ``offset`` the
+    global index of its first row.  Returns ``(n, feasible, top, rates)``:
+
+    * ``feasible`` counts memory-feasible candidates — bound-pruned ones
+      included, since the comm and assembly stages never reject — or, with
+      a ``constraint``, the survivors the predicate accepts;
+    * ``top`` holds at most ``top_k`` ``(rate, global_index, strategy)``
+      entries, best first by ``(-rate, global_index)``.  Ties at the k-th
+      rate keep the earliest candidates in the batch's *stream* order
+      (``np.lexsort((stream_rank, -rate))``); only these winners are
+      materialized, via :meth:`~repro.engine.batch.EvalBatch.strategy_at`;
+    * ``rates`` is the surviving rate column in stream order when
+      ``keep_rates`` is set, else ``None``.
+
+    When only the top-k is needed (``bound_prune``, ``top_k > 0``, no
+    ``keep_rates``, no ``constraint``) the batch runs the adaptive
+    best-bound-first tiled path, seeded with ``floor_rate`` (e.g. the
+    k-th-best rate of chunks already merged); otherwise it runs untiled and
+    prices every feasible candidate.  Tiling and the floor affect speed
+    only: a skipped candidate is provably strictly below the final k-th
+    rate.  A ``constraint`` sees each survivor's
+    :class:`~repro.core.results.PerformanceResult` and filters it before
+    retention.
+    """
+    eb = engine_batch.EvalBatch.from_columns(llm, system, rows)
+    plan = None
+    if bound_prune and top_k > 0 and not keep_rates and constraint is None:
+        plan = engine_batch.AdaptivePlan(top_k=top_k, floor_rate=floor_rate)
+    if metrics is not None:
+        cc0 = comm_cache_stats()
+    try:
+        engine_batch.run_batch(eb, metrics=metrics, adaptive=plan)
+    finally:
+        if metrics is not None:
+            cc1 = comm_cache_stats()
+            metrics.inc(M_COMM_CACHE_HITS, cc1[0] - cc0[0])
+            metrics.inc(M_COMM_CACHE_MISSES, cc1[1] - cc0[1])
+    feasible = eb.n_s + eb.n_pruned
+    row, rate = eb.inp_s, eb.rate_s
+    if constraint is not None and eb.n_s:
+        passed = np.fromiter(
+            (bool(constraint(res)) for res in engine_batch.survivor_results(eb)),
+            dtype=bool, count=eb.n_s,
+        )
+        row, rate = row[passed], rate[passed]
+        feasible = int(row.shape[0])
+    rank = eb.stream_rank[row]
+    top: list[tuple[float, int, ExecutionStrategy]] = []
+    if top_k > 0 and row.size:
+        keep = np.lexsort((rank, -rate))[:top_k]
+        keep = keep[np.lexsort((row[keep], -rate[keep]))]
+        top = [
+            (float(rate[i]), offset + int(row[i]), eb.strategy_at(int(row[i])))
+            for i in keep.tolist()
+        ]
+    rates = rate[np.argsort(rank, kind="stable")] if keep_rates else None
+    return eb.n, int(feasible), top, rates
 
 
 def _evaluate_chunk(
     args: tuple[
-        LLMConfig, System, list[ExecutionStrategy], int, object, bool, int,
-        FaultInjector | None, bool, float, bool | None, str | None,
+        LLMConfig, System, dict, int, int, bool, object, bool, float, bool,
+        int, FaultInjector | None, str | None,
     ]
 ) -> tuple[
     int,
     int,
-    list[tuple[ExecutionStrategy, PerformanceResult]],
-    list[float],
+    list[tuple[float, int, ExecutionStrategy]],
+    np.ndarray | None,
     dict | None,
     list[dict] | None,
 ]:
-    (llm, system, strategies, top_k, constraint, instrument, chunk_index,
-     injector, bound_prune, seed_floor, columnar, trace_id) = args
+    """One chunk of a search: :func:`evaluate_rows` plus instrumentation.
+
+    Returns ``(n, feasible, top, rates, snapshot, events)`` — the metrics
+    snapshot and ``chunk[i]`` trace spans are ``None`` unless
+    ``instrument`` is set.  Module-level so process pools can pickle it;
+    ``rows`` is the chunk's slice of the candidate columns.
+    """
+    (llm, system, rows, offset, top_k, keep_rates, constraint, bound_prune,
+     floor_rate, instrument, chunk_index, injector, trace_id) = args
     if injector is not None:
         injector.fire(chunk_index)
     registry = MetricsRegistry() if instrument else None
     start = perf_counter()
-    # Bounded min-heap of (rate, tiebreak, strategy, result): O(n log k) with
-    # k live entries, instead of periodically re-sorting a 4k-long list.
-    heap: list[tuple[float, int, ExecutionStrategy, PerformanceResult]] = []
-    rates: list[float] = []
-    feasible = 0
-    # Bound pruning: the engine skips comm/assembly for any candidate whose
-    # roofline lower bound proves its rate cannot beat the heap's current
-    # k-th best.  The ceiling is a batch-time threshold derived from the
-    # rate floor so that pruning exactly mirrors the heap's strict
-    # `rate > heap[0][0]` admission test (see prune_threshold_for_rate) —
-    # the retained top-k stays bit-identical to an unpruned run.  An
-    # optional seed floor (from search()'s cheap pre-pass) tightens the
-    # ceiling before this chunk's own heap fills.
-    prune_above = None
-    if not math.isfinite(seed_floor) or seed_floor < 0.0:
-        # A gossiped/seeded floor from an empty or all-infeasible heap can
-        # arrive as -inf or nan; pruning on it would discard the whole
-        # chunk, so it is clamped to "no floor" here (and again inside
-        # prune_threshold_for_rate).
-        seed_floor = 0.0
-    floor_rate = seed_floor
-    if bound_prune and strategies and top_k > 0:
-        batch = float(strategies[0].batch)
-        ceiling = [prune_threshold_for_rate(batch, floor_rate)]
-
-        def prune_above() -> float:
-            return ceiling[0]
-
-    for idx, res in iter_evaluate(
-        llm, system, strategies, prune=True, prune_above=prune_above,
-        metrics=registry, columnar=columnar,
-    ):
-        if res.pruned:
-            # Memory-feasible, provably outside the top-k; counts toward
-            # feasibility (the comm/assemble stages never reject) but has
-            # no rate to record.
-            feasible += 1
-            continue
-        if not res.feasible:
-            continue
-        if constraint is not None and not constraint(res):
-            continue
-        feasible += 1
-        rate = res.sample_rate
-        rates.append(rate)
-        if top_k == 0:
-            continue  # rates only: nothing to rank
-        entry = (rate, idx, strategies[idx], res)
-        if len(heap) < top_k:
-            heapq.heappush(heap, entry)
-        elif rate > heap[0][0]:
-            heapq.heapreplace(heap, entry)
-        else:
-            continue
-        if prune_above is not None and len(heap) == top_k:
-            kth = heap[0][0]
-            if kth > floor_rate:
-                floor_rate = kth
-                ceiling[0] = prune_threshold_for_rate(batch, floor_rate)
-    ranked = sorted(heap, key=lambda entry: (-entry[0], entry[1]))
-    top = [(strat, res) for _, _, strat, res in ranked]
+    n, feasible, top, rates = evaluate_rows(
+        llm, system, rows, offset=offset, top_k=top_k, keep_rates=keep_rates,
+        constraint=constraint, bound_prune=bound_prune, floor_rate=floor_rate,
+        metrics=registry,
+    )
     snapshot = events = None
     if registry is not None:
         elapsed = perf_counter() - start
@@ -407,177 +436,57 @@ def _evaluate_chunk(
         # chunk spans it ships back belong to the caller's trace_id.
         tracer = Tracer(trace_id=trace_id)
         _chunk_trace_events(
-            tracer, chunk_index, registry, start, elapsed,
-            len(strategies), feasible,
+            tracer, chunk_index, registry, start, elapsed, n, feasible,
         )
         snapshot = registry.snapshot()
         events = tracer.events()
-    return len(strategies), feasible, top, rates, snapshot, events
+    return n, feasible, top, rates, snapshot, events
 
 
-def _chunk_payload(result: tuple, keep_rates: bool) -> dict:
+def _chunk_payload(result: tuple) -> dict:
     """A chunk result as a JSON-safe journal record.
 
-    Top-k entries store the strategy and its rate, not the full
-    :class:`PerformanceResult` — resume re-evaluates the handful of
-    journaled strategies through the deterministic engine, keeping the
-    journal small and schema-stable.
+    Top-k entries store the rate, global index and strategy, not the full
+    :class:`PerformanceResult` — the search re-evaluates the handful of
+    winners through the deterministic engine, keeping the journal small
+    and schema-stable.
     """
     n, feasible, top, rates, snapshot, _events = result
     return {
         "n": n,
         "feasible": feasible,
-        "top": [[res.sample_rate, strat.to_dict()] for strat, res in top],
-        "rates": list(rates) if keep_rates else None,
+        "top": [[rate, gidx, strat.to_dict()] for rate, gidx, strat in top],
+        "rates": rates.tolist() if rates is not None else None,
         "snapshot": snapshot,
     }
 
 
-def _chunk_from_payload(llm: LLMConfig, system: System, payload: dict) -> tuple:
+def _chunk_from_payload(payload: dict) -> tuple:
     """Reconstruct a chunk result tuple from its journal record."""
-    top = []
-    for _rate, strat_dict in payload["top"]:
-        strat = ExecutionStrategy.from_dict(strat_dict)
-        top.append((strat, evaluate(llm, system, strat)))
+    rates = payload.get("rates")
     return (
         int(payload["n"]),
         int(payload["feasible"]),
-        top,
-        list(payload.get("rates") or []),
+        [
+            (float(rate), int(gidx), ExecutionStrategy.from_dict(strat))
+            for rate, gidx, strat in payload["top"]
+        ],
+        np.asarray(rates, dtype=float) if rates is not None else None,
         payload.get("snapshot"),
         None,
     )
 
 
-def _search_columnar(
-    llm: LLMConfig,
-    system: System,
-    batch: int,
-    cols: dict,
-    engine_batch,
-    *,
-    top_k: int,
-    keep_rates: bool,
-    instrument: bool,
-    collect_stats: bool,
-    tracer: Tracer | None,
-    progress: ProgressReporter | None,
-    t_start: float,
-    options: SearchOptions | None = None,
-    bound_prune: bool = True,
-    prune_seed: int = 0,
-    surrogate: bool = True,
-    floor_rate: float = 0.0,
-) -> SearchResult:
-    """Evaluate the whole candidate space as one vectorized columnar batch.
+def _merge_tops(tops, top_k: int) -> list[tuple[float, int, ExecutionStrategy]]:
+    """The best ``top_k`` of several chunks' top lists, best first.
 
-    No chunking and no heap: the top-k is selected from the survivor rate
-    column with the scalar heap's exact retention rule (ties at the k-th
-    rate keep the earliest candidates in *stream* order; the returned list
-    is then ordered by rate, ties by enumeration index), and only those k
-    winners are materialized as :class:`ExecutionStrategy` objects and
-    re-evaluated through the scalar pipeline — bit-identical by the
-    engine's columnar equivalence contract, and a few microseconds each.
-
-    When the caller needs nothing beyond the top-k (``bound_prune`` with
-    ``keep_rates=False``), evaluation runs the adaptive best-bound-first
-    tiled path (:class:`repro.engine.batch.AdaptivePlan`): buckets are
-    visited in roofline-bound order, the running k-th-best rate tightens a
-    strict threshold between tiles, and hopeless buckets never reach the
-    comm stage.  An online surrogate (``surrogate=True``) picks the tile-0
-    seed sample from persisted observations of previous runs —
-    ``prune_seed`` sizes that sample (its stride semantics apply only to
-    the scalar chunked path).  Both tiling and seeding affect speed only:
-    the retained top-k stays bit-identical to the untiled, unseeded run.
-    With ``keep_rates`` every candidate's rate is needed, so the batch
-    runs untiled exactly as before.
+    Ranks on the ``(-rate, global index)`` total order of the fabric's
+    :class:`~repro.fabric.merge.TopKMerge`, so the merged list is a pure
+    function of the offered entries — chunk layout and arrival order
+    cannot change it.
     """
-    eb = engine_batch.EvalBatch.from_columns(llm, system, cols)
-    n = eb.n
-    if progress is not None:
-        progress.set_total(n)
-    registry = MetricsRegistry() if instrument else None
-    plan = None
-    sur = sur_key = None
-    do_adaptive = bool(bound_prune and not keep_rates and top_k > 0)
-    if do_adaptive:
-        seed_fn = on_tile = None
-        if surrogate:
-            sur_key = surrogate_key(llm, system, batch,
-                                    options or SearchOptions())
-            sur = load_surrogate(sur_key)
-            seed_n = seed_sample_size(prune_seed, top_k)
-            if seed_n > 0:
-                def seed_fn(batch_state):
-                    return sur.seed_buckets(batch_state, seed_n)
-
-            def on_tile(tile_b, bid_s, rate_s):
-                sur.observe_tile(eb, bid_s, rate_s)
-
-        plan = engine_batch.AdaptivePlan(
-            top_k=top_k, floor_rate=floor_rate,
-            seed_fn=seed_fn, on_tile=on_tile,
-        )
-    t_run = perf_counter()
-    if registry is not None:
-        cc0 = comm_cache_stats()
-    try:
-        engine_batch.run_batch(
-            eb, prune_above=None, metrics=registry, adaptive=plan
-        )
-    finally:
-        if registry is not None:
-            cc1 = comm_cache_stats()
-            registry.inc(M_COMM_CACHE_HITS, cc1[0] - cc0[0])
-            registry.inc(M_COMM_CACHE_MISSES, cc1[1] - cc0[1])
-    if sur is not None and sur_key is not None:
-        store_surrogate(sur_key, sur)
-    # Bound-pruned candidates are memory-feasible by construction — the
-    # comm/assemble stages never reject — so they count toward feasibility
-    # exactly as on the scalar pruned path.
-    num_feasible = int(eb.n_s) + int(getattr(eb, "n_pruned", 0))
-    top: list[tuple[ExecutionStrategy, PerformanceResult]] = []
-    if top_k > 0 and num_feasible > 0:
-        srank = eb.stream_rank[eb.sidx]
-        keep = np.lexsort((srank, -eb.rate_s))[:top_k]
-        order = np.lexsort((eb.sidx[keep], -eb.rate_s[keep]))
-        for i in keep[order]:
-            strat = eb.strategy_at(int(eb.sidx[i]))
-            top.append((strat, evaluate(llm, system, strat)))
-    rates = np.empty(0)
-    if keep_rates and num_feasible > 0:
-        rates = eb.rate_s[np.argsort(eb.stream_rank[eb.sidx])]
-    if progress is not None:
-        progress.update(n, num_feasible)
-        progress.finish()
-    if tracer is not None and registry is not None:
-        _chunk_trace_events(
-            tracer, 0, registry, t_run, perf_counter() - t_run, n, num_feasible,
-        )
-    stats = None
-    if collect_stats:
-        stats = SweepStats(
-            engine=PruneStats.from_metrics(registry),
-            elapsed=perf_counter() - t_start,
-            workers=1,
-            num_evaluated=n,
-            num_feasible=num_feasible,
-            retries=0,
-            skipped=(),
-            resumed_chunks=0,
-            truncated=False,
-        )
-    best_strategy, best = (top[0][0], top[0][1]) if top else (None, None)
-    return SearchResult(
-        best=best,
-        best_strategy=best_strategy,
-        top=top,
-        num_evaluated=n,
-        num_feasible=num_feasible,
-        sample_rates=rates,
-        stats=stats,
-        truncated=False,
-    )
+    entries = itertools.chain.from_iterable(tops)
+    return sorted(entries, key=lambda e: (-e[0], e[1]))[:top_k]
 
 
 def search(
@@ -591,9 +500,6 @@ def search(
     keep_rates: bool = True,
     constraint=None,
     bound_prune: bool = True,
-    prune_seed: int = 0,
-    columnar: bool | None = None,
-    surrogate: bool = True,
     tracer: Tracer | None = None,
     collect_stats: bool = False,
     progress: ProgressReporter | None = None,
@@ -606,75 +512,52 @@ def search(
 ) -> SearchResult:
     """Exhaustively search the execution space; return the best performer.
 
+    The space is enumerated as NumPy columns and evaluated as row ranges of
+    the columnar engine (see :func:`evaluate_rows`); the result's ``top``
+    is ranked by ``(-rate, enumeration index)`` and its winners are
+    re-priced through the scalar :func:`~repro.engine.evaluate`, so every
+    returned :class:`PerformanceResult` is the oracle's.
+
     Args:
         llm, system, batch: the fixed problem.
         options: sweep restrictions; defaults to the full Table-1 space.
         top_k: how many best configurations to retain; 0 keeps only the
             counts and ``sample_rates`` (negative raises ``ValueError``).
-        workers: process count; 0/1 forces serial.  ``None`` runs serially
-            whenever the pure-columnar path applies (see ``columnar``) and
-            otherwise, on the scalar path, applies :func:`auto_workers`
-            (serial below ~2k candidates per core; the measured reason for
-            the split is documented there).
-        keep_rates: retain every feasible sample rate (Fig. 6 histograms).
+        workers: process count; 0/1 forces serial.  ``None`` runs serially,
+            except that a search with a ``constraint`` or a fault-tolerance
+            feature applies :func:`auto_workers`.  With more than one
+            worker the space is split into ``4 * workers`` row ranges, each
+            shipped to a process pool as a slice of the columns.
+        keep_rates: retain every feasible sample rate (Fig. 6 histograms),
+            in the evaluation stream order of each chunk.
         constraint: optional predicate on feasible results — return False to
             reject a configuration (e.g. a memory or MFU floor).  Must be a
             picklable (module-level) callable when ``workers > 1``.
         bound_prune: let the engine skip the comm/timing stages for
             candidates whose roofline lower bound proves they cannot enter
-            the top-k (see :mod:`repro.engine.bounds`).  The retained top-k
-            is bit-identical to an unpruned run.  Only engages when the
-            search needs nothing but the top-k — ``keep_rates=False``, no
-            ``constraint`` — because pruned candidates carry no sample rate
-            for histograms and no breakdown for a predicate to inspect.
-            ``num_feasible`` still counts pruned candidates (the comm and
-            assembly stages never reject).
-        prune_seed: seed the prune threshold before the main pass.  On the
-            scalar chunked path (``workers > 1``, ``columnar=False``,
-            ``events``, a checkpoint or another fault-tolerance feature)
-            this many evenly-strided candidates are evaluated serially first
-            and the k-th best rate found seeds every chunk's ceiling (with
-            seeding the top-k *rates* are unchanged, but a different member
-            of an exact k-th-rate tie may be retained).  On the pure-columnar
-            adaptive path it sizes the surrogate-picked tile-0 seed sample
-            instead (0 keeps the default size, negative disables seeding)
-            and the result stays fully bit-identical — seeding only reorders
-            evaluation.
-        columnar: route evaluation through the vectorized columnar engine
-            (:mod:`repro.engine.batch`).  ``None`` (the default) engages it
-            whenever it applies; ``False`` forces the scalar pipeline
-            everywhere.  A search with ``workers`` ``None``, 0 or 1, no
-            ``constraint`` and no fault-tolerance features runs
-            *pure*-columnar: candidates are enumerated straight into NumPy
-            columns and the whole space is evaluated as one struct-of-arrays
-            batch, materializing only the top-k winners.  With
-            ``bound_prune`` and ``keep_rates=False`` that batch runs the
-            adaptive best-bound-first tiled path — buckets visited in
-            roofline-bound order, a strict self-tightening threshold
-            skipping hopeless buckets — which is where the engine's pruning
-            pays off most (see :func:`_search_columnar`).  Explicit
-            multi-worker (``workers > 1``) and supervised searches keep
-            their chunked dispatch, with each chunk evaluated columnar
-            inside :func:`~repro.engine.iter_evaluate`.  Results are
-            bit-identical either way.
-        surrogate: let the adaptive columnar path seed tile 0 from the
-            online learned ranking persisted in the surrogate store (see
-            :mod:`repro.search.surrogate`).  Speed-only — top-k identical
-            on or off; ``--no-surrogate`` maps here.
-        tracer: records enumeration/chunk/stage spans (worker events merge
-            onto the parent timeline; CLOCK_MONOTONIC is machine-wide).
+            the top-k (the adaptive best-bound-first path of
+            :mod:`repro.engine.batch`).  The retained top-k is bit-identical
+            to an unpruned run.  Only engages when the search needs nothing
+            but the top-k — ``keep_rates=False``, no ``constraint`` —
+            because pruned candidates carry no sample rate for histograms
+            and no breakdown for a predicate to inspect.  ``num_feasible``
+            still counts pruned candidates (the comm and assembly stages
+            never reject).
+        tracer: records the enumeration span and one ``chunk[i]`` span per
+            chunk with per-stage children (worker events merge onto the
+            parent timeline; CLOCK_MONOTONIC is machine-wide).
         collect_stats: attach a :class:`~repro.obs.SweepStats` (per-stage
             rejection counts, dedup hit rates, candidates/sec) to the
-            result, aggregated across worker chunks.
+            result, aggregated across chunks.
         progress: fed one update per finished chunk (its total is set to
             the candidate count once enumeration finishes).
         events: a :class:`~repro.obs.EventJournal` flight recorder; the
             search emits ``search.start``/``search.done`` plus the full
             chunk lifecycle (dispatch, done, retry, timeout, fallback,
             skip, resume, truncation).  Supplying a journal engages the
-            supervised chunked dispatch path — the layer where the
-            lifecycle exists — so a journaled serial search is chunked
-            like a checkpointed one.
+            supervised chunked dispatch — the layer where the lifecycle
+            exists — so a journaled serial search is chunked like a
+            checkpointed one.
         checkpoint: path of a JSONL checkpoint journal; every completed
             chunk is journaled so an interrupted sweep can be resumed.
         resume: reload ``checkpoint`` and skip already-journaled chunks
@@ -692,8 +575,12 @@ def search(
             hang or crash (see :class:`~repro.search.faults.FaultInjector`).
 
     ``events`` or any of the last five arguments engages the supervised
-    dispatch path (and forces chunked evaluation); without them the fast
-    legacy dispatch is used and behavior is unchanged.
+    chunked dispatch; without them, and with at most one worker, the whole
+    space is evaluated as one row range.  Chunk tops merge on the
+    ``(-rate, global index)`` total order (:func:`_merge_tops`), exactly
+    like the fabric; on an exact rate tie at the k-th boundary a chunked
+    search may therefore keep a different tied candidate than the
+    one-range search, which prefers the earlier one in stream order.
     """
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
@@ -708,94 +595,47 @@ def search(
         or retry_policy is not None
         or fault_injector is not None
     )
-    # Pure-columnar dispatch: a serial, unsupervised, unconstrained search
-    # never needs per-candidate scalar results, so enumerate straight into
-    # NumPy columns and evaluate the whole space as one vectorized batch.
-    # workers=None counts as serial here: the pool would first have to
-    # enumerate and pickle scalar strategies, which alone outlasts the whole
-    # columnar search (see auto_workers).  ImportError (NumPy below the
-    # columnar floor) and unencodable option spaces fall back to the scalar
-    # enumeration below.
-    engine_batch = search_columns = None
-    serial = workers is None or workers <= 1
-    if serial and columnar is not False and constraint is None and not fault_mode:
-        try:
-            from ..engine import batch as engine_batch
-            from . import columns as search_columns
-        except ImportError:
-            engine_batch = search_columns = None
+    opts = options or SearchOptions()
     t0 = perf_counter()
-    cols = None
-    if search_columns is not None:
-        cols = search_columns.candidate_columns(
-            llm, system, batch, options or SearchOptions()
-        )
-    if cols is not None:
-        if tracer is not None:
-            tracer.add_span("enumerate", "search", t0, perf_counter() - t0,
-                            candidates=int(cols["t"].shape[0]))
-        return _search_columnar(
-            llm, system, batch, cols, engine_batch,
-            top_k=top_k, keep_rates=keep_rates, instrument=instrument,
-            collect_stats=collect_stats, tracer=tracer,
-            progress=progress, t_start=t_start,
-            options=options, bound_prune=bound_prune,
-            prune_seed=prune_seed, surrogate=surrogate,
-        )
-    strategies = list(candidate_strategies(llm, system, batch, options))
+    cols = candidate_columns(llm, system, batch, opts)
+    total = int(cols["t"].shape[0])
     if tracer is not None:
         tracer.add_span("enumerate", "search", t0, perf_counter() - t0,
-                        candidates=len(strategies))
+                        candidates=total)
     if progress is not None:
-        progress.set_total(len(strategies))
+        progress.set_total(total)
     if workers is None:
-        workers = auto_workers(len(strategies))
-    # Bound pruning engages only when the caller needs nothing beyond the
-    # top-k ranking (see the docstring); the flag rides into every chunk.
+        workers = (
+            auto_workers(total) if constraint is not None or fault_mode else 1
+        )
+    # Pruning engages only when the caller needs nothing beyond the top-k
+    # ranking (see the docstring); the flag rides into every chunk.
     do_prune = bool(
         bound_prune and constraint is None and not keep_rates and top_k > 0
     )
-    seed_floor = 0.0
-    if do_prune and prune_seed > 0 and len(strategies) > 0:
-        stride = max(1, len(strategies) // prune_seed)
-        sample = strategies[::stride][:prune_seed]
-        sample_rates = sorted(
-            (r.sample_rate for r in evaluate_many(llm, system, sample)
-             if r.feasible),
-            reverse=True,
-        )
-        if len(sample_rates) >= top_k:
-            seed_floor = sample_rates[top_k - 1]
-    # Instrumented, progress-reporting or fault-supervised serial runs are
-    # chunked too — checkpoints, deadlines and retries all operate at chunk
-    # granularity; a plain serial run stays single-chunk (identical behavior
-    # to the fast path).
-    chunked = workers > 1 or ((instrument or progress is not None or fault_mode)
-                              and len(strategies) > 1)
-    step = max(len(strategies), 1)
-    if chunked:
-        step = math.ceil(len(strategies) / (max(workers, 1) * 4))
+    # Multi-worker and supervised runs are chunked — checkpoints, deadlines
+    # and retries all operate at chunk granularity; everything else is one
+    # row range over the whole space.
+    step = max(total, 1)
+    if (workers > 1 or fault_mode) and total > 1:
+        step = math.ceil(total / (max(workers, 1) * 4))
 
     journal = None
     if checkpoint is not None:
         key = run_key(
-            llm, system, batch, options or SearchOptions(), kind="search",
+            llm, system, batch, opts, kind="search",
             extra={
                 "top_k": top_k,
                 "keep_rates": keep_rates,
                 "constraint": getattr(constraint, "__qualname__", str(constraint))
                 if constraint is not None else None,
-                # prune_seed can change which member of an exact rate tie is
-                # retained, so a seeded journal never mixes with an unseeded
-                # resume; seedless pruning is bit-identical and needs no key.
-                "prune_seed": int(prune_seed) if do_prune else 0,
             },
         )
         journal = CheckpointJournal.open(
             checkpoint, key, resume=resume, events=events,
             meta={
                 "step": step,
-                "num_candidates": len(strategies),
+                "num_candidates": total,
                 "trace_id": tracer.trace_id if tracer is not None else None,
             },
         )
@@ -807,42 +647,41 @@ def search(
         if tracer is not None and journal.meta.get("trace_id"):
             tracer.trace_id = str(journal.meta["trace_id"])
 
-    chunks: list[list[ExecutionStrategy]] = [strategies]
-    if chunked:
-        chunks = [strategies[i : i + step] for i in range(0, len(strategies), step)]
+    starts = range(0, total, step) if total else [0]
+    trace_id = tracer.trace_id if tracer is not None else None
+
+    def chunk_args(n: int, floor_rate: float = 0.0) -> tuple:
+        lo = starts[n]
+        rows = {name: arr[lo:lo + step] for name, arr in cols.items()}
+        return (llm, system, rows, lo, top_k, keep_rates, constraint,
+                do_prune, floor_rate, instrument, n, fault_injector, trace_id)
+
     logger.debug(
         "search: %d candidates, %d workers, %d chunks (instrumented=%s, "
         "supervised=%s)",
-        len(strategies), workers, len(chunks), instrument, fault_mode,
+        total, workers, len(starts), instrument, fault_mode,
     )
-
-    trace_id = tracer.trace_id if tracer is not None else None
-    args = [
-        (llm, system, c, top_k, constraint, instrument, n, fault_injector,
-         do_prune, seed_floor, columnar, trace_id)
-        for n, c in enumerate(chunks)
-    ]
     truncated = False
     retries = 0
     resumed = 0
     skipped_ranges: tuple[tuple[int, int], ...] = ()
-    results: list[tuple[int, int, list, list, dict | None, list | None]]
+    results: list[tuple]
     if events is not None:
         events.emit(
-            "search.start", candidates=len(strategies),
-            workers=max(workers, 1), chunks=len(chunks), trace_id=trace_id,
+            "search.start", candidates=total,
+            workers=max(workers, 1), chunks=len(starts), trace_id=trace_id,
         )
     if fault_mode:
         chunk_results: dict[int, tuple] = {}
         tasks: dict[int, tuple] = {}
-        for n, a in enumerate(args):
+        for n in range(len(starts)):
             if journal is not None and str(n) in journal:
-                chunk_results[n] = _chunk_from_payload(llm, system, journal.get(str(n)))
+                chunk_results[n] = _chunk_from_payload(journal.get(str(n)))
                 resumed += 1
                 if events is not None:
                     events.emit("chunk.resumed", chunk=n)
             else:
-                tasks[n] = a
+                tasks[n] = chunk_args(n)
         if progress is not None:
             for n in sorted(chunk_results):
                 progress.update(chunk_results[n][0], chunk_results[n][1])
@@ -850,7 +689,7 @@ def search(
         def _on_chunk(n: int, r: tuple) -> None:
             chunk_results[n] = r
             if journal is not None:
-                journal.record(str(n), _chunk_payload(r, keep_rates))
+                journal.record(str(n), _chunk_payload(r))
             if progress is not None:
                 progress.update(r[0], r[1])
 
@@ -867,14 +706,16 @@ def search(
         truncated = report.truncated
         retries = report.retries
         skipped_ranges = tuple(
-            (n * step, min((n + 1) * step, len(strategies)))
-            for n in report.skipped
+            (n * step, min((n + 1) * step, total)) for n in report.skipped
         )
         results = [chunk_results[n] for n in sorted(chunk_results)]
-    elif workers > 1 and len(chunks) > 1:
-        results = [None] * len(chunks)  # type: ignore[list-item]
+    elif workers > 1 and len(starts) > 1:
+        results = [None] * len(starts)  # type: ignore[list-item]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(_evaluate_chunk, a): n for n, a in enumerate(args)}
+            pending = {
+                pool.submit(_evaluate_chunk, chunk_args(n)): n
+                for n in range(len(starts))
+            }
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
@@ -883,47 +724,31 @@ def search(
                     if progress is not None:
                         progress.update(results[n][0], results[n][1])
     else:
-        # Serial chunked dispatch runs chunks in sequence, so the prune
-        # threshold can gossip forward: the running k-th-best rate across
-        # completed chunks seeds the next chunk's ceiling.  Lossless for
-        # the merged top-k — the merge keeps earlier chunks' members of an
-        # exact k-th-rate tie, which is precisely what the earlier-chunk
-        # floor prunes from later chunks.
+        # Serial chunks run in sequence, so the prune threshold gossips
+        # forward like the fabric's: the merged k-th-best rate seeds the
+        # next chunk's floor.  Lossless — only candidates strictly below a
+        # rate the merge already holds k times are skipped.
         results = []
-        gossip_heap: list[float] = []
-        floor = seed_floor
-        for a in args:
-            if do_prune and floor > a[9]:
-                a = a[:9] + (floor,) + a[10:]
-            r = _evaluate_chunk(a)
+        for n in range(len(starts)):
+            merged = _merge_tops((r[2] for r in results), top_k)
+            floor = merged[-1][0] if do_prune and len(merged) == top_k else 0.0
+            r = _evaluate_chunk(chunk_args(n, floor))
             results.append(r)
             if progress is not None:
                 progress.update(r[0], r[1])
-            if do_prune and top_k > 0:
-                for _strat, res in r[2]:
-                    rate = res.sample_rate
-                    if not math.isfinite(rate):
-                        continue
-                    if len(gossip_heap) < top_k:
-                        heapq.heappush(gossip_heap, rate)
-                    elif rate > gossip_heap[0]:
-                        heapq.heapreplace(gossip_heap, rate)
-                if len(gossip_heap) == top_k and gossip_heap[0] > floor:
-                    floor = gossip_heap[0]
     if progress is not None:
         progress.finish()
 
     num_eval = sum(r[0] for r in results)
     num_feasible = sum(r[1] for r in results)
-    merged = [sr for r in results for sr in r[2]]
-    merged.sort(key=lambda sr: -sr[1].sample_rate)
-    merged = merged[:top_k]
-    rates = (
-        np.concatenate([np.asarray(r[3], dtype=float) for r in results])
-        if keep_rates and any(r[3] for r in results)
-        else np.empty(0)
+    top = [
+        (strat, evaluate(llm, system, strat))
+        for _, _, strat in _merge_tops((r[2] for r in results), top_k)
+    ]
+    rates = np.concatenate(
+        [np.empty(0)] + [r[3] for r in results if r[3] is not None]
     )
-    best_strategy, best = (merged[0][0], merged[0][1]) if merged else (None, None)
+    best_strategy, best = top[0] if top else (None, None)
 
     stats = None
     if tracer is not None:
@@ -954,7 +779,7 @@ def search(
     return SearchResult(
         best=best,
         best_strategy=best_strategy,
-        top=merged,
+        top=top,
         num_evaluated=num_eval,
         num_feasible=num_feasible,
         sample_rates=rates,

@@ -199,7 +199,7 @@ def _hill_climb_inner(
             for cand, res in zip(
                 moves,
                 evaluate_many(
-                    llm, system, moves, prune=True, prune_above=prune_above,
+                    llm, system, moves, prune_above=prune_above,
                     metrics=metrics,
                 ),
             ):

@@ -93,7 +93,6 @@ def best_at_size(
     *,
     workers: int | None = None,
     bound_prune: bool = True,
-    columnar: bool | None = None,
     tracer: Tracer | None = None,
     collect_stats: bool = False,
     events: EventJournal | None = None,
@@ -101,17 +100,13 @@ def best_at_size(
     """Search the execution space at one system size.
 
     ``workers`` is forwarded to :func:`repro.search.search`; the default
-    ``None`` runs each per-size search serially on the columnar path, and
-    applies the :func:`~repro.search.auto_workers` heuristic only when the
-    search falls back to the scalar path (``columnar=False`` or an
-    ``events`` journal).
+    ``None`` runs each per-size search serially as one columnar batch, and
+    applies the :func:`~repro.search.auto_workers` heuristic only when an
+    ``events`` journal makes the search supervised.
     ``bound_prune`` is forwarded too, and bites hard here: the inner search
     keeps only the single best configuration (``top_k=1``, no rate
     histogram), the exact regime where roofline bound pruning skips the
-    comm/timing stages for almost the whole feasible space.  ``columnar``
-    is forwarded as well — serial per-size searches then evaluate their
-    whole space as one vectorized batch (``False`` forces the scalar
-    pipeline; the point is identical either way).  ``tracer`` and
+    comm/timing stages for almost the whole feasible space.  ``tracer`` and
     ``collect_stats`` instrument the inner search; the point's
     :class:`~repro.obs.SweepStats` lands on ``ScalingPoint.stats``.
     ``events`` threads a flight-recorder journal into the inner search
@@ -120,7 +115,7 @@ def best_at_size(
     system = system_factory(num_procs)
     result = search(
         llm, system, batch, options, workers=workers, keep_rates=False, top_k=1,
-        bound_prune=bound_prune, columnar=columnar, tracer=tracer,
+        bound_prune=bound_prune, tracer=tracer,
         collect_stats=collect_stats, events=events,
     )
     if result.best is None:
@@ -153,7 +148,6 @@ def scaling_sweep(
     *,
     workers: int | None = None,
     bound_prune: bool = True,
-    columnar: bool | None = None,
     tracer: Tracer | None = None,
     collect_stats: bool = False,
     progress: ProgressReporter | None = None,
@@ -165,11 +159,10 @@ def scaling_sweep(
     """Best performance at each system size (one Fig. 7 / Fig. 10 panel).
 
     ``workers`` is honored by every inner per-size search (``None`` =
-    serial columnar, or auto-select on the scalar path; 0/1 = serial;
-    N = process count, so a Fig. 7 sweep over thousands of processors can
-    use the whole machine).  ``bound_prune`` and ``columnar`` reach every
-    inner search (see :func:`best_at_size`; the curve is identical either
-    way).
+    serial, or auto-select for a journaled search; 0/1 = serial; N =
+    process count, so a Fig. 7 sweep over thousands of processors can use
+    the whole machine).  ``bound_prune`` reaches every inner search (see
+    :func:`best_at_size`; the curve is identical either way).
 
     With a ``tracer``, each per-size search is wrapped in a ``size=N`` span
     (chunk and stage spans of the inner searches nest beneath it);
@@ -226,12 +219,11 @@ def scaling_sweep(
             with span(f"size={n}", cat="sweep.size"):
                 point = best_at_size(llm, system_factory, n, batch, options,
                                      workers=workers, bound_prune=bound_prune,
-                                     columnar=columnar, tracer=tracer,
+                                     tracer=tracer,
                                      collect_stats=collect_stats, events=events)
         else:
             point = best_at_size(llm, system_factory, n, batch, options,
                                  workers=workers, bound_prune=bound_prune,
-                                 columnar=columnar,
                                  collect_stats=collect_stats, events=events)
         if events is not None:
             events.emit(

@@ -34,10 +34,8 @@ from ..obs import (
     M_BOUND_TILES,
     M_COLUMNAR_BATCHES,
     M_COLUMNAR_CANDIDATES,
-    M_COLUMNAR_FALLBACK,
     M_COMM_CACHE_HITS,
     M_COMM_CACHE_MISSES,
-    M_SURROGATE_SEEDED,
     EventJournal,
     MetricsRegistry,
 )
@@ -72,11 +70,9 @@ class MicroBatcher:
     ``window=0`` degrades to per-arrival dispatch (whatever is already
     queued still shares a batch).  ``engine`` is injectable for tests that
     count or slow down engine calls; it must have ``evaluate_many``'s
-    signature and input-order result alignment.  ``columnar`` is forwarded
-    to the default engine (``None`` lets :func:`~repro.engine.evaluate_many`
-    route micro-batches above its size floor through the vectorized
-    columnar path, ``False`` forces the scalar pipeline); an injected
-    ``engine`` receives no such keyword — its signature is its contract.
+    signature and input-order result alignment.  The default engine runs
+    micro-batches of 32 or more through the vectorized columnar path and
+    smaller ones through the scalar :func:`~repro.engine.evaluate`.
     ``events`` is an optional :class:`~repro.obs.EventJournal` flight
     recorder; every dispatched micro-batch appends one ``batch.dispatch``
     event (size, group count, wall seconds).
@@ -89,7 +85,6 @@ class MicroBatcher:
         max_batch: int = 64,
         metrics: MetricsRegistry | None = None,
         engine: Callable[..., list] | None = None,
-        columnar: bool | None = None,
         events: EventJournal | None = None,
     ):
         if window < 0:
@@ -98,24 +93,22 @@ class MicroBatcher:
             raise ValueError("max_batch must be >= 1")
         self.window = window
         self.max_batch = max_batch
-        self.columnar = columnar
         self.events = events
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Pre-register the engine's bound/comm-cache/columnar counters so
         # /metrics exposes them from the first scrape.  The service never
         # passes a prune_above threshold (every request needs its real
-        # result), so engine_bound_pruned and the adaptive tile/skip/seed
+        # result), so engine_bound_pruned and the adaptive tile/skip
         # counters stay 0 here; the comm-cache counters accumulate real
         # hit/miss deltas from every batched dispatch, and the columnar
         # counters record how many micro-batches rode the vectorized path.
         for name in (
             M_BOUND_EVALS, M_BOUND_PRUNED, M_BOUND_TILES,
-            M_BOUND_SKIPPED_BUCKETS, M_SURROGATE_SEEDED,
+            M_BOUND_SKIPPED_BUCKETS,
             M_COMM_CACHE_HITS, M_COMM_CACHE_MISSES,
-            M_COLUMNAR_BATCHES, M_COLUMNAR_CANDIDATES, M_COLUMNAR_FALLBACK,
+            M_COLUMNAR_BATCHES, M_COLUMNAR_CANDIDATES,
         ):
             self.metrics.inc(name, 0.0)
-        self._default_engine = engine is None
         self._engine = engine if engine is not None else evaluate_many
         self._queue: "queue.Queue[EvalJob]" = queue.Queue()
         self._pending = 0
@@ -232,14 +225,12 @@ class MicroBatcher:
             groups.setdefault(job.group, []).append(job)
         for jobs in groups.values():
             self.metrics.inc(M_ENGINE_CALLS)
-            kwargs = {"columnar": self.columnar} if self._default_engine else {}
             try:
                 results = self._engine(
                     jobs[0].llm,
                     jobs[0].system,
                     [job.strategy for job in jobs],
                     metrics=self.metrics,
-                    **kwargs,
                 )
             except BaseException as err:  # engine bugs must not hang callers
                 logger.exception("batched evaluation failed")

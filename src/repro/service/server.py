@@ -684,32 +684,22 @@ def make_server(
     batch_window: float = 0.002,
     max_batch: int = 64,
     request_timeout: float = 60.0,
-    columnar: bool | None = None,
     events_path: str | None = None,
 ) -> ServiceHTTPServer:
     """Assemble cache + batcher + service + HTTP server (not yet serving).
 
-    ``columnar`` is forwarded to the :class:`MicroBatcher` (``None`` lets
-    micro-batches above the engine's size floor ride the vectorized
-    columnar path; ``False`` forces the scalar pipeline).  ``events_path``
-    opens a flight-recorder :class:`~repro.obs.EventJournal` there (shared
-    by the request pipeline and the dispatcher; closed by :func:`serve` on
-    exit).
+    ``events_path`` opens a flight-recorder :class:`~repro.obs.EventJournal`
+    there (shared by the request pipeline and the dispatcher; closed by
+    :func:`serve` on exit).
     """
     metrics = MetricsRegistry()
     events = (
         EventJournal(events_path, source="server") if events_path else None
     )
     cache = ResultCache(cache_entries, cache_dir, metrics=metrics, events=events)
-    # Adaptive searches persist their learned tile-0 seeding state through
-    # the same content-addressed cache (kind="surrogate" keys), so a
-    # long-lived service warms up across requests and restarts.
-    from ..search.surrogate import configure_surrogate_store
-
-    configure_surrogate_store(cache)
     batcher = MicroBatcher(
         window=batch_window, max_batch=max_batch, metrics=metrics,
-        columnar=columnar, events=events,
+        events=events,
     )
     service = EvaluationService(
         cache=cache,

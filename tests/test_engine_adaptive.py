@@ -1,20 +1,17 @@
-"""Adaptive best-bound-first tiling, floor guards, and the online surrogate.
+"""Adaptive best-bound-first tiling and floor guards.
 
-The load-bearing invariants of ISSUE 10's adaptive search layer:
+The load-bearing invariants of the adaptive search layer:
 
 * ``batch_lower_bounds`` is **bit-identical** to the scalar
   ``roofline_lower_bound`` for every feasible memory bucket (property-based
   over random candidate mixes — this is what makes tiled skipping sound);
 * the tiled best-bound-first path produces bit-identical survivors and an
-  identical top-k retention for *any* tile size and *any* seed order —
-  tiling and seeding are speed hints, never correctness inputs;
+  identical top-k retention for *any* tile size — tiling is a speed hint,
+  never a correctness input;
 * non-finite rate floors (a gossiped k-th best from an empty heap arrives
   as ``-inf`` or ``nan``) are ignored everywhere they can enter: the
   threshold converters, :class:`AdaptivePlan`, the fabric chunk evaluator
-  and the coordinator's gossip;
-* the surrogate changes nothing but evaluation order: on/off runs retain
-  the same top-k, and its state survives a round-trip through the service
-  result cache.
+  and the coordinator's gossip.
 """
 
 import math
@@ -39,18 +36,6 @@ from repro.engine.bounds import roofline_lower_bound
 from repro.execution import ExecutionStrategy
 from repro.hardware import a100_system
 from repro.llm import TINY_TEST
-from repro.search import SearchOptions, search
-from repro.search import surrogate as sur_mod
-from repro.search.surrogate import (
-    MIN_OBSERVATIONS,
-    N_FEATURES,
-    RateSurrogate,
-    configure_surrogate_store,
-    load_surrogate,
-    seed_sample_size,
-    surrogate_key,
-)
-from repro.service.cache import ResultCache
 
 SYS64 = a100_system(64)
 
@@ -96,10 +81,10 @@ def _top_retention(eb: EvalBatch, k: int) -> list[tuple[int, float]]:
     """The search's exact top-k retention over an evaluated batch."""
     if eb.n_s == 0 or k <= 0:
         return []
-    srank = eb.stream_rank[eb.sidx]
+    srank = eb.stream_rank[eb.inp_s]
     keep = np.lexsort((srank, -eb.rate_s))[:k]
     return sorted(
-        (int(eb.sidx[i]), float(eb.rate_s[i])) for i in keep
+        (int(eb.inp_s[i]), float(eb.rate_s[i])) for i in keep
     )
 
 
@@ -188,20 +173,17 @@ def test_batch_lower_bounds_bit_identical_to_scalar(strategies):
     )
 
 
-# -- property: any tiling, any seed == untiled -------------------------------
+# -- property: any tiling == untiled -----------------------------------------
 
 
 @given(
     strategies=st.lists(_random_strategy, min_size=1, max_size=30),
     tile=st.integers(min_value=1, max_value=40),
     k=st.sampled_from([1, 3, 10]),
-    seed=st.lists(
-        st.integers(min_value=-5, max_value=60), min_size=0, max_size=12
-    ),
 )
 @settings(max_examples=25, deadline=None)
-def test_adaptive_any_tiling_bit_identical(strategies, tile, k, seed):
-    """Tiled best-bound-first == untiled, for any tile size and seed order.
+def test_adaptive_any_tiling_bit_identical(strategies, tile, k):
+    """Tiled best-bound-first == untiled, for any tile size.
 
     The adaptive run may prune buckets, but every candidate it keeps must
     carry bit-identical columns, and the search's top-k retention over its
@@ -213,10 +195,7 @@ def test_adaptive_any_tiling_bit_identical(strategies, tile, k, seed):
     run_batch(full)  # untiled: every feasible candidate priced
     clear_caches()
     adap = _build_batch(strategies)
-    plan = AdaptivePlan(
-        top_k=k, tile_buckets=tile, seed_fn=lambda eb: seed
-    )
-    run_batch(adap, adaptive=plan)
+    run_batch(adap, adaptive=AdaptivePlan(top_k=k, tile_buckets=tile))
 
     # Survivor accounting: pruned + surviving == all feasible.
     assert adap.n_s + adap.n_pruned == full.n_s
@@ -233,103 +212,3 @@ def test_adaptive_any_tiling_bit_identical(strategies, tile, k, seed):
 
     # The retention the search applies is identical.
     assert _top_retention(full, k) == _top_retention(adap, k)
-
-
-# -- surrogate: speed-only, persistent ---------------------------------------
-
-
-def _tiny_search(**kw):
-    return search(
-        TINY_TEST, SYS64, 64, SearchOptions(), top_k=5, workers=0,
-        keep_rates=False, columnar=True, **kw,
-    )
-
-
-def test_surrogate_on_off_top_k_identical():
-    sur_mod._reset_for_tests()
-    try:
-        clear_caches()
-        off = _tiny_search(surrogate=False)
-        clear_caches()
-        on = _tiny_search(surrogate=True)  # untrained: falls back to bounds
-        clear_caches()
-        trained = _tiny_search(surrogate=True)  # now seeded from run 2
-        for other in (on, trained):
-            assert len(off.top) == len(other.top)
-            for (s1, r1), (s2, r2) in zip(off.top, other.top):
-                assert s1 == s2
-                assert r1 == r2
-    finally:
-        sur_mod._reset_for_tests()
-
-
-def test_surrogate_negative_prune_seed_disables_seeding():
-    sur_mod._reset_for_tests()
-    try:
-        clear_caches()
-        _tiny_search()  # train
-        clear_caches()
-        seeded = _tiny_search(collect_stats=True)
-        clear_caches()
-        unseeded = _tiny_search(prune_seed=-1, collect_stats=True)
-        assert unseeded.stats.engine.surrogate_seeded == 0
-        for (s1, r1), (s2, r2) in zip(seeded.top, unseeded.top):
-            assert s1 == s2 and r1 == r2
-    finally:
-        sur_mod._reset_for_tests()
-
-
-def test_surrogate_persists_through_result_cache(tmp_path):
-    sur_mod._reset_for_tests()
-    try:
-        cache = ResultCache(cache_dir=tmp_path)
-        configure_surrogate_store(cache)
-        clear_caches()
-        _tiny_search()
-        key = surrogate_key(TINY_TEST, SYS64, 64, SearchOptions())
-        payload = cache.get(key)
-        assert payload is not None
-        sur = RateSurrogate.from_payload(payload)
-        assert sur is not None and sur.count > 0
-
-        # A fresh process (cleared memory registry) reloads from the store.
-        sur_mod._MEMORY.clear()
-        reloaded = load_surrogate(key)
-        assert reloaded.count == sur.count
-        assert np.array_equal(reloaded.xtx, sur.xtx)
-        assert np.array_equal(reloaded.xty, sur.xty)
-    finally:
-        sur_mod._reset_for_tests()
-
-
-def test_surrogate_payload_roundtrip_and_rejects_garbage():
-    rng = np.random.default_rng(7)
-    sur = RateSurrogate()
-    feats = rng.normal(size=(MIN_OBSERVATIONS, N_FEATURES))
-    rates = np.abs(rng.normal(size=MIN_OBSERVATIONS)) + 0.1
-    sur.observe(feats, rates)
-    assert sur.trained
-    back = RateSurrogate.from_payload(sur.to_payload())
-    assert back is not None
-    assert back.count == sur.count
-    assert np.array_equal(back.xtx, sur.xtx)
-    assert np.array_equal(back.xty, sur.xty)
-    assert RateSurrogate.from_payload(None) is None
-    assert RateSurrogate.from_payload({"version": 99}) is None
-    assert RateSurrogate.from_payload({"version": 1, "xtx": [[1.0]]}) is None
-
-
-def test_surrogate_nonpositive_rates_carry_no_signal():
-    sur = RateSurrogate()
-    feats = np.ones((4, N_FEATURES))
-    sur.observe(feats, np.array([0.0, -1.0, math.nan, -math.inf]))
-    assert sur.count == 0
-    assert not sur.trained
-
-
-def test_seed_sample_size_semantics():
-    assert seed_sample_size(-1, 10) == 0
-    assert seed_sample_size(0, 10) == max(64, 10)
-    assert seed_sample_size(0, 100) == 100
-    assert seed_sample_size(7, 10) == 10
-    assert seed_sample_size(200, 10) == 200

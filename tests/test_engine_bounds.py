@@ -202,12 +202,10 @@ def test_search_topk_bit_identical_with_pruning():
     """Pruned and unpruned serial searches agree on every retained entry."""
     llm = GPT3_175B
     system = GPT3_16
-    # columnar=False: this exercises the *scalar* bound-prune layer (the
-    # pure-columnar search path never computes bounds; see PERFORMANCE.md).
     base = search(llm, system, 32, top_k=8, workers=0, keep_rates=False,
-                  bound_prune=False, columnar=False, collect_stats=True)
+                  bound_prune=False, collect_stats=True)
     pruned = search(llm, system, 32, top_k=8, workers=0, keep_rates=False,
-                    bound_prune=True, columnar=False, collect_stats=True)
+                    bound_prune=True, collect_stats=True)
     assert base.num_evaluated == pruned.num_evaluated
     assert base.num_feasible == pruned.num_feasible
     assert len(base.top) == len(pruned.top)
@@ -217,19 +215,6 @@ def test_search_topk_bit_identical_with_pruning():
     assert pruned.stats.engine.bound_pruned > 0
     assert base.stats.engine.bound_pruned == 0
     assert pruned.stats.engine.evaluated_full < base.stats.engine.evaluated_full
-
-
-def test_seeded_search_same_rates():
-    llm = GPT3_175B
-    system = GPT3_16
-    base = search(llm, system, 32, top_k=8, workers=0, keep_rates=False,
-                  bound_prune=False)
-    seeded = search(llm, system, 32, top_k=8, workers=0, keep_rates=False,
-                    bound_prune=True, prune_seed=64)
-    assert [r.sample_rate for _, r in seeded.top] == [
-        r.sample_rate for _, r in base.top
-    ]
-    assert seeded.num_feasible == base.num_feasible
 
 
 def test_pruning_disabled_with_constraint_and_rates():
@@ -316,33 +301,3 @@ def test_comm_cache_counters_and_clear():
     assert stats2.comm_cache_hit_rate == 1.0
     clear_caches()
     assert comm_cache_stats() == (0, 0)
-
-
-def test_dynamic_threshold_callable():
-    """A callable threshold is re-read as the caller's best improves."""
-    llm = GPT3_175B
-    system = GPT3_16
-    strategies = candidate_list(llm, system, batch=32)
-    ceiling = [math.inf]
-    best_rate = [0.0]
-
-    def threshold():
-        return ceiling[0]
-
-    from repro.engine import iter_evaluate
-
-    # columnar=False: the per-candidate threshold re-read is a scalar-path
-    # behavior — the columnar engine reads a callable threshold once per
-    # batch (the documented divergence; see PERFORMANCE.md).
-    results = {}
-    for i, res in iter_evaluate(llm, system, strategies,
-                                prune_above=threshold, columnar=False):
-        results[i] = res
-        if res.feasible and not res.pruned and res.sample_rate > best_rate[0]:
-            best_rate[0] = res.sample_rate
-            ceiling[0] = prune_threshold_for_rate(32.0, best_rate[0])
-    assert any(r.pruned for r in results.values())
-    # The running best is never pruned away: it matches the true optimum.
-    base = evaluate_many(llm, system, strategies)
-    true_best = max(r.sample_rate for r in base if r.feasible)
-    assert best_rate[0] == true_best

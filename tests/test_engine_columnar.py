@@ -1,40 +1,41 @@
 """Columnar engine: bit-exactness against the scalar oracle, plus plumbing.
 
 The struct-of-arrays engine (:mod:`repro.engine.batch`) promises results
-**bit-identical** to the scalar staged pipeline for any candidate list —
-feasible, memory-infeasible, structurally invalid, and pruned alike — with
-the scalar path kept as the oracle.  This suite checks that promise on the
-golden equivalence grid and on Hypothesis-generated random candidates, then
-covers the plumbing around the core: the pure-columnar search path, the
-exact-order columnar enumerator, the NumPy version floor, the scalar
-fallback counter, cache-reset semantics, service dispatch routing, and the
+**bit-identical** to the scalar :func:`repro.engine.evaluate` for any
+candidate list — feasible, memory-infeasible, structurally invalid, and
+pruned alike — with ``evaluate`` kept as the oracle.  This suite checks that
+promise on the golden equivalence grid and on Hypothesis-generated random
+candidates, then covers the plumbing around the core: the small-batch
+routing of ``evaluate_many``, the columnar search path, the exact-order
+columnar enumerator, the NumPy version floor, cache-reset semantics, and the
 cached ``System`` hash the hot comm caches key on.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import calculate
 from repro.engine import (
     PrunedResult,
     clear_caches,
     comm_cache_stats,
+    evaluate,
     evaluate_many,
     iter_evaluate,
+    profile_key,
 )
 from repro.engine import api as engine_api
 from repro.engine import batch as engine_batch
-from repro.execution import ExecutionStrategy
+from repro.execution import ExecutionStrategy, StrategyError
 from repro.hardware import a100_system, ddr5_offload
 from repro.llm import GPT3_175B, TINY_TEST
 from repro.obs import (
     M_COLUMNAR_BATCHES,
     M_COLUMNAR_CANDIDATES,
-    M_COLUMNAR_FALLBACK,
     MetricsRegistry,
     PruneStats,
     Tracer,
@@ -51,22 +52,21 @@ CASES = [
     )
 ]
 
-# PruneStats fields whose values legitimately differ between the scalar and
-# columnar paths: wall-clock, the columnar-path-only counters, and comm-cache
-# *hits* — the columnar path deduplicates per-bucket kernel calls to one call
-# per distinct argument tuple, so it performs fewer redundant cache lookups.
-# Misses must still match exactly: both paths compute the same set of
-# distinct kernel shapes (asserted separately below).
-_PATH_DEPENDENT = {
-    "stage_seconds", "columnar_batches", "columnar_candidates",
-    "columnar_fallback", "comm_cache_hits",
-}
+# PruneStats fields the scalar oracle counts too.  It does not group
+# candidates (no profile groups, buckets or bounds), and comm-cache *hits*
+# legitimately differ: the columnar engine calls each kernel once per
+# distinct argument tuple, so it performs fewer redundant cache lookups.
+# Misses must still match exactly: both compute the same set of distinct
+# kernel shapes (asserted separately below).
+_ORACLE_COUNTED = (
+    "candidates", "rejected_validate", "rejected_memory", "evaluated_full",
+)
 
 
 def _assert_comm_cache_consistent(s_stats: PruneStats, c_stats: PruneStats):
     # Same distinct kernel computations against a cleared cache...
     assert s_stats.comm_cache_misses == c_stats.comm_cache_misses
-    # ...but the columnar path skips the scalar path's redundant lookups.
+    # ...but the columnar path skips the oracle's redundant lookups.
     assert c_stats.comm_cache_hits <= s_stats.comm_cache_hits
 
 
@@ -74,12 +74,40 @@ def _fields(result) -> dict:
     return dataclasses.asdict(result)
 
 
-def _stats_fields(stats: PruneStats) -> dict:
-    return {
-        f.name: getattr(stats, f.name)
-        for f in dataclasses.fields(stats)
-        if f.name not in _PATH_DEPENDENT
-    }
+def _oracle(llm, system, strategies):
+    """``[evaluate(s) for s in strategies]`` plus the oracle's PruneStats."""
+    reg = MetricsRegistry()
+    results = [evaluate(llm, system, s, metrics=reg) for s in strategies]
+    return results, PruneStats.from_metrics(reg)
+
+
+def _columnar(llm, system, strategies):
+    """Run the columnar engine itself, whatever the batch size."""
+    reg = MetricsRegistry()
+    cc0 = comm_cache_stats()
+    eb = engine_batch.EvalBatch.from_strategies(llm, system, strategies)
+    engine_batch.run_batch(eb, metrics=reg)
+    results = [None] * len(strategies)
+    for i, res in engine_batch.iter_results(eb):
+        results[i] = res
+    cc1 = comm_cache_stats()
+    reg.inc("engine.comm_cache.hits", cc1[0] - cc0[0])
+    reg.inc("engine.comm_cache.misses", cc1[1] - cc0[1])
+    return results, PruneStats.from_metrics(reg)
+
+
+def _assert_counters_match(s_stats: PruneStats, c_stats: PruneStats):
+    for name in _ORACLE_COUNTED:
+        assert getattr(s_stats, name) == getattr(c_stats, name), name
+    _assert_comm_cache_consistent(s_stats, c_stats)
+
+
+def _valid(llm, system, strategy) -> bool:
+    try:
+        strategy.validate(llm, system)
+    except StrategyError:
+        return False
+    return True
 
 
 # -- bit-exactness on the golden grid ---------------------------------------
@@ -88,64 +116,82 @@ def _stats_fields(stats: PruneStats) -> dict:
 @pytest.mark.parametrize("llm, system", CASES)
 @pytest.mark.parametrize("prune", [False, True])
 def test_columnar_bit_identical_on_grid(llm, system, prune):
+    """evaluate_many == the oracle, with or without an armed threshold.
+
+    ``prune=True`` arms bound pruning with an infinite threshold: every
+    bound is computed, none bites, and nothing else may change.
+    """
+    assert len(GRID) >= engine_api._COLUMNAR_MIN_BATCH  # columnar path
+    oracle = [evaluate(llm, system, s) for s in GRID]
     clear_caches()
-    scalar = evaluate_many(llm, system, GRID, prune=prune, columnar=False)
-    clear_caches()
-    columnar = evaluate_many(llm, system, GRID, prune=prune, columnar=True)
-    assert len(scalar) == len(columnar) == len(GRID)
-    for strat, s, c in zip(GRID, scalar, columnar):
+    columnar = evaluate_many(
+        llm, system, GRID, prune_above=math.inf if prune else None
+    )
+    assert len(oracle) == len(columnar) == len(GRID)
+    for strat, s, c in zip(GRID, oracle, columnar):
         assert _fields(s) == _fields(c), strat.short_name()
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33])
+def test_evaluate_many_matches_oracle_at_size_floor(n):
+    """Both sides of the small-batch routing equal the oracle exactly."""
+    strategies = GRID[:n]
+    mx = MetricsRegistry()
+    results = evaluate_many(GPT3_175B, OFF64, strategies, metrics=mx)
+    oracle = [evaluate(GPT3_175B, OFF64, s) for s in strategies]
+    assert len(results) == n
+    for strat, s, c in zip(strategies, oracle, results):
+        assert _fields(s) == _fields(c), strat.short_name()
+    batched = n >= engine_api._COLUMNAR_MIN_BATCH
+    assert mx.value(M_COLUMNAR_BATCHES) == (1 if batched else 0)
+    assert mx.value(M_COLUMNAR_CANDIDATES) == (n if batched else 0)
 
 
 @pytest.mark.parametrize("llm, system", CASES)
 def test_columnar_stream_order_and_threshold(llm, system):
-    """iter_evaluate yields input order either way, pruned results equal."""
+    """iter_evaluate streams in profile-group order; pruning is sound."""
     # ``prune_above`` is a batch-time ceiling: candidates whose roofline
-    # lower bound is >= it are skipped.  An (effectively) zero ceiling makes
-    # both paths prune every feasible candidate — and they must produce
-    # bit-identical PrunedResult placeholders while doing it.
+    # lower bound is >= it are skipped.  An (effectively) zero ceiling
+    # prunes every feasible candidate into a PrunedResult placeholder.
     threshold = 1e-12
+    oracle = [evaluate(llm, system, s) for s in GRID]
     clear_caches()
-    scalar = list(
-        iter_evaluate(llm, system, GRID, prune_above=threshold, columnar=False)
-    )
-    clear_caches()
-    columnar = list(
-        iter_evaluate(llm, system, GRID, prune_above=threshold, columnar=True)
-    )
-    # The pruned iterator streams in bucket-grouped order, not input order —
-    # the columnar path must reproduce that stream exactly, index for index.
-    assert [i for i, _ in scalar] == [i for i, _ in columnar]
-    assert sorted(i for i, _ in scalar) == list(range(len(GRID)))
+    stream = list(iter_evaluate(llm, system, GRID, prune_above=threshold))
+    # Stream order: validate-rejects in input order, then profile groups in
+    # first-seen order with members in input order.
+    groups: dict = {}
+    for i, s in enumerate(GRID):
+        if _valid(llm, system, s):
+            groups.setdefault(profile_key(s), []).append(i)
+    expected = [i for i, s in enumerate(GRID) if not _valid(llm, system, s)]
+    expected += [i for members in groups.values() for i in members]
+    assert [i for i, _ in stream] == expected
     pruned = 0
-    for (si, s), (ci, c) in zip(scalar, columnar):
-        assert si == ci
-        assert type(s) is type(c)
-        assert _fields(s) == _fields(c)
-        pruned += isinstance(c, PrunedResult)
+    for i, res in stream:
+        if isinstance(res, PrunedResult):
+            assert oracle[i].feasible  # only feasible candidates are pruned
+            assert res.sample_rate == 0.0
+            pruned += 1
+        else:
+            assert _fields(res) == _fields(oracle[i])
     assert pruned  # the threshold must have bitten somewhere
 
 
 @pytest.mark.parametrize("llm, system", CASES)
 def test_columnar_stats_counters_match_scalar(llm, system):
     clear_caches()
-    s_res, s_stats = evaluate_many(
-        llm, system, GRID, prune=True, stats=True, columnar=False
-    )
+    s_res, s_stats = _oracle(llm, system, GRID)
     clear_caches()
-    c_res, c_stats = evaluate_many(
-        llm, system, GRID, prune=True, stats=True, columnar=True
-    )
+    c_res, c_stats = evaluate_many(llm, system, GRID, stats=True)
     for s, c in zip(s_res, c_res):
         assert _fields(s) == _fields(c)
-    # Same candidates, groups, buckets, rejections, and — because the comm
+    # Same candidates, rejections, full evaluations, and — because the comm
     # kernels compute the same distinct scalar keys against a cleared cache —
     # the same comm-cache misses.
-    assert _stats_fields(s_stats) == _stats_fields(c_stats)
-    _assert_comm_cache_consistent(s_stats, c_stats)
+    _assert_counters_match(s_stats, c_stats)
+    assert c_stats.profile_groups + c_stats.bucket_hits > 0
     assert c_stats.columnar_batches == 1
     assert c_stats.columnar_candidates == len(GRID)
-    assert c_stats.columnar_fallback == 0
     assert s_stats.columnar_batches == 0
 
 
@@ -179,23 +225,22 @@ _random_strategy = st.builds(
 )
 @settings(max_examples=30, deadline=None)
 def test_columnar_property_bit_identical(strategies, use_offload):
-    """Random (valid or not) candidates: columnar == scalar, field for field."""
+    """Random (valid or not) candidates: columnar == oracle, field for field.
+
+    Runs the columnar engine directly, so batches below the
+    ``evaluate_many`` size floor are covered too.
+    """
     system = OFF64 if use_offload else SYS64
     clear_caches()
-    scalar, s_stats = evaluate_many(
-        TINY_TEST, system, strategies, prune=True, stats=True, columnar=False
-    )
+    scalar, s_stats = _oracle(TINY_TEST, system, strategies)
     clear_caches()
-    columnar, c_stats = evaluate_many(
-        TINY_TEST, system, strategies, prune=True, stats=True, columnar=True
-    )
+    columnar, c_stats = _columnar(TINY_TEST, system, strategies)
     assert len(scalar) == len(columnar) == len(strategies)
     for strat, s, c in zip(strategies, scalar, columnar):
         assert _fields(s) == _fields(c), strat.short_name()
         assert s.feasible == c.feasible
         assert s.infeasibility == c.infeasibility
-    assert _stats_fields(s_stats) == _stats_fields(c_stats)
-    _assert_comm_cache_consistent(s_stats, c_stats)
+    _assert_counters_match(s_stats, c_stats)
     assert c_stats.columnar_candidates == len(strategies)
 
 
@@ -228,54 +273,57 @@ def test_candidate_columns_matches_candidate_strategies(llm, batch, opts):
         assert eb.strategy_at(i) == strat
 
 
-def test_candidate_columns_unknown_mode_falls_back():
-    opts = SearchOptions(recompute=("none", "attn_only"))
-    object.__setattr__(opts, "recompute", ("none", "not-a-mode"))
-    cols = search_columns.candidate_columns(TINY_TEST, SYS64, 64, opts)
-    assert cols is None  # caller falls back to scalar enumeration
+# -- columnar search path ---------------------------------------------------
 
 
-# -- pure-columnar search path ----------------------------------------------
+def _oracle_search(llm, system, batch, top_k):
+    """Brute-force search: evaluate() over every candidate, rank, truncate."""
+    candidates = list(candidate_strategies(llm, system, batch))
+    results = [evaluate(llm, system, s) for s in candidates]
+    feasible = [
+        (-r.sample_rate, i) for i, r in enumerate(results) if r.feasible
+    ]
+    top = [(candidates[i], results[i]) for _, i in sorted(feasible)[:top_k]]
+    rates = sorted(r.sample_rate for r in results if r.feasible)
+    return top, len(feasible), rates
 
 
-def _search_pair(**kwargs):
-    clear_caches()
-    scalar = search(
-        TINY_TEST, SYS64, 64, top_k=5, workers=0, columnar=False, **kwargs
-    )
-    clear_caches()
-    columnar = search(
-        TINY_TEST, SYS64, 64, top_k=5, workers=0, columnar=True, **kwargs
-    )
-    return scalar, columnar
+def _assert_same_top(want, got):
+    assert len(want) == len(got)
+    for (s1, r1), (s2, r2) in zip(want, got):
+        assert s1 == s2
+        assert _fields(r1) == _fields(r2)
 
 
 @pytest.mark.parametrize("keep_rates", [False, True])
 def test_search_columnar_bit_identical(keep_rates):
-    scalar, columnar = _search_pair(keep_rates=keep_rates)
-    assert scalar.num_evaluated == columnar.num_evaluated
-    assert scalar.num_feasible == columnar.num_feasible
-    assert len(scalar.top) == len(columnar.top)
-    for (s1, r1), (s2, r2) in zip(scalar.top, columnar.top):
-        assert s1 == s2
-        assert _fields(r1) == _fields(r2)
+    top, num_feasible, rates = _oracle_search(TINY_TEST, SYS64, 64, 5)
+    clear_caches()
+    res = search(TINY_TEST, SYS64, 64, top_k=5, workers=0,
+                 keep_rates=keep_rates)
+    assert res.num_evaluated == len(list(candidate_strategies(TINY_TEST, SYS64, 64)))
+    assert res.num_feasible == num_feasible
+    _assert_same_top(top, res.top)
     if keep_rates:
-        assert np.array_equal(scalar.sample_rates, columnar.sample_rates)
+        assert sorted(res.sample_rates.tolist()) == rates
 
 
 def test_search_columnar_ignores_bound_prune_but_matches():
-    """bound_prune is a no-op on the pure path — the answer still matches."""
-    scalar, columnar = _search_pair(bound_prune=True)
-    for (s1, r1), (s2, r2) in zip(scalar.top, columnar.top):
-        assert s1 == s2
-        assert _fields(r1) == _fields(r2)
+    """bound_prune changes only speed — the answer still matches the oracle."""
+    top, num_feasible, _ = _oracle_search(TINY_TEST, SYS64, 64, 5)
+    for bound_prune in (False, True):
+        clear_caches()
+        res = search(TINY_TEST, SYS64, 64, top_k=5, workers=0,
+                     keep_rates=False, bound_prune=bound_prune)
+        assert res.num_feasible == num_feasible
+        _assert_same_top(top, res.top)
 
 
 def test_search_columnar_stats_and_trace():
     tracer = Tracer()
     clear_caches()
     res = search(
-        TINY_TEST, SYS64, 64, top_k=3, workers=0, columnar=True,
+        TINY_TEST, SYS64, 64, top_k=3, workers=0,
         collect_stats=True, tracer=tracer,
     )
     stats = res.stats
@@ -289,24 +337,11 @@ def test_search_columnar_stats_and_trace():
     assert "comm" in names and "assemble" in names
 
 
-def test_search_with_constraint_stays_scalar(monkeypatch):
-    """A constraint forces the scalar path — the enumerator must not run."""
-    def boom(*args, **kwargs):  # pragma: no cover - failure path
-        raise AssertionError("columnar enumerator used despite constraint")
-
-    monkeypatch.setattr(search_columns, "candidate_columns", boom)
-    res = search(
-        TINY_TEST, SYS64, 64, top_k=3, workers=0, columnar=True,
-        constraint=lambda r: r.mfu > 0,
-    )
-    assert res.top
-
-
 def test_search_chunked_workers_matches_serial():
     clear_caches()
-    serial = search(TINY_TEST, SYS64, 64, top_k=5, workers=0, columnar=True)
+    serial = search(TINY_TEST, SYS64, 64, top_k=5, workers=0)
     clear_caches()
-    chunked = search(TINY_TEST, SYS64, 64, top_k=5, workers=2, columnar=True)
+    chunked = search(TINY_TEST, SYS64, 64, top_k=5, workers=2)
     assert serial.num_feasible == chunked.num_feasible
     for (s1, r1), (s2, r2) in zip(serial.top, chunked.top):
         assert s1 == s2
@@ -321,7 +356,7 @@ def test_numpy_floor_rejects_old_versions():
         engine_batch.check_numpy_version("1.23.5")
     msg = str(exc.value)
     assert "1.24" in msg
-    assert "columnar=False" in msg or "--no-columnar" in msg
+    assert "upgrade NumPy" in msg
 
 
 @pytest.mark.parametrize("version", ["1.24.0", "1.26.4", "2.1.0", "2.0.0rc1"])
@@ -333,33 +368,16 @@ def test_numpy_floor_checks_installed_version():
     engine_batch.check_numpy_version()  # the environment itself must pass
 
 
-# -- scalar fallback counter ------------------------------------------------
-
-
-def test_columnar_fallback_counts_and_still_answers(monkeypatch):
-    def unavailable():
-        raise ImportError("numpy too old (test)")
-
-    monkeypatch.setattr(engine_api, "_load_batch", unavailable)
-    clear_caches()
-    results, stats = evaluate_many(
-        TINY_TEST, SYS64, GRID, prune=True, stats=True, columnar=True
-    )
-    clear_caches()
-    oracle = [calculate(TINY_TEST, SYS64, s) for s in GRID]
-    for s, c in zip(oracle, results):
-        assert _fields(s) == _fields(c)
-    assert stats.columnar_fallback == 1
-    assert stats.columnar_batches == 0
+# -- small-batch routing ----------------------------------------------------
 
 
 def test_columnar_auto_routing_respects_size_floor():
     small = GRID[: engine_api._COLUMNAR_MIN_BATCH - 1]
     mx = MetricsRegistry()
-    evaluate_many(TINY_TEST, SYS64, small, prune=True, metrics=mx)
+    evaluate_many(TINY_TEST, SYS64, small, metrics=mx)
     assert mx.value(M_COLUMNAR_BATCHES) == 0  # under the floor: scalar
     mx2 = MetricsRegistry()
-    evaluate_many(TINY_TEST, SYS64, GRID, prune=True, metrics=mx2)
+    evaluate_many(TINY_TEST, SYS64, GRID, metrics=mx2)
     assert mx2.value(M_COLUMNAR_BATCHES) == 1  # over the floor: columnar
     assert mx2.value(M_COLUMNAR_CANDIDATES) == len(GRID)
 
@@ -370,47 +388,12 @@ def test_columnar_auto_routing_respects_size_floor():
 def test_clear_caches_resets_comm_cache_counters():
     clear_caches()
     assert comm_cache_stats() == (0, 0)
-    evaluate_many(TINY_TEST, SYS64, GRID, prune=True, columnar=True)
+    evaluate_many(TINY_TEST, SYS64, GRID)
     hits, misses = comm_cache_stats()
     assert misses > 0  # a cleared cache must miss before it hits
     assert hits + misses > 0
     clear_caches()
     assert comm_cache_stats() == (0, 0)
-
-
-# -- service dispatch routing -----------------------------------------------
-
-
-def test_microbatcher_forwards_columnar_to_default_engine_only():
-    from repro.service.dispatch import MicroBatcher
-
-    seen = []
-
-    def fake_engine(llm, system, strategies, *, metrics=None, **kwargs):
-        seen.append(kwargs)
-        return [calculate(llm, system, s) for s in strategies]
-
-    mb = MicroBatcher(window=0, engine=fake_engine, columnar=True).start()
-    try:
-        fut = mb.submit(TINY_TEST, SYS64, GRID[0], group="g")
-        assert fut.result(timeout=10).feasible == calculate(
-            TINY_TEST, SYS64, GRID[0]
-        ).feasible
-    finally:
-        mb.stop()
-    assert seen and all("columnar" not in kw for kw in seen)
-
-    # The default engine *does* receive the knob: with columnar=False the
-    # columnar counters stay 0 even for a batch over the size floor.
-    mb2 = MicroBatcher(window=0.05, max_batch=len(GRID), columnar=False).start()
-    try:
-        futs = [mb2.submit(TINY_TEST, SYS64, s, group="g") for s in GRID]
-        for f in futs:
-            f.result(timeout=30)
-    finally:
-        mb2.stop()
-    assert mb2.metrics.value(M_COLUMNAR_BATCHES) == 0
-    assert mb2.metrics.value(M_COLUMNAR_FALLBACK) == 0
 
 
 # -- stats plumbing and System hash -----------------------------------------
@@ -420,11 +403,9 @@ def test_prunestats_columnar_counters_merge_and_print():
     reg = MetricsRegistry()
     reg.inc(M_COLUMNAR_BATCHES, 2)
     reg.inc(M_COLUMNAR_CANDIDATES, 100)
-    reg.inc(M_COLUMNAR_FALLBACK, 1)
     stats = PruneStats.from_metrics(reg)
     assert stats.columnar_batches == 2
     assert stats.columnar_candidates == 100
-    assert stats.columnar_fallback == 1
     merged = stats.merged(stats)
     assert merged.columnar_batches == 4
     assert merged.columnar_candidates == 200

@@ -4,9 +4,10 @@ The staged pipeline (validate -> profile -> memory plan -> comm exposure ->
 time assembly) must be a pure refactoring of the analytical model: every
 ``PerformanceResult`` field — times, memory bytes, offload stats, MFU, and
 infeasibility reasons — must be *bit-identical* whether a configuration is
-evaluated one at a time through :func:`repro.core.calculate`, batched through
-:func:`repro.engine.evaluate_many` (with or without pruning), or screened by
-the :func:`repro.engine.check_feasible` fast path.
+evaluated one at a time through :func:`repro.core.calculate` or the scalar
+oracle :func:`repro.engine.evaluate`, batched through
+:func:`repro.engine.evaluate_many` (the columnar engine), or screened by the
+:func:`repro.engine.check_feasible` fast path.
 
 The grid below crosses two LLMs with >50 strategies each and spans feasible,
 memory-infeasible, and structurally invalid configurations, with and without
@@ -79,10 +80,10 @@ def _as_fields(result) -> dict:
 def test_evaluate_many_bit_identical_to_calculate(llm, system):
     assert len(GRID) > 50
     singles = [calculate(llm, system, s) for s in GRID]
-    batched = evaluate_many(llm, system, GRID, prune=True)
-    unpruned = evaluate_many(llm, system, GRID, prune=False)
-    assert len(batched) == len(unpruned) == len(GRID)
-    for strat, one, many, full in zip(GRID, singles, batched, unpruned):
+    batched = evaluate_many(llm, system, GRID)
+    oracle = [evaluate(llm, system, s) for s in GRID]
+    assert len(batched) == len(oracle) == len(GRID)
+    for strat, one, many, full in zip(GRID, singles, batched, oracle):
         label = strat.short_name()
         assert _as_fields(one) == _as_fields(many), label
         assert _as_fields(one) == _as_fields(full), label
@@ -91,7 +92,7 @@ def test_evaluate_many_bit_identical_to_calculate(llm, system):
 @pytest.mark.parametrize("llm, system", CASES)
 def test_infeasibility_reasons_identical(llm, system):
     singles = [calculate(llm, system, s) for s in GRID]
-    batched = evaluate_many(llm, system, GRID, prune=True)
+    batched = evaluate_many(llm, system, GRID)
     assert any(not r.feasible for r in singles)  # grid must exercise failures
     for one, many in zip(singles, batched):
         assert one.feasible == many.feasible
@@ -128,7 +129,7 @@ def test_instrumented_evaluation_bit_identical(llm, system):
     """Tracing and metrics must observe, never perturb.
 
     Every result field stays bit-identical when spans and counters are
-    attached, for both the single-candidate path and the pruned batch path.
+    attached, for both the single-candidate path and the batched path.
     """
     singles = [calculate(llm, system, s) for s in GRID]
 
@@ -137,7 +138,7 @@ def test_instrumented_evaluation_bit_identical(llm, system):
     instrumented = [
         evaluate(llm, system, s, tracer=tracer, metrics=metrics) for s in GRID
     ]
-    batched, stats = evaluate_many(llm, system, GRID, prune=True, stats=True)
+    batched, stats = evaluate_many(llm, system, GRID, stats=True)
     for strat, one, single_inst, batch_inst in zip(
         GRID, singles, instrumented, batched
     ):

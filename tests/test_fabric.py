@@ -63,7 +63,7 @@ def tops(result):
     return [(s.to_dict(), r.sample_rate) for s, r in result.top]
 
 
-def drain(coord, worker_id, cols, strategies, *, limit=1000):
+def drain(coord, worker_id, cols, *, limit=1000):
     """Pull-evaluate-submit until the coordinator says done."""
     finished = 0
     for _ in range(limit):
@@ -76,7 +76,7 @@ def drain(coord, worker_id, cols, strategies, *, limit=1000):
         chunk = reply["chunk"]
         payload = evaluate_chunk(
             LLM, SYS, chunk["start"], chunk["stop"], coord.top_k,
-            cols=cols, strategies=strategies, chunk_index=chunk["index"],
+            cols=cols, chunk_index=chunk["index"],
         )
         coord.submit(worker_id, chunk["index"], payload, key=coord.key)
         finished += 1
@@ -114,10 +114,17 @@ def test_options_survive_json_round_trip_with_identical_key():
     )
 
 
+def test_options_from_dict_rejects_unknown_mode_names():
+    wire = options_to_dict(small_options())
+    wire["tp_overlap"] = ["warp"]
+    with pytest.raises(ValueError, match="'warp'"):
+        options_from_dict(json.loads(json.dumps(wire)))
+
+
 def test_chunk_evaluation_is_partition_independent():
     """Slice-and-merge over any chunking == the whole-space columnar top-k."""
     ref = reference(top_k=5)
-    cols, strategies, total = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols, total = enumerate_space(LLM, SYS, BATCH, small_options())
     from repro.fabric import TopKMerge
 
     for step in (7, 23, total):
@@ -126,7 +133,7 @@ def test_chunk_evaluation_is_partition_independent():
         for chunk in plan_chunks(total, 1, step=step):
             payload = evaluate_chunk(
                 LLM, SYS, chunk.start, chunk.stop, 5,
-                cols=cols, strategies=strategies, chunk_index=chunk.index,
+                cols=cols, chunk_index=chunk.index,
             )
             n += payload["n"]
             feasible += payload["feasible"]
@@ -149,11 +156,11 @@ def test_two_workers_produce_bit_identical_answer():
                               expected_workers=2)
     a = coord.register("a")["worker_id"]
     b = coord.register("b")["worker_id"]
-    cols, strategies, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
     done = []
     threads = [
         threading.Thread(target=lambda w: done.append(
-            drain(coord, w, cols, strategies)), args=(w,))
+            drain(coord, w, cols)), args=(w,))
         for w in (a, b)
     ]
     for t in threads:
@@ -194,7 +201,7 @@ def test_unknown_worker_and_wrong_key_are_protocol_errors():
 def test_expired_lease_is_stolen_and_duplicate_result_goes_stale(tmp_path):
     events_path = tmp_path / "events.jsonl"
     ref = reference()
-    cols, strategies, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
     with EventJournal(events_path, source="fabric") as events:
         coord = FabricCoordinator(
             LLM, SYS, BATCH, small_options(), top_k=5, expected_workers=2,
@@ -206,13 +213,13 @@ def test_expired_lease_is_stolen_and_duplicate_result_goes_stale(tmp_path):
         assert held["status"] == "lease"
         held_index = held["chunk"]["index"]
         time.sleep(0.1)  # the lease expires; `slow` is presumed dead
-        drain(coord, live, cols, strategies)
+        drain(coord, live, cols)
         result = coord.result(timeout=10)
         assert tops(result) == tops(ref)
         # The wedged worker finally answers: acknowledged, discarded.
         late = evaluate_chunk(
             LLM, SYS, held["chunk"]["start"], held["chunk"]["stop"], 5,
-            cols=cols, strategies=strategies, chunk_index=held_index,
+            cols=cols, chunk_index=held_index,
         )
         reply = coord.submit(slow, held_index, late, key=coord.key)
         assert reply["status"] == "stale"
@@ -264,7 +271,7 @@ def test_skipped_chunks_truncate_the_result():
 def test_resume_folds_journaled_chunks_and_matches_uninterrupted(tmp_path):
     checkpoint = tmp_path / "fabric.jsonl"
     ref = reference()
-    cols, strategies, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
 
     first = FabricCoordinator(LLM, SYS, BATCH, small_options(), top_k=5,
                               checkpoint=str(checkpoint))
@@ -275,7 +282,7 @@ def test_resume_folds_journaled_chunks_and_matches_uninterrupted(tmp_path):
         chunk = reply["chunk"]
         payload = evaluate_chunk(
             LLM, SYS, chunk["start"], chunk["stop"], 5,
-            cols=cols, strategies=strategies, chunk_index=chunk["index"],
+            cols=cols, chunk_index=chunk["index"],
         )
         first.submit(w, chunk["index"], payload, key=first.key)
     journal = CheckpointJournal.load(checkpoint)
@@ -286,7 +293,7 @@ def test_resume_folds_journaled_chunks_and_matches_uninterrupted(tmp_path):
     second = FabricCoordinator(LLM, SYS, BATCH, small_options(), top_k=5,
                                checkpoint=str(checkpoint), resume=True)
     w2 = second.register("w2")["worker_id"]
-    drain(second, w2, cols, strategies)
+    drain(second, w2, cols)
     result = second.result(timeout=10)
     assert result.stats.resumed_chunks == 2
     assert result.num_evaluated == ref.num_evaluated
@@ -297,11 +304,11 @@ def test_resume_folds_journaled_chunks_and_matches_uninterrupted(tmp_path):
 def test_fully_journaled_run_finishes_without_workers(tmp_path):
     checkpoint = tmp_path / "fabric.jsonl"
     ref = reference()
-    cols, strategies, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
     first = FabricCoordinator(LLM, SYS, BATCH, small_options(), top_k=5,
                               checkpoint=str(checkpoint))
     w = first.register("w")["worker_id"]
-    drain(first, w, cols, strategies)
+    drain(first, w, cols)
     assert first.result(timeout=10).num_evaluated == ref.num_evaluated
 
     resumed = FabricCoordinator(LLM, SYS, BATCH, small_options(), top_k=5,
@@ -316,9 +323,9 @@ def test_torn_checkpoint_line_is_flight_recorded(tmp_path):
     checkpoint = tmp_path / "fabric.jsonl"
     coord = FabricCoordinator(LLM, SYS, BATCH, small_options(), top_k=5,
                               checkpoint=str(checkpoint))
-    cols, strategies, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
     w = coord.register("w")["worker_id"]
-    drain(coord, w, cols, strategies)
+    drain(coord, w, cols)
 
     intact = checkpoint.read_bytes()
     torn_offset = len(intact)

@@ -262,3 +262,87 @@ def test_top_k_heap_matches_brute_force_ranking():
         res = search(LLM, SYS, 16, opts, workers=0, top_k=top_k)
         got = [r.sample_rate for _, r in res.top]
         assert got == brute[:top_k]
+
+
+def _accept_all(res):
+    return True
+
+
+@pytest.mark.parametrize(
+    "mode", ["workers0", "workers2", "checkpoint", "events", "constraint",
+             "keep_rates"],
+)
+def test_every_dispatch_matches_serial_columnar(mode, tmp_path, monkeypatch):
+    """Every search path evaluates row ranges of the candidate columns.
+
+    Each must give the serial columnar search's top-k and feasible count,
+    without ever materializing the scalar candidate list.
+    """
+    from repro.obs import EventJournal
+    from repro.search import execution_search
+
+    system = a100_system(8)
+    ref = search(TINY_TEST, system, 16, top_k=5, workers=None, keep_rates=False)
+
+    def no_scalar_enumeration(*args, **kwargs):
+        raise AssertionError("search() materialized candidate_strategies")
+
+    monkeypatch.setattr(execution_search, "candidate_strategies",
+                        no_scalar_enumeration)
+    journal = None
+    kwargs = {
+        "workers0": {"workers": 0},
+        "workers2": {"workers": 2},
+        "checkpoint": {"workers": 0, "checkpoint": tmp_path / "journal.jsonl"},
+        "events": {"workers": 0},
+        "constraint": {"workers": 2, "constraint": _accept_all},
+        "keep_rates": {"workers": 0, "keep_rates": True},
+    }[mode]
+    if mode == "events":
+        journal = EventJournal(tmp_path / "events.jsonl", source="test")
+        kwargs["events"] = journal
+    kwargs.setdefault("keep_rates", False)
+    try:
+        got = search(TINY_TEST, system, 16, top_k=5, **kwargs)
+    finally:
+        if journal is not None:
+            journal.close()
+    assert got.num_evaluated == ref.num_evaluated
+    assert got.num_feasible == ref.num_feasible
+    assert [s for s, _ in got.top] == [s for s, _ in ref.top]
+    assert [r for _, r in got.top] == [r for _, r in ref.top]
+    if mode == "keep_rates":
+        assert len(got.sample_rates) == got.num_feasible
+    if mode == "checkpoint":
+        resumed = search(TINY_TEST, system, 16, top_k=5, resume=True, **kwargs)
+        assert resumed.stats.resumed_chunks > 0
+        assert [s for s, _ in resumed.top] == [s for s, _ in ref.top]
+
+
+def test_search_reports_true_winners_when_some_candidates_are_invalid():
+    """Rows the engine rejects at validate must not shift the winners.
+
+    Offload modes on a system without a tier-2 memory make part of the
+    enumerated space invalid; the reported strategies must still be the
+    ones whose rates were ranked.
+    """
+    opts = small_options(
+        offload_modes=((False, False, False), (True, True, True))
+    )
+    cands = list(candidate_strategies(LLM, SYS, 16, opts))
+    results = [calculate(LLM, SYS, c) for c in cands]
+    assert any(not r.feasible and "offload" in r.infeasibility for r in results)
+    ranked = sorted(
+        (-r.sample_rate, i) for i, r in enumerate(results) if r.feasible
+    )
+    for workers in (0, 2):
+        res = search(LLM, SYS, 16, opts, workers=workers, top_k=3,
+                     keep_rates=False)
+        assert [s for s, _ in res.top] == [cands[i] for _, i in ranked[:3]]
+        assert all(r.feasible for _, r in res.top)
+
+
+@pytest.mark.parametrize("field", ["recompute", "tp_overlap"])
+def test_search_options_reject_unknown_mode_names(field):
+    with pytest.raises(ValueError, match="'bogus'"):
+        SearchOptions(**{field: ("none", "bogus")})

@@ -403,11 +403,10 @@ def test_http_end_to_end(http_server):
     # real result), while the comm kernel caches see real traffic.
     assert "# TYPE repro_engine_bound_pruned counter" in text
     assert client.metric_value("repro_engine_bound_pruned") == 0.0
-    # The adaptive tile/skip/seed counters ride the same pre-registration
+    # The adaptive tile/skip counters ride the same pre-registration
     # and likewise stay 0 on the request path (no top-k search here).
     for name in ("repro_engine_bound_tiles",
-                 "repro_engine_bound_skipped_buckets",
-                 "repro_engine_surrogate_seeded"):
+                 "repro_engine_bound_skipped_buckets"):
         assert f"# TYPE {name} counter" in text
         assert client.metric_value(name) == 0.0
     assert (
