@@ -31,6 +31,7 @@ def main() -> None:
         SearchOptions(max_microbatch=8),
         top_k=10,
         workers=0,
+        keep_rates=True,
     )
     elapsed = time.perf_counter() - start
 

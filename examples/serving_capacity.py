@@ -2,19 +2,15 @@
 """Serving capacity planning: how much load can one replica take?
 
 Sweeps the offered request rate against a GPT-3-sized model on 8 A100s with
-continuous batching, and finds the knee where latency departs from the
-unloaded baseline — the practical capacity of the replica, and the number a
-fleet planner multiplies by.
+continuous batching, and finds the knee where time-to-first-token departs
+from the unloaded prefill latency — the practical capacity of the replica,
+and the number a fleet planner multiplies by.
 """
 
 from repro.hardware import a100_system
-from repro.inference import (
-    InferenceStrategy,
-    ServingWorkload,
-    calculate_inference,
-    simulate_serving,
-)
+from repro.inference import InferenceStrategy
 from repro.llm import MEGATRON_22B
+from repro.serving import LengthDist, ServeWorkload, prefill_time, simulate_serve
 from repro.viz import table
 
 SYSTEM = a100_system(8)
@@ -24,31 +20,32 @@ RATES = (0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
 
 def main() -> None:
-    single = calculate_inference(
-        MEGATRON_22B, SYSTEM, STRATEGY, prompt_len=PROMPT, generate_len=GEN
-    )
+    unloaded = prefill_time(MEGATRON_22B, SYSTEM, STRATEGY.tensor_par,
+                            STRATEGY.pipeline_par, PROMPT)
     print(
-        f"{MEGATRON_22B.name} on 8x A100 (t=8): unloaded request latency "
-        f"{single.request_latency:.2f} s\n"
+        f"{MEGATRON_22B.name} on 8x A100 (t=8): unloaded time to first "
+        f"token {unloaded * 1e3:.0f} ms\n"
     )
     rows = []
     knee = None
     for rate in RATES:
-        stats = simulate_serving(
+        stats = simulate_serve(
             MEGATRON_22B,
             SYSTEM,
             STRATEGY,
-            ServingWorkload(arrival_rate=rate, prompt_len=PROMPT,
-                            generate_len=GEN, num_requests=120, seed=3),
+            ServeWorkload(arrival_rate=rate, prompt=LengthDist.fixed(PROMPT),
+                          output=LengthDist.fixed(GEN), num_requests=120,
+                          seed=3),
         )
-        degraded = stats.mean_latency > 2 * single.request_latency
+        degraded = stats.ttft_p95 > 2 * unloaded
         if degraded and knee is None:
             knee = rate
         rows.append(
             (
                 rate,
-                f"{stats.mean_latency:.2f} s",
-                f"{stats.p95_latency:.2f} s",
+                f"{stats.ttft_p50 * 1e3:.0f} ms",
+                f"{stats.ttft_p95 * 1e3:.0f} ms",
+                f"{stats.tpot_p95 * 1e3:.1f} ms",
                 round(stats.throughput_rps, 2),
                 round(stats.tokens_per_second),
                 round(stats.mean_batch, 1),
@@ -57,14 +54,14 @@ def main() -> None:
         )
     print(
         table(
-            ["req/s offered", "mean latency", "p95", "req/s served",
-             "tokens/s", "avg batch", "max queue"],
+            ["req/s offered", "TTFT p50", "TTFT p95", "TPOT p95",
+             "req/s served", "tokens/s", "avg batch", "max queue"],
             rows,
         )
     )
     if knee:
         print(
-            f"\nlatency knee near {knee} req/s — plan fleet size as "
+            f"\nTTFT knee near {knee} req/s — plan fleet size as "
             f"offered_load / {knee:.1f} replicas with headroom."
         )
 

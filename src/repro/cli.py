@@ -20,7 +20,7 @@ Subcommands mirror the reference tool's workflows:
 LLMs and systems may be given as preset names (``gpt3-175b``,
 ``a100:4096``, ``h100:4096:80:512``) or as JSON spec files.
 
-``run``, ``search``, ``sweep`` and ``refine`` accept the shared
+``run``, ``search`` and ``sweep`` accept the shared
 observability flags: ``--trace FILE`` (Chrome trace_event JSON of the
 pipeline stages and search chunks), ``--stats`` (per-stage rejection
 counts, dedup hit rates, candidates/sec) and ``--progress`` (live
@@ -46,7 +46,7 @@ from .hardware import System
 from .inference import InferenceStrategy, calculate_inference
 from .io import llm_from_spec, load_strategy, system_from_spec
 from .llm import LLMConfig, iter_presets
-from .obs import EventJournal, MetricsRegistry, ProgressReporter, PruneStats, Tracer
+from .obs import EventJournal, MetricsRegistry, ProgressReporter, Tracer
 from .obs.stats import STAGE_NAMES, stage_metric
 from .search import (
     RetryPolicy,
@@ -449,52 +449,6 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         for e in elasticities
     ]
     print(table(["component", "elasticity", "speedup if 2x better"], rows))
-    return 0
-
-
-def _cmd_refine(args: argparse.Namespace) -> int:
-    from .search import multi_start
-
-    llm = _parse_llm(args.llm)
-    system = _parse_system(args.system)
-    seeds = []
-    t0 = min(8, llm.attn_heads)
-    for t, p in ((t0, 1), (t0, 8), (1, 8), (t0, system.num_procs // t0)):
-        if system.num_procs % (t * p):
-            continue
-        d = system.num_procs // (t * p)
-        if args.batch % d:
-            continue
-        seeds.append(
-            ExecutionStrategy(
-                tensor_par=t, pipeline_par=p, data_par=d, batch=args.batch,
-                microbatch=1, recompute="full", optimizer_sharding=True,
-            )
-        )
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint FILE")
-    tracer, _ = _make_obs(args)
-    metrics = MetricsRegistry() if args.stats else None
-    start = time.perf_counter()
-    result = multi_start(llm, system, seeds, bound_prune=not args.no_prune,
-                         tracer=tracer, metrics=metrics,
-                         checkpoint=args.checkpoint, resume=args.resume)
-    elapsed = time.perf_counter() - start
-    _finish_trace(tracer, args)
-    if result is None:
-        print("no feasible configuration found from any seed")
-        return 1
-    print(
-        f"hill-climbed to {result.best_strategy.short_name()} in "
-        f"{result.evaluations} evaluations ({elapsed:.1f} s)"
-    )
-    if metrics is not None:
-        print(
-            f"seeds {int(metrics.value('refine.seeds'))}, "
-            f"accepted steps {int(metrics.value('refine.steps'))}"
-        )
-        print(PruneStats.from_metrics(metrics).summary())
-    print(result.best.summary())
     return 0
 
 
@@ -1102,18 +1056,6 @@ def main(argv: list[str] | None = None) -> int:
                       default="full")
     sens.add_argument("--scale", type=float, default=1.25)
     sens.set_defaults(func=_cmd_sensitivity)
-
-    ref = sub.add_parser("refine", help="fast hill-climbing strategy search")
-    ref.add_argument("llm")
-    ref.add_argument("system")
-    ref.add_argument("--batch", type=int, default=4096)
-    ref.add_argument("--checkpoint", metavar="FILE", default=None,
-                     help="journal completed climbs to FILE for later --resume")
-    ref.add_argument("--resume", action="store_true",
-                     help="skip seeds already journaled in --checkpoint FILE")
-    _add_prune_flag(ref)
-    _add_obs_flags(ref)
-    ref.set_defaults(func=_cmd_refine)
 
     inf = sub.add_parser("inference", help="serving latency/throughput estimate")
     inf.add_argument("llm")

@@ -9,7 +9,6 @@ TP/PP/DP communication, exposed offload), and a memory breakdown per tier
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import ClassVar
 
 from ..units import human_bytes, human_time
 
@@ -141,12 +140,6 @@ class PerformanceResult:
     mfu: float
     feasible: bool = True
     infeasibility: str = ""
-
-    # Fully-evaluated results are never bound-pruned; the class attribute
-    # (not a dataclass field, so serialization and equality are untouched)
-    # lets ranking code ask `result.pruned` uniformly across this class and
-    # the engine's lightweight PrunedResult marker.
-    pruned: ClassVar[bool] = False
 
     @property
     def batch_time(self) -> float:

@@ -12,16 +12,15 @@ block-profile key and fully evaluates only memory-feasible survivors.
 
 The bound-and-prune layer (:mod:`repro.engine.bounds`) adds an analytic
 roofline lower bound on batch time computed from fast-path artifacts alone;
-searches pass a ``prune_above`` threshold to :func:`evaluate_many` /
-:func:`iter_evaluate` to skip the comm/assembly stages for candidates that
-provably cannot enter the current top-k.
+top-k searches use it (via the adaptive tiled path of
+:mod:`repro.engine.batch`) to skip the comm/assembly stages for candidates
+that provably cannot enter the current top-k.
 
 The columnar engine (:mod:`repro.engine.batch`) is the batched path: it
 runs the same stages over NumPy struct-of-arrays, and
 ``evaluate_many``/``iter_evaluate`` send every batch of 32 or more
-candidates (or any batch with a ``prune_above`` threshold) through it.
-Smaller batches run :func:`evaluate`, the scalar oracle the columnar
-results are held bit-identical to.
+candidates through it.  Smaller batches run :func:`evaluate`, the scalar
+oracle the columnar results are held bit-identical to.
 """
 
 from .api import (
@@ -34,12 +33,7 @@ from .api import (
     evaluate_many,
     iter_evaluate,
 )
-from .bounds import (
-    PrunedResult,
-    batch_lower_bounds,
-    prune_threshold_for_rate,
-    roofline_lower_bound,
-)
+from .bounds import batch_lower_bounds, roofline_lower_bound
 from .context import CommExposure, EvalContext, FeasibilityReport, MemoryPlan
 from .profile import BlockProfile, profile_block, profile_key
 from .profile import clear_caches as _clear_profile_caches
@@ -79,7 +73,6 @@ __all__ = [
     "FeasibilityReport",
     "MemoryPlan",
     "PIPELINE",
-    "PrunedResult",
     "STAGE_SHORT_NAMES",
     "batch_lower_bounds",
     "check_feasible",
@@ -94,7 +87,6 @@ __all__ = [
     "iter_evaluate",
     "profile_block",
     "profile_key",
-    "prune_threshold_for_rate",
     "roofline_lower_bound",
     "stage_assemble",
     "stage_comm",

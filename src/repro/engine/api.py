@@ -71,10 +71,10 @@ STAGE_SHORT_NAMES = {fn: fn.__name__.removeprefix("stage_") for fn in PIPELINE}
 # path never formats strings.
 _STAGE_METRICS = {fn: stage_metric(name) for fn, name in STAGE_SHORT_NAMES.items()}
 
-# Below this many candidates (and without a prune threshold) building a
-# columnar batch costs more than running the scalar oracle per candidate:
-# on gpt3-175b/a100:512, evaluate() takes 19 us warm per candidate against
-# 0.8 ms for a one-row columnar batch, and 0.26 ms against 1.6 ms at n=8.
+# Below this many candidates building a columnar batch costs more than
+# running the scalar oracle per candidate: on gpt3-175b/a100:512,
+# evaluate() takes 19 us warm per candidate against 0.8 ms for a one-row
+# columnar batch, and 0.26 ms against 1.6 ms at n=8.
 _COLUMNAR_MIN_BATCH = 32
 
 
@@ -176,43 +176,28 @@ def iter_evaluate(
     system: System,
     strategies: Sequence[ExecutionStrategy],
     *,
-    prune_above: float | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> Iterator[tuple[int, PerformanceResult]]:
     """Evaluate a candidate list, yielding ``(index, result)`` pairs.
 
-    Batches of 32 or more candidates — and every batch with a
-    ``prune_above`` threshold — run as rows of the columnar engine
+    Batches of 32 or more candidates run as rows of the columnar engine
     (:mod:`repro.engine.batch`): grouped by block-profile key, memory
     planned once per bucket, comm/assembly priced only for the survivors.
     Results then stream in profile-group order (validate-rejects first, then
     groups in first-seen order), not input order; ``index`` maps each result
-    back to ``strategies``.  Smaller batches without a threshold run
-    :func:`evaluate` per candidate in input order — the scalar oracle is
-    faster than building a columnar batch for a handful of candidates, and
-    the results are bit-identical either way.
-
-    ``prune_above`` engages **bound pruning**: a batch-time threshold in
-    seconds.  After the memory stage, each feasible bucket's roofline lower
-    bound (:func:`~repro.engine.bounds.batch_lower_bounds`) is computed
-    once; candidates whose bound is ``>= prune_above`` skip the
-    comm/assembly stages and yield a shared
-    :class:`~repro.engine.bounds.PrunedResult` marker (``feasible=True,
-    pruned=True, sample_rate == 0.0``).  Because the bound never exceeds
-    the true batch time, a threshold at the caller's k-th-best batch time
-    (see :func:`~repro.engine.bounds.prune_threshold_for_rate`) makes
-    pruning lossless for top-k selection.  Constraint-filtered or
-    rate-histogram callers should leave it ``None`` since pruned candidates
-    carry no timing breakdown.
+    back to ``strategies``.  Smaller batches run :func:`evaluate` per
+    candidate in input order — the scalar oracle is faster than building a
+    columnar batch for a handful of candidates, and the results are
+    bit-identical either way.
 
     With ``metrics`` attached, the ``engine.*`` counters (candidates,
     per-stage rejections, profile groups, memory buckets and their hit
-    counts, bounds computed/pruned, comm-kernel cache hits/misses) and
-    per-stage wall-time histograms accumulate into the registry.
-    ``metrics=None`` (the default) costs only untaken branches.
+    counts, comm-kernel cache hits/misses) and per-stage wall-time
+    histograms accumulate into the registry.  ``metrics=None`` (the
+    default) costs only untaken branches.
     """
     mx = metrics
-    if prune_above is None and len(strategies) < _COLUMNAR_MIN_BATCH:
+    if len(strategies) < _COLUMNAR_MIN_BATCH:
         # evaluate() does its own comm-cache delta accounting.
         for i, strategy in enumerate(strategies):
             yield i, evaluate(llm, system, strategy, metrics=mx)
@@ -221,7 +206,7 @@ def iter_evaluate(
         cc0 = comm_cache_stats()
     try:
         eb = engine_batch.EvalBatch.from_strategies(llm, system, strategies)
-        engine_batch.run_batch(eb, prune_above=prune_above, metrics=mx)
+        engine_batch.run_batch(eb, metrics=mx)
         yield from engine_batch.iter_results(eb)
     finally:
         if mx is not None:
@@ -235,7 +220,6 @@ def evaluate_many(
     system: System,
     strategies: Iterable[ExecutionStrategy],
     *,
-    prune_above: float | None = None,
     metrics: MetricsRegistry | None = None,
     stats: bool = False,
 ) -> list[PerformanceResult] | tuple[list[PerformanceResult], PruneStats]:
@@ -243,17 +227,13 @@ def evaluate_many(
 
     Runs :func:`iter_evaluate` and puts the results back in input order.
     Outputs are identical to mapping :func:`evaluate` (and therefore the
-    legacy ``calculate``) over the list, including infeasibility reasons —
-    except under an explicit ``prune_above`` batch-time threshold, where
-    memory-feasible candidates whose roofline lower bound already exceeds
-    the threshold come back as lightweight
-    :class:`~repro.engine.bounds.PrunedResult` markers.
+    legacy ``calculate``) over the list, including infeasibility reasons.
 
     ``stats=True`` returns ``(results, PruneStats)`` instead of discarding
-    the pruning bookkeeping: how many profile groups formed, how many
+    the batching bookkeeping: how many profile groups formed, how many
     candidates shared a memory bucket, and how many were short-circuited by
     a shared rejection.  ``metrics`` accumulates into a caller-owned
-    registry (e.g. one shared across a hill-climb); pass both to get the
+    registry (e.g. one shared across a service batch); pass both to get the
     stats of this call while also feeding the larger aggregate.
     """
     strategies = list(strategies)
@@ -261,9 +241,7 @@ def evaluate_many(
     # PruneStats covers exactly this call, then fold into the caller's.
     reg = MetricsRegistry() if stats else metrics
     results: list[PerformanceResult | None] = [None] * len(strategies)
-    for i, result in iter_evaluate(
-        llm, system, strategies, prune_above=prune_above, metrics=reg
-    ):
+    for i, result in iter_evaluate(llm, system, strategies, metrics=reg):
         results[i] = result
     if stats:
         if metrics is not None:

@@ -32,7 +32,7 @@ mapped over the list.  Three disciplines make that hold:
 Candidates are factorized into profile groups and memory buckets (numbered
 in first-seen order), the memory plan and roofline bound are computed once
 per bucket, and result objects are materialized only for survivors —
-rejected/pruned buckets share one frozen result.
+every candidate of a capacity-rejected bucket shares one frozen result.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ from ..obs.stats import (  # noqa: E402
     stage_metric,
 )
 from .bounds import (  # noqa: E402
-    PrunedResult,
     batch_lower_bounds,
     strict_prune_threshold_for_rate,
 )
@@ -253,10 +252,8 @@ class EvalBatch:
         self.cols = cols
         self.strategies = strategies
         self.n = int(cols["t"].shape[0])
-        self.threshold: float | None = None
         self.bounds: np.ndarray | None = None
         self._rejected_cache: dict[int, PerformanceResult] = {}
-        self._pruned_cache: dict[int, PrunedResult] = {}
 
     @classmethod
     def from_strategies(
@@ -550,30 +547,24 @@ def batch_memory(eb: EvalBatch) -> EvalBatch:
 
 
 def batch_prune(eb: EvalBatch, threshold: float | None) -> EvalBatch:
-    """Apply the roofline bound as a vectorized mask over feasible buckets.
+    """Mark every memory-feasible candidate a survivor (no bound pruning).
 
-    ``threshold`` is the already-resolved ``prune_above`` value (a batch
-    time in seconds) or ``None`` to disable pruning.  Bounds are computed
-    once per feasible bucket (via
-    :func:`~repro.engine.bounds.batch_lower_bounds`, which reuses the cached
-    scalar ``optim_step_time`` kernel), and every candidate of a bucket
-    whose bound reaches the threshold is masked out of the comm/assembly
-    stages.
+    This is the untiled stage between memory and comm that :func:`run_batch`
+    runs without an :class:`AdaptivePlan`.  Bound pruning happens only in
+    :func:`batch_adaptive`, whose per-tile thresholds follow the running
+    top-k floor; ``threshold`` must be ``None``.
     """
-    eb.threshold = threshold
-    n_b = eb.n_buckets
-    if threshold is None:
-        eb.bounds = None
-        eb.pruned_b = np.zeros(n_b, dtype=bool)
-        eb.n_bound_evals = 0
-    else:
-        eb.bounds = batch_lower_bounds(eb)
-        eb.pruned_b = eb.b["ok"] & (eb.bounds >= threshold)
-        eb.n_bound_evals = eb.n_feasible_buckets
-    pruned_v = eb.pruned_b[eb.bid]
-    eb.pruned_v = pruned_v
-    eb.n_pruned = int(np.count_nonzero(pruned_v))
-    eb.surv_v = eb.feasible_v & ~pruned_v
+    if threshold is not None:
+        raise ValueError(
+            "batch_prune takes no threshold; bound pruning runs through "
+            "run_batch(adaptive=AdaptivePlan(...))"
+        )
+    eb.bounds = None
+    eb.pruned_b = np.zeros(eb.n_buckets, dtype=bool)
+    eb.n_bound_evals = 0
+    eb.pruned_v = np.zeros_like(eb.feasible_v)
+    eb.n_pruned = 0
+    eb.surv_v = eb.feasible_v.copy()
     eb.n_survivors = int(np.count_nonzero(eb.surv_v))
     return eb
 
@@ -980,14 +971,12 @@ def batch_adaptive(
 
     Per-tile survivor columns are concatenated and re-sorted by survivor
     index, so ``sidx``/``cm``/``asm``/``rate_s`` land in the same canonical
-    order the untiled ``batch_comm``/``batch_assemble`` produce and every
-    downstream consumer (``iter_results``, materialization, top-k
-    selection) works unchanged.
+    order the untiled ``batch_comm``/``batch_assemble`` produce and
+    materialization and top-k selection work unchanged.
     """
     timed = metrics is not None
     t_comm = 0.0
     t_asm = 0.0
-    eb.threshold = None
     eb.bounds = batch_lower_bounds(eb)
     eb.n_bound_evals = eb.n_feasible_buckets
     bounds = eb.bounds
@@ -1001,7 +990,7 @@ def batch_adaptive(
     if not math.isfinite(floor) or floor < 0.0:
         # Gossiped floors from empty/all-infeasible heaps arrive as -inf or
         # nan; a non-finite floor must never prune (mirrors the guard in
-        # prune_threshold_for_rate).
+        # strict_prune_threshold_for_rate).
         floor = 0.0
     top_rates = np.empty(0, dtype=np.float64)
     parts: list[tuple[np.ndarray, ...]] = []
@@ -1126,18 +1115,16 @@ def batch_adaptive(
 def run_batch(
     eb: EvalBatch,
     *,
-    prune_above: float | None = None,
     metrics: MetricsRegistry | None = None,
     adaptive: AdaptivePlan | None = None,
 ) -> EvalBatch:
     """Run every batch stage in order; apply counters and stage timings.
 
-    ``prune_above`` is a batch-time threshold in seconds (or ``None``).
-    Passing an :class:`AdaptivePlan` replaces the prune/comm/assemble tail
-    with the best-bound-first tiled path (:func:`batch_adaptive`);
-    ``prune_above`` is ignored in that case — the plan's self-tightening
-    threshold subsumes it.  Counters land on ``metrics`` under the
-    ``engine.*`` names; stage wall-time histograms are observed once per
+    Without an :class:`AdaptivePlan` every feasible candidate is priced.
+    Passing one replaces the comm/assemble tail with the best-bound-first
+    tiled path (:func:`batch_adaptive`), which skips candidates that
+    provably cannot enter the plan's top-k.  Counters land on ``metrics``
+    under the ``engine.*`` names; stage wall-time histograms are observed once per
     stage with the aggregate duration (the scalar :func:`evaluate` observes
     once per candidate — totals are comparable, sample counts are not).
     """
@@ -1163,7 +1150,7 @@ def run_batch(
         # comm/assemble loop observes its aggregate durations internally.
         batch_adaptive(eb, adaptive, metrics=mx)
     else:
-        batch_prune(eb, prune_above)  # untimed, like the scalar bound evals
+        batch_prune(eb, None)
         if timed:
             t0 = perf_counter()
         batch_comm(eb)
@@ -1182,10 +1169,9 @@ def run_batch(
         mx.inc(M_BUCKET_HITS, float(eb.n_valid - eb.n_buckets))
         mx.inc(M_REJECT_MEMORY, float(eb.n_rejected_memory))
         mx.inc(M_SHARED_INFEASIBLE, float(eb.n_shared_infeasible))
-        if prune_above is not None or adaptive is not None:
+        if adaptive is not None:
             mx.inc(M_BOUND_EVALS, float(eb.n_bound_evals))
             mx.inc(M_BOUND_PRUNED, float(eb.n_pruned))
-        if adaptive is not None:
             mx.inc(M_BOUND_TILES, float(eb.n_tiles))
             mx.inc(M_BOUND_SKIPPED_BUCKETS, float(eb.n_skipped_buckets))
         mx.inc(M_EVALUATED_FULL, float(eb.n_survivors))
@@ -1227,17 +1213,6 @@ def _rejected_result(eb: EvalBatch, bkt: int) -> PerformanceResult:
     )
     eb._rejected_cache[bkt] = result
     return result
-
-
-def _pruned_result(eb: EvalBatch, bkt: int) -> PrunedResult:
-    """The shared pruned marker of a bound-pruned bucket."""
-    hit = eb._pruned_cache.get(bkt)
-    if hit is None:
-        hit = PrunedResult(
-            batch=int(eb.b["batch"][bkt]), lower_bound=float(eb.bounds[bkt])
-        )
-        eb._pruned_cache[bkt] = hit
-    return hit
 
 
 def _invalid_result(eb: EvalBatch, i: int) -> PerformanceResult:
@@ -1324,8 +1299,16 @@ def iter_results(eb: EvalBatch) -> Iterator[tuple[int, PerformanceResult]]:
 
     Validate-rejects first (input order), then profile groups in first-seen
     order with members in input order — the order
-    ``repro.engine.iter_evaluate`` streams batched results in.
+    ``repro.engine.iter_evaluate`` streams batched results in.  Requires a
+    batch without bound-pruned candidates (:func:`run_batch` without an
+    :class:`AdaptivePlan`, or one that pruned nothing): a pruned candidate
+    has no result to yield.
     """
+    if eb.n_pruned:
+        raise ValueError(
+            f"iter_results needs an unpruned batch; {eb.n_pruned} "
+            "candidates were bound-pruned"
+        )
     for i in np.flatnonzero(~eb.valid).tolist():
         yield i, _invalid_result(eb, i)
     if eb.n_valid == 0:
@@ -1334,23 +1317,15 @@ def iter_results(eb: EvalBatch) -> Iterator[tuple[int, PerformanceResult]]:
     pos_in_surv = np.full(eb.n_valid, -1, dtype=np.int64)
     if eb.n_s:
         pos_in_surv[eb.sidx] = np.arange(eb.n_s, dtype=np.int64)
-    # Per valid candidate: 0 = bucket rejected, 1 = bucket pruned, 2 = survivor.
-    status = np.where(
-        eb.feasible_v, np.where(eb.pruned_v, np.int64(1), np.int64(2)), np.int64(0)
-    )
     vidx_l = eb.vidx.tolist()
     bid_l = eb.bid.tolist()
-    status_l = status.tolist()
     pos_l = pos_in_surv.tolist()
     for pos in eb.order_v.tolist():
-        i = vidx_l[pos]
-        st = status_l[pos]
-        if st == 2:
-            yield i, survivors[pos_l[pos]]
-        elif st == 0:
-            yield i, _rejected_result(eb, bid_l[pos])
+        k = pos_l[pos]
+        if k >= 0:
+            yield vidx_l[pos], survivors[k]
         else:
-            yield i, _pruned_result(eb, bid_l[pos])
+            yield vidx_l[pos], _rejected_result(eb, bid_l[pos])
 
 
 __all__ = [

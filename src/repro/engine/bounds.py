@@ -22,15 +22,14 @@ batch time, and the remaining ``batch_time`` fields are all non-negative.
 That inequality is what makes pruning *exact*: a candidate is skipped only
 when even its lower bound is too slow to be retained by the search, so
 the surviving top-k is bit-identical to an unpruned run (see
-:func:`prune_threshold_for_rate` for the rate/time conversion that keeps the
-float round-trip sound).
+:func:`strict_prune_threshold_for_rate` for the rate/time conversion that
+keeps the float round-trip sound).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,32 +38,6 @@ from .stages import optim_step_time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .batch import EvalBatch
-
-
-@dataclass(frozen=True)
-class PrunedResult:
-    """Marker yielded for a candidate skipped by bound pruning.
-
-    A pruned candidate passed validation and the memory plan (it *is*
-    feasible) but its roofline lower bound already exceeds the caller's
-    ``prune_above`` threshold, so the comm/assembly stages never ran and no
-    timing breakdown exists.  ``sample_rate`` reports 0.0 so ranking code
-    treats it as "never the best"; ``lower_bound`` is the proven minimum
-    batch time.  One instance is shared by every candidate pruned from the
-    same memory bucket, so the object carries no per-candidate identity —
-    callers map results back to strategies by index.
-    """
-
-    batch: int
-    lower_bound: float
-
-    feasible: ClassVar[bool] = True
-    pruned: ClassVar[bool] = True
-    infeasibility: ClassVar[str] = ""
-
-    @property
-    def sample_rate(self) -> float:
-        return 0.0
 
 
 def roofline_lower_bound(ctx: EvalContext) -> float:
@@ -180,14 +153,13 @@ def batch_lower_bounds(eb: "EvalBatch") -> np.ndarray:
 def prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
     """The smallest batch time whose sample rate cannot beat ``rate_floor``.
 
-    A top-k search retains a candidate over a full list only when
-    ``fl(batch / batch_time) > rate_floor``.  Because float division is inexact, pruning directly on
+    Because float division is inexact, pruning directly on
     ``batch_time >= batch / rate_floor`` could discard a candidate whose
     *rounded* rate still exceeds the floor by an ulp.  This returns a
     threshold ``T`` with ``fl(batch / T) <= rate_floor``; division is
     antitone in the denominator, so every ``batch_time >= T`` (and hence
-    every lower bound ``>= T``) yields a rate ``<= rate_floor`` — the search
-    would have rejected it anyway, making pruning provably lossless.
+    every lower bound ``>= T``) yields a rate ``<= rate_floor``.
+    :func:`strict_prune_threshold_for_rate` starts from this ``T``.
 
     ``rate_floor <= 0`` disables pruning (returns ``inf``), and so does any
     non-finite floor: an empty or all-infeasible top-k reports its k-th-best
@@ -207,12 +179,11 @@ def prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
 def strict_prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
     """The smallest batch time whose sample rate is *strictly* below the floor.
 
-    :func:`prune_threshold_for_rate` is exact when candidates are priced in
-    stream order, so that ties break by arrival order (``hill_climb``'s
-    strictly-better moves, a fixed ``prune_above``).  Tiled
-    best-bound-first evaluation processes candidates *out* of stream order,
-    so a tie at the floor must never be pruned — the final ``lexsort`` tie
-    break might still retain it.  This variant keeps bumping until
+    A rate tying the floor exactly still passes
+    :func:`prune_threshold_for_rate`'s ``fl(batch / T) <= rate_floor``
+    test.  Tiled best-bound-first evaluation processes candidates *out* of
+    stream order, so a tie at the floor must never be pruned — the final
+    ``lexsort`` tie break might still retain it.  This variant keeps bumping until
     ``fl(batch / T) < rate_floor`` strictly, so every pruned candidate's
     rate is provably below the current k-th best and can never enter the
     top-k under any tile order.  The cost is that candidates tying the

@@ -1,6 +1,5 @@
 """Inference (serving) model: prefill + KV-cache decode phases."""
 
-from .batching import ServingStats, ServingWorkload, simulate_serving
 from .decode import DecodeBlockProfile, kv_cache_bytes, profile_decode_block
 from .model import InferenceStrategy, calculate_inference
 from .results import InferenceResult
@@ -9,9 +8,6 @@ from .search import DeploymentPoint, candidate_deployments, search_deployments
 __all__ = [
     "DecodeBlockProfile",
     "DeploymentPoint",
-    "ServingStats",
-    "ServingWorkload",
-    "simulate_serving",
     "candidate_deployments",
     "search_deployments",
     "InferenceResult",

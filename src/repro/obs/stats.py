@@ -64,9 +64,9 @@ class PruneStats:
     candidate for small batches run through the scalar ``evaluate``).
 
     The bound-and-prune layer adds four counters: ``bound_evals`` roofline
-    lower bounds computed (one per feasible memory bucket when a
-    ``prune_above`` threshold is active), ``bound_pruned`` feasible
-    candidates skipped because their bound already exceeded the threshold
+    lower bounds computed (one per feasible memory bucket when a top-k
+    search runs the adaptive path), ``bound_pruned`` feasible candidates
+    skipped because their bound already reached the running threshold
     (they are *not* part of ``evaluated_full`` — they never ran the comm or
     assembly stages), and ``comm_cache_hits`` / ``comm_cache_misses`` from
     the process-global comm kernel caches

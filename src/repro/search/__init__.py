@@ -31,7 +31,6 @@ from .faults import (
     SupervisionReport,
     run_supervised,
 )
-from .refine import RefineResult, hill_climb, multi_start, neighbours
 from .tco import PowerModel, TCOReport, tco_report
 from .system_search import (
     ScalingCurve,
@@ -50,7 +49,6 @@ __all__ = [
     "FaultInjector",
     "H100_BASE_PRICE",
     "HBM3_PRICES",
-    "RefineResult",
     "RetryPolicy",
     "SupervisionReport",
     "ScalingCurve",
@@ -66,9 +64,6 @@ __all__ = [
     "budget_table",
     "candidate_strategies",
     "evaluate_design",
-    "hill_climb",
-    "multi_start",
-    "neighbours",
     "offload_speedups",
     "run_key",
     "run_supervised",

@@ -71,8 +71,10 @@ class SearchOptions:
     to a single value removes it from the sweep.  ``seq_par_modes`` entries
     are ``(seq_par, tp_redo_sp, pp_rs_ag)`` triples, keeping the dependent
     flags consistent by construction.  ``recompute`` and ``tp_overlap``
-    entries must name modes the engine knows; anything else raises
-    ``ValueError`` instead of silently producing an all-infeasible space.
+    entries must name modes the engine knows, no dimension tuple may be
+    empty, ``max_tensor_par``/``max_microbatch`` must be positive and
+    interleaving values at least 1; anything else raises ``ValueError``
+    instead of silently producing an empty or all-infeasible space.
     """
 
     recompute: tuple[str, ...] = ("none", "attn_only", "full")
@@ -93,6 +95,12 @@ class SearchOptions:
     training: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("recompute", "seq_par_modes", "tp_overlap", "dp_overlap",
+                     "optimizer_sharding", "fused_activations", "pp_1f1b",
+                     "offload_modes", "interleaving_values"):
+            values = getattr(self, name)
+            if values is not None and len(values) == 0:
+                raise ValueError(f"{name} must not be empty")
         for name, known in (("recompute", RECOMPUTE_NAMES),
                             ("tp_overlap", TP_OVERLAP_NAMES)):
             for value in getattr(self, name):
@@ -101,6 +109,15 @@ class SearchOptions:
                         f"unknown {name} mode {value!r}; "
                         f"expected one of {', '.join(known)}"
                     )
+        for name in ("max_tensor_par", "max_microbatch"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for value in self.interleaving_values or ():
+            if value < 1:
+                raise ValueError(
+                    f"interleaving_values entries must be >= 1, got {value}"
+                )
 
     @classmethod
     def megatron_baseline(cls) -> "SearchOptions":
@@ -497,7 +514,7 @@ def search(
     *,
     top_k: int = 10,
     workers: int | None = None,
-    keep_rates: bool = True,
+    keep_rates: bool = False,
     constraint=None,
     bound_prune: bool = True,
     tracer: Tracer | None = None,
@@ -528,8 +545,10 @@ def search(
             feature applies :func:`auto_workers`.  With more than one
             worker the space is split into ``4 * workers`` row ranges, each
             shipped to a process pool as a slice of the columns.
-        keep_rates: retain every feasible sample rate (Fig. 6 histograms),
-            in the evaluation stream order of each chunk.
+        keep_rates: retain every feasible sample rate in ``sample_rates``
+            (Fig. 6 histograms), in the evaluation stream order of each
+            chunk.  Off by default: the histogram prices every feasible
+            candidate, which turns bound pruning off.
         constraint: optional predicate on feasible results — return False to
             reject a configuration (e.g. a memory or MFU floor).  Must be a
             picklable (module-level) callable when ``workers > 1``.
@@ -582,6 +601,8 @@ def search(
     search may therefore keep a different tied candidate than the
     one-range search, which prefers the earlier one in stream order.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     if resume and checkpoint is None:
@@ -650,11 +671,11 @@ def search(
     starts = range(0, total, step) if total else [0]
     trace_id = tracer.trace_id if tracer is not None else None
 
-    def chunk_args(n: int, floor_rate: float = 0.0) -> tuple:
+    def chunk_args(n: int) -> tuple:
         lo = starts[n]
         rows = {name: arr[lo:lo + step] for name, arr in cols.items()}
         return (llm, system, rows, lo, top_k, keep_rates, constraint,
-                do_prune, floor_rate, instrument, n, fault_injector, trace_id)
+                do_prune, 0.0, instrument, n, fault_injector, trace_id)
 
     logger.debug(
         "search: %d candidates, %d workers, %d chunks (instrumented=%s, "
@@ -724,18 +745,11 @@ def search(
                     if progress is not None:
                         progress.update(results[n][0], results[n][1])
     else:
-        # Serial chunks run in sequence, so the prune threshold gossips
-        # forward like the fabric's: the merged k-th-best rate seeds the
-        # next chunk's floor.  Lossless — only candidates strictly below a
-        # rate the merge already holds k times are skipped.
-        results = []
-        for n in range(len(starts)):
-            merged = _merge_tops((r[2] for r in results), top_k)
-            floor = merged[-1][0] if do_prune and len(merged) == top_k else 0.0
-            r = _evaluate_chunk(chunk_args(n, floor))
-            results.append(r)
-            if progress is not None:
-                progress.update(r[0], r[1])
+        # Unchunked: the whole space is one row range (step == max(total, 1)).
+        r = _evaluate_chunk(chunk_args(0))
+        results = [r]
+        if progress is not None:
+            progress.update(r[0], r[1])
     if progress is not None:
         progress.finish()
 

@@ -97,9 +97,9 @@ class MicroBatcher:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Pre-register the engine's bound/comm-cache/columnar counters so
         # /metrics exposes them from the first scrape.  The service never
-        # passes a prune_above threshold (every request needs its real
-        # result), so engine_bound_pruned and the adaptive tile/skip
-        # counters stay 0 here; the comm-cache counters accumulate real
+        # bound-prunes (every request needs its real result), so
+        # engine_bound_pruned and the adaptive tile/skip counters stay 0
+        # here; the comm-cache counters accumulate real
         # hit/miss deltas from every batched dispatch, and the columnar
         # counters record how many micro-batches rode the vectorized path.
         for name in (

@@ -26,11 +26,6 @@ Three properties are load-bearing and deliberately engineered:
   are exact), which makes ``kv_allocated_bytes == kv_freed_bytes`` an
   exact invariant rather than a float-tolerance one — Hypothesis checks
   it in ``tests/test_serving_properties.py``.
-
-The older fixed-length simulator (:func:`repro.inference.batching.simulate_serving`)
-is kept untouched for backward compatibility; this module generalizes it
-with length distributions, KV paging/offload, data-parallel replicas, and
-per-request latency accounting.
 """
 
 from __future__ import annotations

@@ -170,7 +170,7 @@ def full_run(tmp_path_factory):
     """One uninterrupted checkpointed search + its journal lines."""
     path = tmp_path_factory.mktemp("ref") / "ref.jsonl"
     result = search(LLM, SYS, batch=32, options=small_options(), workers=0,
-                    top_k=5, checkpoint=path)
+                    top_k=5, keep_rates=True, checkpoint=path)
     return result, path.read_text().splitlines()
 
 
@@ -190,7 +190,7 @@ def test_resume_after_any_prefix_is_bit_identical(tmp_path_factory, full_run,
     path.write_text("\n".join([header, *record_lines[:keep]]) + "\n")
 
     got = search(LLM, SYS, batch=32, options=small_options(), workers=0,
-                 top_k=5, checkpoint=path, resume=True)
+                 top_k=5, keep_rates=True, checkpoint=path, resume=True)
 
     assert got.num_evaluated == ref.num_evaluated
     assert got.num_feasible == ref.num_feasible

@@ -170,14 +170,6 @@ def test_plan_infeasible(capsys):
     assert "error" in capsys.readouterr().out
 
 
-def test_refine_subcommand(capsys):
-    rc = main(["refine", "megatron-22b", "a100:16", "--batch", "32"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "hill-climbed" in out
-    assert "batch time" in out
-
-
 def test_v100_and_h200_system_specs(capsys):
     rc = main(
         ["run", "megatron-22b", "v100:64", "--tp", "8", "--pp", "8",

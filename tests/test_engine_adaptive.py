@@ -199,6 +199,10 @@ def test_adaptive_any_tiling_bit_identical(strategies, tile, k):
 
     # Survivor accounting: pruned + surviving == all feasible.
     assert adap.n_s + adap.n_pruned == full.n_s
+    # A pruned candidate has no result, so streaming results must refuse.
+    if adap.n_pruned:
+        with pytest.raises(ValueError, match="unpruned batch"):
+            list(engine_batch.iter_results(adap))
 
     # Surviving candidates carry bit-identical rates (and thus identical
     # comm/assembly columns upstream of them).

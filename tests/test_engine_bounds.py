@@ -10,7 +10,7 @@ The load-bearing invariants of ``repro.engine.bounds``:
 * a pruned top-k search is bit-identical to an unpruned one over an
   exhaustive space;
 * the engine's policy gates (constraint / keep_rates / top_k) keep pruning
-  off whenever a pruned marker could corrupt the caller's outputs.
+  off whenever a skipped candidate could corrupt the caller's outputs.
 """
 
 import math
@@ -20,14 +20,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    PrunedResult,
     clear_caches,
     comm_cache_stats,
     evaluate,
     evaluate_many,
-    prune_threshold_for_rate,
     roofline_lower_bound,
 )
+from repro.engine.bounds import prune_threshold_for_rate
 from repro.engine.context import EvalContext
 from repro.engine.profile import profile_block, profile_key
 from repro.engine.stages import fill_scalars, stage_memory
@@ -35,7 +34,7 @@ from repro.execution import ExecutionStrategy, factorizations
 from repro.hardware import a100_system
 from repro.llm import GPT3_175B, LLMConfig
 from repro.obs import MetricsRegistry, PruneStats
-from repro.search import SearchOptions, hill_climb, search
+from repro.search import SearchOptions, search
 
 # Small systems keep each full evaluation fast; the big-memory variant
 # exercises the timing path on shapes the 80 GiB system would reject.
@@ -177,24 +176,6 @@ def test_threshold_round_trip_sound(batch, rate):
     assert t == pytest.approx(batch / rate, rel=1e-12)
 
 
-# -- PrunedResult semantics ---------------------------------------------------
-
-
-def test_pruned_result_marker():
-    pr = PrunedResult(batch=64, lower_bound=1.5)
-    assert pr.feasible is True
-    assert pr.pruned is True
-    assert pr.sample_rate == 0.0
-    assert pr.infeasibility == ""
-    # Fully-evaluated results advertise the flag too, as False.
-    res = evaluate(
-        GPT3_175B, GPT3_16,
-        ExecutionStrategy(tensor_par=8, pipeline_par=2, data_par=1, batch=32,
-                          microbatch=1, recompute="full"),
-    )
-    assert res.pruned is False
-
-
 # -- end-to-end equivalence ---------------------------------------------------
 
 
@@ -235,39 +216,19 @@ def _mfu_floor(res):
     return res.mfu > 0.01
 
 
-def test_hill_climb_unchanged_by_pruning():
-    seed = ExecutionStrategy(tensor_par=8, pipeline_par=1, data_par=1,
-                             batch=16, microbatch=1, recompute="full")
-    llm = GPT3_175B
-    system = a100_system(8, hbm_gib=1_000_000)
-    a = hill_climb(llm, system, seed, bound_prune=False)
-    b = hill_climb(llm, system, seed, bound_prune=True)
-    assert a is not None and b is not None
-    assert a.best == b.best
-    assert a.best_strategy == b.best_strategy
-    assert a.evaluations == b.evaluations
-    assert a.steps == b.steps
-
-
 # -- metrics and caches -------------------------------------------------------
 
 
 def test_prune_stats_counters_flow():
+    """A top-k search's adaptive path accounts for every candidate."""
     llm = GPT3_175B
     system = GPT3_16
-    strategies = candidate_list(llm, system, batch=32)
-    base = evaluate_many(llm, system, strategies)
-    best = sorted((r.sample_rate for r in base if r.feasible), reverse=True)
-    threshold = prune_threshold_for_rate(32.0, best[0])
-    mx = MetricsRegistry()
-    res = evaluate_many(llm, system, strategies, prune_above=threshold,
-                        metrics=mx)
-    stats = PruneStats.from_metrics(mx)
-    n_pruned = sum(1 for r in res if r.pruned)
-    assert n_pruned > 0
-    assert stats.bound_pruned == n_pruned
+    res = search(llm, system, 32, top_k=1, workers=0, keep_rates=False,
+                 collect_stats=True)
+    stats = res.stats.engine
+    assert stats.bound_pruned > 0
     assert stats.bound_evals > 0
-    assert stats.candidates == len(strategies)
+    assert stats.candidates == res.num_evaluated
     # Identity: every candidate is rejected, pruned, or fully evaluated.
     assert (
         stats.rejected_validate + stats.rejected_memory
@@ -276,7 +237,7 @@ def test_prune_stats_counters_flow():
     assert 0.0 < stats.bound_prune_rate <= 1.0
     assert "bound pruned" in stats.summary()
     merged = stats.merged(stats)
-    assert merged.bound_pruned == 2 * n_pruned
+    assert merged.bound_pruned == 2 * stats.bound_pruned
 
 
 def test_comm_cache_counters_and_clear():

@@ -2,8 +2,8 @@
 
 The struct-of-arrays engine (:mod:`repro.engine.batch`) promises results
 **bit-identical** to the scalar :func:`repro.engine.evaluate` for any
-candidate list — feasible, memory-infeasible, structurally invalid, and
-pruned alike — with ``evaluate`` kept as the oracle.  This suite checks that
+candidate list — feasible, memory-infeasible and structurally invalid
+alike — with ``evaluate`` kept as the oracle.  This suite checks that
 promise on the golden equivalence grid and on Hypothesis-generated random
 candidates, then covers the plumbing around the core: the small-batch
 routing of ``evaluate_many``, the columnar search path, the exact-order
@@ -12,7 +12,6 @@ cached ``System`` hash the hot comm caches key on.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    PrunedResult,
     clear_caches,
     comm_cache_stats,
     evaluate,
@@ -30,6 +28,7 @@ from repro.engine import (
 )
 from repro.engine import api as engine_api
 from repro.engine import batch as engine_batch
+from repro.engine.bounds import batch_lower_bounds
 from repro.execution import ExecutionStrategy, StrategyError
 from repro.hardware import a100_system, ddr5_offload
 from repro.llm import GPT3_175B, TINY_TEST
@@ -113,20 +112,37 @@ def _valid(llm, system, strategy) -> bool:
 # -- bit-exactness on the golden grid ---------------------------------------
 
 
+def _columnar_adaptive_unbitten(llm, system, strategies):
+    """Run the batch through the adaptive (pruning) path with a top-k so deep
+    that no rate floor ever forms: every bound is computed, none bites."""
+    eb = engine_batch.EvalBatch.from_strategies(llm, system, strategies)
+    engine_batch.run_batch(
+        eb, adaptive=engine_batch.AdaptivePlan(top_k=len(strategies))
+    )
+    assert eb.n_bound_evals == eb.n_feasible_buckets
+    assert eb.n_pruned == 0
+    results = [None] * len(strategies)
+    for i, res in engine_batch.iter_results(eb):
+        results[i] = res
+    return results
+
+
 @pytest.mark.parametrize("llm, system", CASES)
 @pytest.mark.parametrize("prune", [False, True])
 def test_columnar_bit_identical_on_grid(llm, system, prune):
-    """evaluate_many == the oracle, with or without an armed threshold.
+    """evaluate_many == the oracle, with or without bound pruning armed.
 
-    ``prune=True`` arms bound pruning with an infinite threshold: every
-    bound is computed, none bites, and nothing else may change.
+    ``prune=True`` runs the tiled adaptive path with ``top_k`` as deep as
+    the grid: bounds are computed per bucket, no floor forms so nothing is
+    pruned, and nothing else may change.
     """
     assert len(GRID) >= engine_api._COLUMNAR_MIN_BATCH  # columnar path
     oracle = [evaluate(llm, system, s) for s in GRID]
     clear_caches()
-    columnar = evaluate_many(
-        llm, system, GRID, prune_above=math.inf if prune else None
-    )
+    if prune:
+        columnar = _columnar_adaptive_unbitten(llm, system, GRID)
+    else:
+        columnar = evaluate_many(llm, system, GRID)
     assert len(oracle) == len(columnar) == len(GRID)
     for strat, s, c in zip(GRID, oracle, columnar):
         assert _fields(s) == _fields(c), strat.short_name()
@@ -149,14 +165,10 @@ def test_evaluate_many_matches_oracle_at_size_floor(n):
 
 @pytest.mark.parametrize("llm, system", CASES)
 def test_columnar_stream_order_and_threshold(llm, system):
-    """iter_evaluate streams in profile-group order; pruning is sound."""
-    # ``prune_above`` is a batch-time ceiling: candidates whose roofline
-    # lower bound is >= it are skipped.  An (effectively) zero ceiling
-    # prunes every feasible candidate into a PrunedResult placeholder.
-    threshold = 1e-12
+    """iter_evaluate streams in profile-group order; the bound mask is sound."""
     oracle = [evaluate(llm, system, s) for s in GRID]
     clear_caches()
-    stream = list(iter_evaluate(llm, system, GRID, prune_above=threshold))
+    stream = list(iter_evaluate(llm, system, GRID))
     # Stream order: validate-rejects in input order, then profile groups in
     # first-seen order with members in input order.
     groups: dict = {}
@@ -166,15 +178,25 @@ def test_columnar_stream_order_and_threshold(llm, system):
     expected = [i for i, s in enumerate(GRID) if not _valid(llm, system, s)]
     expected += [i for members in groups.values() for i in members]
     assert [i for i, _ in stream] == expected
-    pruned = 0
     for i, res in stream:
-        if isinstance(res, PrunedResult):
-            assert oracle[i].feasible  # only feasible candidates are pruned
-            assert res.sample_rate == 0.0
-            pruned += 1
-        else:
-            assert _fields(res) == _fields(oracle[i])
-    assert pruned  # the threshold must have bitten somewhere
+        assert _fields(res) == _fields(oracle[i])
+
+    # The roofline bound never exceeds a candidate's true batch time, so a
+    # batch-time threshold at the median feasible bound only ever masks
+    # candidates whose oracle batch time reaches it (about half the buckets).
+    eb = engine_batch.EvalBatch.from_strategies(llm, system, GRID)
+    engine_batch.batch_validate(eb)
+    engine_batch.batch_profile(eb)
+    engine_batch.batch_memory(eb)
+    bounds = batch_lower_bounds(eb)
+    threshold = float(np.median(bounds[eb.b["ok"]]))
+    masked_v = eb.feasible_v & (bounds >= threshold)[eb.bid]
+    masked = eb.vidx[masked_v].tolist()
+    assert masked
+    assert all(oracle[i].feasible for i in masked)
+    assert all(oracle[i].batch_time >= threshold for i in masked)
+    with pytest.raises(ValueError, match="no threshold"):
+        engine_batch.batch_prune(eb, threshold)
 
 
 @pytest.mark.parametrize("llm, system", CASES)

@@ -17,7 +17,8 @@ EXAMPLES = sorted(
     (Path(__file__).resolve().parent.parent / "examples").glob("*.py")
 )
 FAST = {"quickstart.py", "pipeline_visualizer.py", "custom_specs.py",
-        "inference_serving.py", "hardware_sensitivity.py"}
+        "inference_serving.py", "hardware_sensitivity.py",
+        "serving_capacity.py", "parallelization_study.py"}
 
 
 def test_examples_exist():

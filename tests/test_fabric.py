@@ -115,10 +115,17 @@ def test_options_survive_json_round_trip_with_identical_key():
 
 
 def test_options_from_dict_rejects_unknown_mode_names():
-    wire = options_to_dict(small_options())
-    wire["tp_overlap"] = ["warp"]
-    with pytest.raises(ValueError, match="'warp'"):
-        options_from_dict(json.loads(json.dumps(wire)))
+    """Unknown modes and degenerate dimensions are rejected off the wire."""
+    for field, value, match in (
+        ("tp_overlap", ["warp"], "'warp'"),
+        ("interleaving_values", [0], "interleaving_values"),
+        ("max_microbatch", 0, "max_microbatch"),
+        ("recompute", [], "recompute"),
+    ):
+        wire = options_to_dict(small_options())
+        wire[field] = value
+        with pytest.raises(ValueError, match=match):
+            options_from_dict(json.loads(json.dumps(wire)))
 
 
 def test_chunk_evaluation_is_partition_independent():

@@ -45,7 +45,8 @@ opts = SearchOptions(
     fused_activations=(False,), max_microbatch=4)
 injector = FaultInjector({chunk}, mode="crash", exit_code={exit_code})
 search(llm, a100_system(16), batch=32, options=opts, workers=0,
-       top_k=5, checkpoint=sys.argv[1], fault_injector=injector)
+       top_k=5, keep_rates=True, checkpoint=sys.argv[1],
+       fault_injector=injector)
 print("UNEXPECTED: survived the crash")
 """
 
@@ -84,9 +85,10 @@ def test_crash_then_resume_matches_uninterrupted(tmp_path):
     assert sorted(partial.ids()) == [str(n) for n in range(CRASH_CHUNK)]
 
     ref = search(LLM, SYS, batch=32, options=small_options(), workers=0,
-                 top_k=5, checkpoint=tmp_path / "ref.jsonl")
+                 top_k=5, keep_rates=True, checkpoint=tmp_path / "ref.jsonl")
     got = search(LLM, SYS, batch=32, options=small_options(), workers=0,
-                 top_k=5, checkpoint=journal_path, resume=True)
+                 top_k=5, keep_rates=True, checkpoint=journal_path,
+                 resume=True)
 
     assert got.stats is not None and got.stats.resumed_chunks == CRASH_CHUNK
     assert got.num_evaluated == ref.num_evaluated
@@ -132,26 +134,6 @@ def test_cli_resume_requires_checkpoint():
     with pytest.raises(SystemExit, match="--resume requires --checkpoint"):
         main(["search", "megatron-22b", "a100:16", "--batch", "32",
               "--options", "baseline", "--workers", "0", "--resume"])
-
-
-def test_cli_refine_checkpoint_resume(tmp_path, capsys):
-    journal = tmp_path / "refine.jsonl"
-    args = ["refine", "megatron-22b", "a100:16", "--batch", "32",
-            "--checkpoint", str(journal)]
-    rc = main(args)
-    first = capsys.readouterr().out
-    assert rc == 0
-    rc = main(args + ["--resume"])
-    second = capsys.readouterr().out
-    assert rc == 0
-    # All climbs were journaled, so the resumed answer is identical.  The
-    # first output line carries elapsed wall time — strip it before
-    # comparing ("hill-climbed to <strategy> in <N> evaluations (X.X s)").
-    def head(out):
-        lines = out.splitlines()
-        return [lines[0].split(" (")[0], *lines[1:2]]
-
-    assert head(first) == head(second)
 
 
 def test_cli_sweep_checkpoint(tmp_path, capsys):

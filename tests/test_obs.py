@@ -320,8 +320,12 @@ def test_evaluate_many_stats_feeds_caller_registry():
 
 def test_search_collect_stats_serial_and_parallel_agree():
     opts = SearchOptions.megatron_baseline()
-    serial = search(GPT3_175B, SYS64, 64, opts, workers=0, collect_stats=True)
-    parallel = search(GPT3_175B, SYS64, 64, opts, workers=2, collect_stats=True)
+    # keep_rates prices every feasible candidate, so the full-evaluation
+    # count does not depend on how chunks tighten the prune threshold.
+    serial = search(GPT3_175B, SYS64, 64, opts, workers=0, keep_rates=True,
+                    collect_stats=True)
+    parallel = search(GPT3_175B, SYS64, 64, opts, workers=2, keep_rates=True,
+                      collect_stats=True)
     for res in (serial, parallel):
         assert res.stats is not None
         assert res.stats.engine.candidates == res.num_evaluated

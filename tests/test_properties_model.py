@@ -210,21 +210,22 @@ def test_serving_sim_conservation(rate, seed):
     """The queueing simulator conserves requests and keeps latency above
     the unloaded floor."""
     from repro.hardware import a100_system
-    from repro.inference import (
-        InferenceStrategy,
-        ServingWorkload,
-        calculate_inference,
-        simulate_serving,
+    from repro.inference import InferenceStrategy
+    from repro.serving import (
+        LengthDist,
+        ServeWorkload,
+        prefill_time,
+        simulate_serve,
     )
 
     system = a100_system(8)
     strat = InferenceStrategy(tensor_par=8, pipeline_par=1, batch=1)
-    wl = ServingWorkload(arrival_rate=rate, prompt_len=256, generate_len=32,
-                         num_requests=30, seed=seed)
-    stats = simulate_serving(LLM, system, strat, wl)
+    wl = ServeWorkload(arrival_rate=rate, prompt=LengthDist.fixed(256),
+                       output=LengthDist.fixed(32), num_requests=30, seed=seed)
+    stats = simulate_serve(LLM, system, strat, wl)
     assert stats.completed == 30
-    single = calculate_inference(LLM, system, strat, prompt_len=256,
-                                 generate_len=32)
-    # No request can finish faster than an unloaded request.
-    assert stats.mean_latency >= 0.9 * single.request_latency
-    assert stats.p95_latency >= stats.mean_latency
+    assert stats.kv_allocated_bytes == stats.kv_freed_bytes
+    # No request sees its first token faster than an unloaded prefill.
+    unloaded = prefill_time(LLM, system, 8, 1, 256)
+    assert min(stats.ttfts) >= unloaded
+    assert stats.ttft_p95 >= stats.ttft_p50

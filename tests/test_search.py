@@ -238,8 +238,8 @@ def test_search_top_k_zero_keeps_rates_and_negative_raises(mode, tmp_path):
         "pool": {"workers": 2},
         "checkpoint": {"workers": 0, "checkpoint": tmp_path / "journal.jsonl"},
     }[mode]
-    ref = search(LLM, SYS, 16, opts, workers=0, top_k=10)
-    got = search(LLM, SYS, 16, opts, top_k=0, **kwargs)
+    ref = search(LLM, SYS, 16, opts, workers=0, top_k=10, keep_rates=True)
+    got = search(LLM, SYS, 16, opts, top_k=0, keep_rates=True, **kwargs)
     assert got.top == [] and got.best is None
     assert got.num_feasible == ref.num_feasible > 0
     # The rate order follows each path's evaluation stream; the histogram
@@ -342,7 +342,27 @@ def test_search_reports_true_winners_when_some_candidates_are_invalid():
         assert all(r.feasible for _, r in res.top)
 
 
-@pytest.mark.parametrize("field", ["recompute", "tp_overlap"])
-def test_search_options_reject_unknown_mode_names(field):
-    with pytest.raises(ValueError, match="'bogus'"):
-        SearchOptions(**{field: ("none", "bogus")})
+@pytest.mark.parametrize("kwargs,match", [
+    pytest.param({"recompute": ("none", "bogus")}, "'bogus'", id="recompute"),
+    pytest.param({"tp_overlap": ("none", "bogus")}, "'bogus'", id="tp_overlap"),
+    pytest.param({"recompute": ()}, "recompute", id="empty-recompute"),
+    pytest.param({"offload_modes": ()}, "offload_modes", id="empty-offload"),
+    pytest.param({"interleaving_values": ()}, "interleaving_values",
+                 id="empty-interleaving"),
+    pytest.param({"interleaving_values": (0,)}, "interleaving_values",
+                 id="interleaving-0"),
+    pytest.param({"interleaving_values": (1, -2)}, "interleaving_values",
+                 id="interleaving-negative"),
+    pytest.param({"max_microbatch": 0}, "max_microbatch", id="max_microbatch-0"),
+    pytest.param({"max_tensor_par": 0}, "max_tensor_par", id="max_tensor_par-0"),
+    pytest.param({"batch": 0}, "batch", id="batch-0"),
+    pytest.param({"batch": -64}, "batch", id="batch-negative"),
+])
+def test_search_options_reject_unknown_mode_names(kwargs, match):
+    """Degenerate options (and a non-positive search batch) raise, naming
+    the field, instead of yielding an empty or all-infeasible space."""
+    with pytest.raises(ValueError, match=match):
+        if "batch" in kwargs:
+            search(LLM, SYS, kwargs["batch"], small_options())
+        else:
+            SearchOptions(**kwargs)

@@ -1,9 +1,8 @@
-"""Hypothesis invariants for both serving simulators.
+"""Hypothesis invariants for the serving simulator (``repro.serving``).
 
-Covers the legacy single-queue model (``repro.inference.batching``) and
-the deployment simulator (``repro.serving``): fixed-seed determinism,
-monotone latency in offered load, KV byte conservation, and percentile
-ordering — the properties docs/SERVING.md promises.
+Fixed-seed determinism, monotone latency in offered load, KV byte
+conservation, and percentile ordering — the properties docs/SERVING.md
+promises — on fixed-length and on uniform-length traffic.
 """
 
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.hardware.system import h100_system
 from repro.inference import InferenceStrategy
-from repro.inference.batching import ServingWorkload, simulate_serving
 from repro.llm.config import TINY_TEST
 from repro.serving import LengthDist, ServeWorkload, simulate_serve
 
@@ -31,34 +29,31 @@ def _serve(rate, seed, n=30):
     return simulate_serve(TINY_TEST, SYS, STRAT, wl)
 
 
-# -- legacy single-queue simulator (repro.inference.batching) -----------------
+def _serve_fixed(rate, seed):
+    wl = ServeWorkload(
+        arrival_rate=rate, prompt=LengthDist.fixed(128),
+        output=LengthDist.fixed(16), num_requests=25, seed=seed,
+    )
+    return simulate_serve(TINY_TEST, SYS, STRAT, wl)
+
+
+# -- fixed-length traffic ------------------------------------------------------
 
 @settings(max_examples=15, deadline=None)
 @given(rate=rates, seed=seeds)
 def test_batching_fixed_seed_determinism(rate, seed):
-    wl = ServingWorkload(arrival_rate=rate, prompt_len=128, generate_len=16,
-                         num_requests=25, seed=seed)
-    a = simulate_serving(TINY_TEST, SYS, STRAT, wl)
-    b = simulate_serving(TINY_TEST, SYS, STRAT, wl)
-    assert a.mean_latency == b.mean_latency
-    assert a.p95_latency == b.p95_latency
-    assert a.duration == b.duration
+    assert _serve_fixed(rate, seed) == _serve_fixed(rate, seed)
 
 
 @settings(max_examples=10, deadline=None)
 @given(rate=st.floats(min_value=1.0, max_value=50.0), seed=seeds)
 def test_batching_latency_monotone_in_rate(rate, seed):
-    """More offered load never improves mean latency (same gap draws)."""
-    def run(r):
-        wl = ServingWorkload(arrival_rate=r, prompt_len=128, generate_len=16,
-                             num_requests=25, seed=seed)
-        return simulate_serving(TINY_TEST, SYS, STRAT, wl)
-
-    slow, fast = run(rate), run(rate * 4.0)
-    assert fast.mean_latency >= slow.mean_latency * (1.0 - 1e-9)
+    """More offered load never improves median TTFT (same gap draws)."""
+    slow, fast = _serve_fixed(rate, seed), _serve_fixed(rate * 4.0, seed)
+    assert fast.ttft_p50 >= slow.ttft_p50 * (1.0 - 1e-9)
 
 
-# -- deployment simulator (repro.serving) -------------------------------------
+# -- uniform-length traffic ----------------------------------------------------
 
 @settings(max_examples=15, deadline=None)
 @given(rate=rates, seed=seeds)
