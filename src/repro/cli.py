@@ -965,7 +965,9 @@ def main(argv: list[str] | None = None) -> int:
     ssrch.add_argument("llm")
     ssrch.add_argument("system")
     ssrch.add_argument("--top", type=int, default=5)
-    ssrch.add_argument("--workers", type=int, default=None)
+    ssrch.add_argument("--workers", type=int, default=None,
+                       help="worker processes simulating chunks of plans "
+                       "(default: serial; 0/1 = serial)")
     _add_serve_workload_flags(ssrch)
     _add_prune_flag(ssrch)
     _add_obs_flags(ssrch)

@@ -22,11 +22,9 @@ from .disagg import (
     simulate_plan,
 )
 from .search import (
-    MIN_PLANS_PER_WORKER,
     ServeSearchOptions,
     ServeSearchResult,
     candidate_plans,
-    serve_auto_workers,
     serve_search,
 )
 from .simulator import (
@@ -62,11 +60,9 @@ __all__ = [
     "kv_transfer_time",
     "simulate_disagg",
     "simulate_plan",
-    "MIN_PLANS_PER_WORKER",
     "ServeSearchOptions",
     "ServeSearchResult",
     "candidate_plans",
-    "serve_auto_workers",
     "serve_search",
     "ServeStats",
     "check_serveability",

@@ -35,7 +35,7 @@ import numpy as np
 from ..hardware.system import System
 from ..llm.config import LLMConfig
 from .disagg import ServePlan, kv_transfer_time
-from .simulator import decode_step_time, prefill_time
+from .simulator import _Kernels
 from .workload import SLOSpec, ServeWorkload
 
 __all__ = ["TPOT_SAFETY", "ServeBounds", "plan_bounds", "slo_admits"]
@@ -89,30 +89,27 @@ def plan_bounds(
         pre = dec
         pre_system = system
         decode_system = system
-        transfer_by_len: dict[int, float] = {}
     else:
         pre = plan.prefill
         pre_system = system.with_num_procs(pre.num_procs)
         decode_system = system.with_num_procs(dec.num_procs)
-        transfer_by_len = {
-            int(n): kv_transfer_time(llm, system, int(n))
-            for n in np.unique(prompts)
-        }
 
-    base = np.empty(len(prompts))
-    for i, n in enumerate(prompts):
-        pf = prefill_time(
-            llm, pre_system, pre.tensor_par, pre.pipeline_par, int(n)
-        )
-        tr = transfer_by_len.get(int(n), 0.0)
+    # Price each distinct prompt once, from the simulator's own tables.
+    prefill_kernels = _Kernels(llm, pre_system, pre.tensor_par, pre.pipeline_par)
+    floor_by_len = {}
+    for n in np.unique(prompts).tolist():
+        pf = prefill_kernels.prefill(n)
         # Same fl shape as the simulator's per-request floor: pf, or
         # fl(pf + transfer) for disaggregated plans.
-        base[i] = pf + tr if tr else pf
+        floor_by_len[n] = (
+            pf if plan.prefill is None else pf + kv_transfer_time(llm, system, n)
+        )
+    base = np.array([floor_by_len[n] for n in prompts.tolist()], dtype=float)
 
     min_prompt = int(prompts.min())
-    step_floor = decode_step_time(
-        llm, decode_system, dec.tensor_par, dec.pipeline_par, 1, min_prompt
-    )
+    step_floor = _Kernels(
+        llm, decode_system, dec.tensor_par, dec.pipeline_par
+    ).step(1, min_prompt)
     return ServeBounds(
         ttft_p50=float(np.percentile(base, 50)),
         ttft_p95=float(np.percentile(base, 95)),

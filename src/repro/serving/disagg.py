@@ -27,18 +27,16 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
-import numpy as np
-
 from ..hardware.system import System
 from ..inference.decode import kv_cache_bytes
 from ..llm.config import LLMConfig
 from .simulator import (
     ServeStats,
     _assemble_stats,
+    _Kernels,
     _replica_loop,
     check_serveability,
     kv_reserve_bytes,
-    prefill_time,
     weights_bytes,
 )
 from ..inference.model import InferenceStrategy
@@ -146,35 +144,36 @@ def simulate_disagg(
         raise ValueError(f"unserveable plan: {reason}")
 
     pre, dec = plan.prefill, plan.decode
-    prefill_system = system.with_num_procs(pre.num_procs)
+    prefill_kernels = _Kernels(
+        llm, system.with_num_procs(pre.num_procs), pre.tensor_par,
+        pre.pipeline_par,
+    )
     decode_system = system.with_num_procs(dec.num_procs)
-    arrivals, prompts, outputs = workload.sample()
+    arrivals, prompts, outputs = (a.tolist() for a in workload.sample())
     n = workload.num_requests
+    transfer = {m: kv_transfer_time(llm, system, m) for m in set(prompts)}
 
     # ---- prefill cluster: d_pre FCFS replicas --------------------------------
     free = [0.0] * pre.data_par
-    ttft = np.empty(n)
-    ready = np.empty(n)
+    ttft = [0.0] * n
+    ready = [0.0] * n
     pre_max_queue = 0
-    waiting = 0
     for i in range(n):
         slot = min(range(pre.data_par), key=lambda s: free[s])
-        start = max(float(arrivals[i]), free[slot])
+        start = max(arrivals[i], free[slot])
         waiting = sum(1 for s in free if s > arrivals[i])
         pre_max_queue = max(pre_max_queue, waiting)
-        wait = start - float(arrivals[i])  # exact >= 0: start >= arrival
-        pf = prefill_time(
-            llm, prefill_system, pre.tensor_par, pre.pipeline_par,
-            int(prompts[i]),
-        )
+        wait = start - arrivals[i]  # exact >= 0: start >= arrival
+        pf = prefill_kernels.prefill(prompts[i])
         done = start + pf
         free[slot] = done
-        transfer = kv_transfer_time(llm, system, int(prompts[i]))
-        ttft[i] = (wait + pf) + transfer  # fl((wait+pf)+tr) >= fl(pf+tr)
-        ready[i] = done + transfer
+        tr = transfer[prompts[i]]
+        ttft[i] = (wait + pf) + tr  # fl((wait+pf)+tr) >= fl(pf+tr)
+        ready[i] = done + tr
 
     # ---- decode cluster: continuous batching over KV-ready times -------------
     t, p, d = dec.tensor_par, dec.pipeline_par, dec.data_par
+    kernels = _Kernels(llm, decode_system, t, p)
     hbm_kv_budget = decode_system.mem1.capacity - weights_bytes(llm, t, p)
     if decode_system.mem2 is not None:
         offload_capacity = decode_system.mem2.capacity
@@ -188,7 +187,7 @@ def simulate_disagg(
     outcomes = []
     for rep in range(d):
         out = _replica_loop(
-            llm, decode_system, t, p,
+            kernels,
             [i for i in range(n) if i % d == rep],
             ready, prompts, outputs,
             hbm_kv_budget=hbm_kv_budget,
@@ -198,7 +197,7 @@ def simulate_disagg(
             charge_prefill=False,
             wait_in_span=True,
         )
-        out.ttft = {i: float(ttft[i]) for i in out.span}
+        out.ttft = {i: ttft[i] for i in out.span}
         out.max_queue = max(out.max_queue, pre_max_queue)
         outcomes.append(out)
     return _assemble_stats(outcomes, outputs, slo, n)

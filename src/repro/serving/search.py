@@ -54,10 +54,6 @@ from .workload import SLOSpec, ServeWorkload
 
 logger = logging.getLogger(__name__)
 
-# Serving simulations cost milliseconds (vs microseconds for the training
-# model), so the serial threshold is far lower than execution search's.
-MIN_PLANS_PER_WORKER = 64
-
 
 @dataclass(frozen=True)
 class ServeSearchOptions:
@@ -148,11 +144,6 @@ def candidate_plans(
                 for dec in dec_side
             )
     return plans
-
-
-def serve_auto_workers(num_plans: int, cpu_count: int | None = None) -> int:
-    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    return max(1, min(cpus, num_plans // MIN_PLANS_PER_WORKER))
 
 
 def _serve_chunk(
@@ -321,6 +312,10 @@ def serve_search(
     sound lower-bound admission test — provably-violating plans are never
     simulated, and the top-k is bit-identical to ``prune=False``.
 
+    ``workers > 1`` simulates chunks of plans on a process pool; ``None``
+    (the default), 0 or 1 runs serially in-process.  The answer is the same
+    either way.
+
     The fault-tolerance surface (``events`` / ``checkpoint`` / ``resume`` /
     ``deadline`` / ``retry_policy`` / ``fault_injector``) behaves exactly
     like :func:`repro.search.execution_search.search`: supplying any of
@@ -334,6 +329,7 @@ def serve_search(
     t_start = perf_counter()
     opts = options or ServeSearchOptions()
     instrument = collect_stats or tracer is not None
+    workers = max(workers or 1, 1)
     fault_mode = (
         events is not None
         or checkpoint is not None
@@ -341,6 +337,7 @@ def serve_search(
         or retry_policy is not None
         or fault_injector is not None
     )
+    supervised = fault_mode or workers > 1
 
     t0 = perf_counter()
     plans = candidate_plans(llm, system, opts)
@@ -350,14 +347,12 @@ def serve_search(
                         plans=len(plans))
     if progress is not None:
         progress.set_total(len(plans))
-    if workers is None:
-        workers = serve_auto_workers(len(plans))
 
     chunked = workers > 1 or ((instrument or progress is not None or fault_mode)
                               and len(plans) > 1)
     step = max(len(plans), 1)
     if chunked:
-        step = math.ceil(len(plans) / (max(workers, 1) * 4))
+        step = math.ceil(len(plans) / (workers * 4))
 
     journal = None
     if checkpoint is not None:
@@ -386,7 +381,7 @@ def serve_search(
         chunks = [indexed[i : i + step] for i in range(0, len(indexed), step)]
     logger.debug(
         "serve-search: %d plans, %d workers, %d chunks (supervised=%s)",
-        len(plans), workers, len(chunks), fault_mode,
+        len(plans), workers, len(chunks), supervised,
     )
 
     trace_id = tracer.trace_id if tracer is not None else None
@@ -401,10 +396,10 @@ def serve_search(
     skipped_ranges: tuple[tuple[int, int], ...] = ()
     if events is not None:
         events.emit(
-            "serve.start", plans=len(plans), workers=max(workers, 1),
+            "serve.start", plans=len(plans), workers=workers,
             chunks=len(chunks), trace_id=trace_id,
         )
-    if fault_mode:
+    if supervised:
         chunk_results: dict[int, tuple] = {}
         tasks: dict[int, tuple] = {}
         for n, a in enumerate(args):
@@ -432,7 +427,7 @@ def serve_search(
         report = run_supervised(
             _serve_chunk,
             tasks,
-            workers=max(workers, 1),
+            workers=workers,
             policy=retry_policy,
             deadline=t_start + deadline if deadline is not None else None,
             on_result=_on_chunk,
@@ -482,7 +477,7 @@ def serve_search(
             violated=num_violated,
             infeasible=num_infeasible,
             elapsed=perf_counter() - t_start,
-            workers=max(workers, 1),
+            workers=workers,
             retries=retries,
             skipped=skipped_ranges,
             resumed_chunks=resumed,

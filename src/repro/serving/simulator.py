@@ -31,8 +31,11 @@ Three properties are load-bearing and deliberately engineered:
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -56,39 +59,158 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Cached analytical kernels (shared by the simulator and serving/bounds.py —
-# sharing the exact float pipeline is what keeps the SLO bounds sound).
+# Analytical kernels, memoized per deployment hardware (shared by the
+# simulator and serving/bounds.py — sharing the exact float pipeline is what
+# keeps the SLO bounds sound).
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+class _KernelTables:
+    """Bounded memo tables for serving kernels, one plain dict per hardware key.
+
+    A caller fetches its table once (per plan or replica loop) and reads it
+    with ``dict.get`` on the hot path.  Misses go through :meth:`store`,
+    which holds ``limit`` on the total entries across every table by
+    evicting the oldest stored entry (FIFO) and unregistering a table once
+    it is empty.  Every mutation runs under one lock and readers only
+    ``get``, so tables are safe to share between threads (the HTTP service
+    simulates plans concurrently).
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self._tables: dict[tuple, dict] = {}
+        self._order: deque[tuple[tuple, dict, object]] = deque()
+        self._lock = threading.Lock()
+
+    def table(self, hw: tuple) -> dict:
+        table = self._tables.get(hw)
+        if table is None:
+            with self._lock:
+                table = self._tables.setdefault(hw, {})
+        return table
+
+    def store(self, hw: tuple, table: dict, key: object, value: float) -> float:
+        with self._lock:
+            if len(self._order) >= self.limit:
+                old_hw, old_table, old_key = self._order.popleft()
+                old_table.pop(old_key, None)
+                if not old_table and self._tables.get(old_hw) is old_table:
+                    del self._tables[old_hw]
+            table[key] = value
+            self._order.append((hw, table, key))
+        return value
+
+    def entries(self) -> int:
+        """Entries currently held across every registered table."""
+        with self._lock:
+            return sum(len(t) for t in self._tables.values())
+
+
+# Entry limits of the two kernels' tables (the prefill limit covers both the
+# per-(t, prompt) block costs and the per-(t, p, prompt) prefill times).
+_STEPS = _KernelTables(65536)
+_PREFILLS = _KernelTables(4096)
+
+
+class _Kernels:
+    """Step and prefill tables of one ``(model, hardware, t, p)`` deployment.
+
+    Keyed on exactly what the kernels read — the processor, HBM tier and the
+    networks serving the tensor- and pipeline-parallel groups — and not on
+    the whole :class:`System`, so systems that differ only in ``num_procs``
+    (the two halves of a disaggregated plan, resized with
+    :meth:`System.with_num_procs`) share one table.
+    """
+
+    __slots__ = ("llm", "processor", "hbm", "tp_net", "pp_net", "tensor_par",
+                 "pipeline_par", "block_key", "prefill_key", "step_key",
+                 "blocks", "prefills", "steps")
+
+    def __init__(
+        self, llm: LLMConfig, system: System, tensor_par: int, pipeline_par: int
+    ) -> None:
+        t, p = tensor_par, pipeline_par
+        self.llm, self.tensor_par, self.pipeline_par = llm, t, p
+        self.processor, self.hbm = system.processor, system.mem1
+        self.tp_net = system.network_for_span(t) if t > 1 else None
+        self.pp_net = (
+            system.network_for_span(min(system.num_procs, t * p)) if p > 1
+            else None
+        )
+        self.block_key = (llm, self.processor, self.hbm, self.tp_net, t)
+        self.step_key = self.block_key + (self.pp_net, p)
+        # Without pipeline hops a prefill is its block cost: one table.
+        self.prefill_key = self.step_key if p > 1 else self.block_key
+        self.blocks = _PREFILLS.table(self.block_key)
+        self.prefills = _PREFILLS.table(self.prefill_key)
+        self.steps = _STEPS.table(self.step_key)
+
+    def prefill(self, prompt_len: int) -> float:
+        """One request's prefill latency: a batch-1 forward pass over the prompt."""
+        total = self.prefills.get(prompt_len)
+        if total is not None:
+            return total
+        llm, t, p = self.llm, self.tensor_par, self.pipeline_par
+        total = self.blocks.get(prompt_len)
+        if total is None:
+            block = build_block(
+                llm.with_seq(prompt_len), microbatch=1, tensor_par=t,
+                seq_par=False,
+            )
+            fw_block = sum(
+                layer_fw_time(self.processor, self.hbm, l).total
+                for l in block.layers
+            )
+            tp_block = (
+                sum(self.tp_net.collective_time(c.op, c.nbytes, t)
+                    for c in block.tp_comm_fw)
+                if self.tp_net
+                else 0.0
+            )
+            total = _PREFILLS.store(
+                self.block_key, self.blocks, prompt_len,
+                llm.num_blocks * (fw_block + tp_block),
+            )
+        if p > 1:
+            p2p_bytes = prompt_len * llm.hidden * llm.bytes_per_element
+            total += (p - 1) * self.pp_net.collective_time("p2p", p2p_bytes, 2)
+            _PREFILLS.store(self.prefill_key, self.prefills, prompt_len, total)
+        return total
+
+    def step(self, batch: int, context: int) -> float:
+        """One decode iteration for ``batch`` sequences at ``context`` length."""
+        step = self.steps.get((batch, context))
+        if step is not None:
+            return step
+        llm, t, p = self.llm, self.tensor_par, self.pipeline_par
+        prof = profile_decode_block(
+            llm, batch=batch, context=max(context, 1), tensor_par=t
+        )
+        compute = self.processor.compute_time("matrix", prof.flops)
+        vector = self.processor.compute_time("vector", prof.vector_flops)
+        memory = self.hbm.access_time(prof.traffic)
+        block = max(compute + vector, memory)
+        comm = 0.0
+        if t > 1:
+            comm = prof.tp_comm_count * self.tp_net.collective_time(
+                "all_reduce", prof.tp_comm_bytes, t
+            )
+        step = llm.num_blocks * (block + comm)
+        if p > 1:
+            hop_bytes = batch * llm.hidden * llm.bytes_per_element
+            step += p * self.pp_net.collective_time("p2p", hop_bytes, 2)
+        return _STEPS.store(self.step_key, self.steps, (batch, context), step)
+
+
 def prefill_time(
     llm: LLMConfig, system: System, tensor_par: int, pipeline_par: int,
     prompt_len: int,
 ) -> float:
     """One request's prefill latency: a batch-1 forward pass over the prompt."""
-    t, p = tensor_par, pipeline_par
-    L = llm.num_blocks
-    proc, hbm = system.processor, system.mem1
-    tp_net = system.network_for_span(t) if t > 1 else None
-    block = build_block(
-        llm.with_seq(prompt_len), microbatch=1, tensor_par=t, seq_par=False
-    )
-    fw_block = sum(layer_fw_time(proc, hbm, l).total for l in block.layers)
-    tp_block = (
-        sum(tp_net.collective_time(c.op, c.nbytes, t) for c in block.tp_comm_fw)
-        if tp_net
-        else 0.0
-    )
-    total = L * (fw_block + tp_block)
-    if p > 1:
-        pp_net = system.network_for_span(min(system.num_procs, t * p))
-        p2p_bytes = prompt_len * llm.hidden * llm.bytes_per_element
-        total += (p - 1) * pp_net.collective_time("p2p", p2p_bytes, 2)
-    return total
+    return _Kernels(llm, system, tensor_par, pipeline_par).prefill(prompt_len)
 
 
-@lru_cache(maxsize=65536)
 def decode_step_time(
     llm: LLMConfig, system: System, tensor_par: int, pipeline_par: int,
     batch: int, context: int,
@@ -99,27 +221,7 @@ def decode_step_time(
     memory traffic, and collective payloads all grow with them) — the
     property the TPOT lower bound in :mod:`repro.serving.bounds` relies on.
     """
-    t, p = tensor_par, pipeline_par
-    prof = profile_decode_block(
-        llm, batch=batch, context=max(context, 1), tensor_par=t
-    )
-    proc, hbm = system.processor, system.mem1
-    compute = proc.compute_time("matrix", prof.flops)
-    vector = proc.compute_time("vector", prof.vector_flops)
-    memory = hbm.access_time(prof.traffic)
-    block = max(compute + vector, memory)
-    comm = 0.0
-    if t > 1:
-        net = system.network_for_span(t)
-        comm = prof.tp_comm_count * net.collective_time(
-            "all_reduce", prof.tp_comm_bytes, t
-        )
-    step = llm.num_blocks * (block + comm)
-    if p > 1:
-        pp_net = system.network_for_span(min(system.num_procs, t * p))
-        hop_bytes = batch * llm.hidden * llm.bytes_per_element
-        step += p * pp_net.collective_time("p2p", hop_bytes, 2)
-    return step
+    return _Kernels(llm, system, tensor_par, pipeline_par).step(batch, context)
 
 
 @lru_cache(maxsize=1024)
@@ -219,14 +321,11 @@ class _ReplicaOutcome:
 
 
 def _replica_loop(
-    llm: LLMConfig,
-    system: System,
-    tensor_par: int,
-    pipeline_par: int,
+    kernels: _Kernels,
     ids: Sequence[int],
-    ready: np.ndarray,
-    prompts: np.ndarray,
-    outputs: np.ndarray,
+    ready: Sequence[float],
+    prompts: Sequence[int],
+    outputs: Sequence[int],
     *,
     hbm_kv_budget: float,
     offload_capacity: float,
@@ -243,16 +342,28 @@ def _replica_loop(
     admitted request's prefill (chunked-prefill, single-queue model);
     ``wait_in_span`` folds admission wait into the per-token span (the
     decode side of disaggregation, where TTFT was already paid upstream).
+
+    Each decode iteration does O(1) Python work: the batch's context total
+    is a running exact integer, requests finish through an index of the
+    iteration they end on (fixed at admission), and a request's span is
+    summed once, at completion, over its own slice of the step times —
+    the same fl-sum in the same order as adding each step as it happens.
     """
+    llm, t, p = kernels.llm, kernels.tensor_par, kernels.pipeline_par
+    step_table, prefill_table = kernels.steps, kernels.prefills
     order = sorted(ids, key=lambda i: (ready[i], i))
     n = len(order)
+    need = {i: kv_reserve_bytes(llm, prompts[i] + outputs[i], t, p) for i in order}
     ttft: dict[int, float] = {}
     span: dict[int, float] = {}
+    steps: list[float] = []  # every decode iteration's time, in order
+    first_step: dict[int, int] = {}  # request id -> its first iteration
+    ends: dict[int, list[int]] = {}  # iterations done -> requests finishing
     now = 0.0
     next_ready = 0
-    queue: list[int] = []
-    active: dict[int, int] = {}  # request id -> tokens generated
-    resident: dict[int, int] = {}  # request id -> reserved KV bytes
+    queue: deque[int] = deque()
+    batch = 0
+    context_total = 0  # sum of the running requests' current lengths
     resident_total = 0
     done = 0
     occupancy = 0.0
@@ -271,61 +382,58 @@ def _replica_loop(
 
         # Admit FIFO while the batch slot and the full-context KV
         # reservation fit in HBM + offload.
-        while queue and (max_batch is None or len(active) < max_batch):
+        while queue and (max_batch is None or batch < max_batch):
             rid = queue[0]
-            need = kv_reserve_bytes(
-                llm, int(prompts[rid] + outputs[rid]), tensor_par, pipeline_par
-            )
-            if resident_total + need > capacity:
+            if resident_total + need[rid] > capacity:
                 break
-            queue.pop(0)
-            admit = max(now, float(ready[rid]))
-            wait = admit - float(ready[rid])  # exact >= 0: admit >= ready
+            queue.popleft()
+            admit = max(now, ready[rid])
+            wait = admit - ready[rid]  # exact >= 0: admit >= ready
             if charge_prefill:
-                pf = prefill_time(
-                    llm, system, tensor_par, pipeline_par, int(prompts[rid])
-                )
+                pf = prefill_table.get(prompts[rid])
+                if pf is None:
+                    pf = kernels.prefill(prompts[rid])
                 now = admit + pf
                 ttft[rid] = wait + pf  # fl(wait + prefill) >= prefill
             else:
                 now = admit
             span[rid] = wait if wait_in_span else 0.0
-            active[rid] = 0
-            resident[rid] = need
-            resident_total += need
-            kv_allocated += need
+            first_step[rid] = len(steps)
+            ends.setdefault(len(steps) + outputs[rid], []).append(rid)
+            batch += 1
+            context_total += prompts[rid]
+            resident_total += need[rid]
+            kv_allocated += need[rid]
             kv_peak = max(kv_peak, resident_total)
 
-        if not active:
+        if not batch:
             if next_ready < n:
-                now = max(now, float(ready[order[next_ready]]))
+                now = max(now, ready[order[next_ready]])
                 continue
             break
 
         # One decode iteration for the whole running batch.  Context is the
         # integer mean of the active requests' current lengths, which keeps
         # it >= the smallest prompt (the TPOT bound's anchor).
-        ctx = sum(int(prompts[r]) + g for r, g in active.items()) // len(active)
-        step = decode_step_time(
-            llm, system, tensor_par, pipeline_par, len(active), ctx
-        )
+        ctx = context_total // batch
+        step = step_table.get((batch, ctx))
+        if step is None:
+            step = kernels.step(batch, ctx)
         # KV beyond the HBM budget pages over the offload tier each step.
         overflow = resident_total - hbm_kv_budget
         if overflow > 0:
             step += overflow * offload_seconds_per_byte
             kv_offload += overflow
         now += step
-        occupancy += step * len(active)
-        finished = []
-        for rid in active:
-            active[rid] += 1
-            span[rid] += step
-            if active[rid] >= int(outputs[rid]):
-                finished.append(rid)
-        for rid in finished:
-            del active[rid]
-            resident_total -= resident[rid]
-            kv_freed += resident.pop(rid)
+        occupancy += step * batch
+        steps.append(step)
+        context_total += batch
+        for rid in ends.pop(len(steps), ()):
+            span[rid] = reduce(add, steps[first_step[rid]:], span[rid])
+            context_total -= prompts[rid] + outputs[rid]
+            batch -= 1
+            resident_total -= need[rid]
+            kv_freed += need[rid]
             done += 1
 
     return _ReplicaOutcome(
@@ -404,7 +512,8 @@ def simulate_serve(
         raise ValueError(f"unserveable deployment: {reason}")
 
     t, p, d = strategy.tensor_par, strategy.pipeline_par, strategy.data_par
-    arrivals, prompts, outputs = workload.sample()
+    arrivals, prompts, outputs = (a.tolist() for a in workload.sample())
+    kernels = _Kernels(llm, system, t, p)
     hbm_kv_budget = system.mem1.capacity - weights_bytes(llm, t, p)
     if system.mem2 is not None:
         offload_capacity = system.mem2.capacity
@@ -417,7 +526,7 @@ def simulate_serve(
 
     outcomes = [
         _replica_loop(
-            llm, system, t, p,
+            kernels,
             [i for i in range(workload.num_requests) if i % d == rep],
             arrivals, prompts, outputs,
             hbm_kv_budget=hbm_kv_budget,
@@ -434,7 +543,7 @@ def simulate_serve(
 
 def _assemble_stats(
     outcomes: Sequence[_ReplicaOutcome],
-    outputs: np.ndarray,
+    outputs: Sequence[int],
     slo: SLOSpec | None,
     num_requests: int,
 ) -> ServeStats:

@@ -1,5 +1,7 @@
 """serve_search tests: SLO pruning oracle, checkpoints, faults, key isolation."""
 
+import os
+
 import pytest
 
 from repro.cachekey import run_key
@@ -83,9 +85,19 @@ def test_impossible_slo_returns_empty():
 
 
 def test_workers_do_not_change_answer():
-    serial = serve_search(TINY_TEST, SYS, WL, SLO, top_k=5)
-    chunked = serve_search(TINY_TEST, SYS, WL, SLO, top_k=5, workers=2)
-    _tops_equal(serial, chunked)
+    serial = serve_search(TINY_TEST, SYS, WL, SLO, top_k=5, collect_stats=True)
+    tracer = Tracer()
+    pooled = serve_search(TINY_TEST, SYS, WL, SLO, top_k=5, workers=2,
+                          tracer=tracer, collect_stats=True)
+    assert serial.stats.workers == 1  # workers=None is serial
+    assert pooled.stats.workers == 2
+    # The chunks really ran in pool processes, not one after another here.
+    chunk_pids = {e["pid"] for e in tracer.events() if e["cat"] == "serve.chunk"}
+    assert chunk_pids and os.getpid() not in chunk_pids
+    _tops_equal(serial, pooled)
+    for field in ("num_candidates", "num_simulated", "num_pruned",
+                  "num_infeasible", "num_violated"):
+        assert getattr(pooled, field) == getattr(serial, field)
 
 
 def test_checkpoint_resume_bit_identical(tmp_path):
