@@ -134,8 +134,14 @@ def _add_prune_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance flags shared by the long-running sweeps."""
+def _add_fault_flags(
+    parser: argparse.ArgumentParser, *, retries: bool = True
+) -> None:
+    """The fault-tolerance flags shared by the long-running sweeps.
+
+    ``retries=False`` leaves out ``--max-retries``/``--chunk-timeout`` for
+    commands whose work units are not retried (``sweep``).
+    """
     parser.add_argument(
         "--checkpoint", metavar="FILE", default=None,
         help="journal completed chunks to FILE (JSONL) for later --resume",
@@ -148,6 +154,8 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
         "--deadline", type=float, metavar="SECONDS", default=None,
         help="wall-clock budget; stop cleanly at a chunk boundary when it passes",
     )
+    if not retries:
+        return
     parser.add_argument(
         "--max-retries", type=int, metavar="N", default=None,
         help="retries per failed chunk before it is skipped (default 2)",
@@ -159,21 +167,27 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _fault_kwargs(args: argparse.Namespace) -> dict:
-    """Translate the fault flags into search()/scaling_sweep() keywords."""
+    """Translate the fault flags into search()/scaling_sweep() keywords.
+
+    ``retry_policy`` is included only for commands that registered the
+    retry flags (see :func:`_add_fault_flags`).
+    """
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint FILE")
-    policy = None
-    if args.max_retries is not None or args.chunk_timeout is not None:
-        policy = RetryPolicy(
-            max_retries=args.max_retries if args.max_retries is not None else 2,
-            timeout=args.chunk_timeout,
-        )
-    return {
+    kwargs = {
         "checkpoint": args.checkpoint,
         "resume": args.resume,
         "deadline": args.deadline,
-        "retry_policy": policy,
     }
+    if hasattr(args, "max_retries"):
+        policy = None
+        if args.max_retries is not None or args.chunk_timeout is not None:
+            policy = RetryPolicy(
+                max_retries=args.max_retries if args.max_retries is not None else 2,
+                timeout=args.chunk_timeout,
+            )
+        kwargs["retry_policy"] = policy
+    return kwargs
 
 
 def _report_fault_outcome(stats, truncated: bool) -> None:
@@ -340,15 +354,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     opts = _options_from_name(args.options)
     tracer, progress = _make_obs(args)
     events = _make_events(args, "sweep", tracer)
-    fault = _fault_kwargs(args)
-    fault.pop("retry_policy")  # per-size searches stay unsupervised for now
     try:
         curve = scaling_sweep(
             llm, factory, sizes, args.batch, opts, workers=args.workers,
             bound_prune=not args.no_prune,
             tracer=tracer, collect_stats=args.stats, progress=progress,
             events=events,
-            **fault,
+            **_fault_kwargs(args),
         )
     finally:
         if events is not None:
@@ -947,8 +959,7 @@ def main(argv: list[str] | None = None) -> int:
     srch.add_argument("--options", default="all")
     srch.add_argument("--top", type=_positive_int, default=10)
     srch.add_argument("--workers", type=int, default=None,
-                      help="worker processes (default: serial, or auto with "
-                      "--events, checkpoints or fault flags; 0/1 = serial)")
+                      help="worker processes (default: serial; 0/1 = serial)")
     _add_serve_workload_flags(srch)
     _add_prune_flag(srch)
     _add_obs_flags(srch)
@@ -983,12 +994,12 @@ def main(argv: list[str] | None = None) -> int:
     swp.add_argument("--step", type=int, default=512)
     swp.add_argument("--options", default="all")
     swp.add_argument("--workers", type=int, default=None,
-                     help="processes per inner search (default: serial, "
-                     "or auto with --events; 0/1 = serial)")
+                     help="processes per inner search (default: serial; "
+                     "0/1 = serial)")
     _add_prune_flag(swp)
     _add_obs_flags(swp)
     _add_events_flag(swp)
-    _add_fault_flags(swp)
+    _add_fault_flags(swp, retries=False)
     swp.set_defaults(func=_cmd_sweep)
 
     fab = sub.add_parser(

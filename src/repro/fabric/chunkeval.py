@@ -27,8 +27,6 @@ from typing import Any
 
 from ..hardware.system import System
 from ..llm.config import LLMConfig
-from ..obs import MetricsRegistry, Tracer
-from ..obs.stats import M_CHUNK_SECONDS
 from ..search.execution_search import _evaluate_chunk
 
 __all__ = ["evaluate_chunk", "evaluate_serve_chunk"]
@@ -71,7 +69,7 @@ def evaluate_chunk(
     """
     rows = {name: arr[start:stop] for name, arr in cols.items()}
     t0 = perf_counter()
-    n, feasible, top, _rates, snapshot, events = _evaluate_chunk((
+    n, feasible, _rates, top, snapshot, events = _evaluate_chunk((
         llm, system, rows, start, top_k, False, None, True, floor_rate,
         instrument, chunk_index, None, trace_id,
     ))
@@ -124,37 +122,14 @@ def evaluate_serve_chunk(
          "elapsed_s": float}
     """
     from ..serving.search import _serve_chunk
-    from ..serving.stats import (
-        M_SERVE_CANDIDATES,
-        M_SERVE_INFEASIBLE,
-        M_SERVE_PRUNED,
-        M_SERVE_SIMULATED,
-        M_SERVE_VIOLATED,
-    )
 
     indexed = [(gidx, plans[gidx]) for gidx in range(start, stop)]
     t0 = perf_counter()
-    n, simulated, pruned, infeasible, violated, top, _snap, _ev = _serve_chunk((
-        llm, system, indexed, workload, slo, top_k, False, chunk_index,
+    n, simulated, pruned, infeasible, violated, top, snapshot, events = _serve_chunk((
+        llm, system, indexed, workload, slo, top_k, instrument, chunk_index,
         None, prune, max_batch, trace_id,
     ))
     elapsed = perf_counter() - t0
-    snapshot = events = None
-    if instrument:
-        registry = MetricsRegistry()
-        registry.inc(M_SERVE_CANDIDATES, n)
-        registry.inc(M_SERVE_SIMULATED, simulated)
-        registry.inc(M_SERVE_PRUNED, pruned)
-        registry.inc(M_SERVE_INFEASIBLE, infeasible)
-        registry.inc(M_SERVE_VIOLATED, violated)
-        registry.observe(M_CHUNK_SECONDS, elapsed)
-        tracer = Tracer(trace_id=trace_id)
-        tracer.add_span(
-            f"serve-chunk[{chunk_index}]", "serve.chunk", t0, elapsed,
-            plans=n, simulated=simulated, pruned=pruned, trace_id=trace_id,
-        )
-        snapshot = registry.snapshot()
-        events = tracer.events()
     return {
         "n": n,
         "simulated": simulated,

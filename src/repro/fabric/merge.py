@@ -19,9 +19,9 @@ in ``tests/test_fabric_merge.py``).
 
 A full heap admits a new entry only when it *strictly* beats the current
 k-th best under that order, so ties at the boundary keep the earliest
-candidate.  ``search()`` merges its own chunks on the same order
-(``execution_search._merge_tops``); see ``docs/FABRIC.md`` for the full
-bit-identity argument.
+candidate.  ``search()`` and ``serve_search()`` merge their own chunks
+on the same order (``repro.search.faults.run_chunks``); see
+``docs/FABRIC.md`` for the full bit-identity argument.
 """
 
 from __future__ import annotations

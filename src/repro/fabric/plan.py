@@ -17,7 +17,6 @@ what global index ``i`` means without ever shipping candidate lists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -26,6 +25,7 @@ from ..hardware.system import System
 from ..llm.config import LLMConfig
 from ..search.columns import candidate_columns
 from ..search.execution_search import SearchOptions
+from ..search.faults import chunk_step
 
 __all__ = [
     "ChunkSpec",
@@ -39,12 +39,6 @@ __all__ = [
     "serve_options_from_dict",
     "serve_options_to_dict",
 ]
-
-# The coordinator slices the space into this many chunks per expected
-# worker: enough granularity for stealing to rebalance after a death,
-# coarse enough that per-chunk HTTP round-trips stay negligible.
-CHUNKS_PER_WORKER = 4
-
 
 @dataclass(frozen=True)
 class ChunkSpec:
@@ -69,13 +63,12 @@ def plan_chunks(
 
     ``step`` (the chunk size) wins when given — a resumed run must reuse
     the journaled layout; otherwise it is derived from the expected worker
-    count exactly like ``search()`` derives its pool chunking.
+    count by :func:`~repro.search.faults.chunk_step`, the layout rule of
+    ``search()`` and ``serve_search()``.
     """
     if total < 0:
         raise ValueError("total must be >= 0")
-    if step is None:
-        step = math.ceil(total / (max(workers, 1) * CHUNKS_PER_WORKER))
-    step = max(int(step), 1)
+    step = chunk_step(total, workers, step)
     return [
         ChunkSpec(index=i, start=start, stop=min(start + step, total))
         for i, start in enumerate(range(0, total, step))

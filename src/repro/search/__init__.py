@@ -20,7 +20,6 @@ from .cost import (
 from .execution_search import (
     SearchOptions,
     SearchResult,
-    auto_workers,
     candidate_strategies,
     search,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "SystemDesign",
     "TCOReport",
     "all_designs",
-    "auto_workers",
     "best_at_size",
     "budget_table",
     "candidate_strategies",

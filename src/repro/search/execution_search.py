@@ -9,8 +9,9 @@ any dimension for scoped studies (e.g. Fig. 5's "original optimizations").
 The space is enumerated straight into NumPy columns
 (:func:`~repro.search.columns.candidate_columns`) and every candidate is
 priced as a row of the columnar engine (:mod:`repro.engine.batch`).  One
-row-range evaluator, :func:`evaluate_rows`, serves the serial search, the
-chunked (multi-worker, checkpointed, journaled) search and the fabric; only
+row-range evaluator, :func:`evaluate_rows`, serves every chunk of the
+search (one chunk serially, several on a pool or under a checkpoint) and
+of the fabric; only
 the handful of winners are ever materialized as
 :class:`~repro.execution.strategy.ExecutionStrategy` objects.
 """
@@ -18,10 +19,8 @@ the handful of winners are ever materialized as
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -51,16 +50,9 @@ from ..obs.stats import (
     STAGE_NAMES,
     stage_metric,
 )
-from .checkpoint import CheckpointJournal, run_key
+from .checkpoint import run_key
 from .columns import candidate_columns
-from .faults import FaultInjector, RetryPolicy, run_supervised
-
-logger = logging.getLogger(__name__)
-
-# Below this many candidates per worker, pool startup costs more than the
-# evaluation itself, so the auto heuristic stays serial.  Only searches with
-# a constraint or fault-tolerance features consult it — see auto_workers().
-MIN_STRATEGIES_PER_WORKER = 2000
+from .faults import FaultInjector, RetryPolicy, run_chunks
 
 
 @dataclass(frozen=True)
@@ -165,7 +157,8 @@ class SearchResult:
     """Outcome of one exhaustive execution search.
 
     ``stats`` is populated when the search ran with ``collect_stats=True``
-    or with any fault-tolerance feature active: a
+    or with a fault-tolerance argument (``checkpoint``, ``deadline``,
+    ``retry_policy``, ``fault_injector``): a
     :class:`~repro.obs.SweepStats` whose engine counters are merged across
     every worker chunk and whose retry/skip/resume counters describe what
     the supervision layer did.  ``truncated`` is set when a ``deadline``
@@ -266,26 +259,6 @@ def candidate_strategies(
                     optimizer_offload=off[2],
                     training=opts.training,
                 )
-
-
-def auto_workers(num_strategies: int, cpu_count: int | None = None) -> int:
-    """Process count for a sweep of ``num_strategies`` candidates.
-
-    The heuristic: one worker per :data:`MIN_STRATEGIES_PER_WORKER`
-    candidates, capped at the machine's core count and floored at one.
-    Small sweeps therefore run serially *by design* — even on a many-core
-    machine — because forking a pool costs more than evaluating a few
-    thousand candidates.  Callers who know better pass ``workers``
-    explicitly.
-
-    :func:`search` consults it only for a search with a ``constraint`` or a
-    fault-tolerance feature.  A plain top-k or histogram search with
-    ``workers=None`` always runs serially: the whole serial columnar search
-    takes 0.08-0.15 s on the paper problems (``docs/PERFORMANCE.md``),
-    less than a pool takes to start.
-    """
-    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    return max(1, min(cpus, num_strategies // MIN_STRATEGIES_PER_WORKER))
 
 
 def _chunk_trace_events(
@@ -420,17 +393,18 @@ def _evaluate_chunk(
 ) -> tuple[
     int,
     int,
-    list[tuple[float, int, ExecutionStrategy]],
     np.ndarray | None,
+    list[tuple[float, int, ExecutionStrategy]],
     dict | None,
     list[dict] | None,
 ]:
     """One chunk of a search: :func:`evaluate_rows` plus instrumentation.
 
-    Returns ``(n, feasible, top, rates, snapshot, events)`` — the metrics
-    snapshot and ``chunk[i]`` trace spans are ``None`` unless
-    ``instrument`` is set.  Module-level so process pools can pickle it;
-    ``rows`` is the chunk's slice of the candidate columns.
+    Returns ``(n, feasible, rates, top, snapshot, events)`` — the shape
+    :func:`~repro.search.faults.run_chunks` expects; the metrics snapshot
+    and ``chunk[i]`` trace spans are ``None`` unless ``instrument`` is set.
+    Module-level so process pools can pickle it; ``rows`` is the chunk's
+    slice of the candidate columns.
     """
     (llm, system, rows, offset, top_k, keep_rates, constraint, bound_prune,
      floor_rate, instrument, chunk_index, injector, trace_id) = args
@@ -457,7 +431,7 @@ def _evaluate_chunk(
         )
         snapshot = registry.snapshot()
         events = tracer.events()
-    return n, feasible, top, rates, snapshot, events
+    return n, feasible, rates, top, snapshot, events
 
 
 def _chunk_payload(result: tuple) -> dict:
@@ -468,7 +442,7 @@ def _chunk_payload(result: tuple) -> dict:
     winners through the deterministic engine, keeping the journal small
     and schema-stable.
     """
-    n, feasible, top, rates, snapshot, _events = result
+    n, feasible, rates, top, snapshot, _events = result
     return {
         "n": n,
         "feasible": feasible,
@@ -484,26 +458,14 @@ def _chunk_from_payload(payload: dict) -> tuple:
     return (
         int(payload["n"]),
         int(payload["feasible"]),
+        np.asarray(rates, dtype=float) if rates is not None else None,
         [
             (float(rate), int(gidx), ExecutionStrategy.from_dict(strat))
             for rate, gidx, strat in payload["top"]
         ],
-        np.asarray(rates, dtype=float) if rates is not None else None,
         payload.get("snapshot"),
         None,
     )
-
-
-def _merge_tops(tops, top_k: int) -> list[tuple[float, int, ExecutionStrategy]]:
-    """The best ``top_k`` of several chunks' top lists, best first.
-
-    Ranks on the ``(-rate, global index)`` total order of the fabric's
-    :class:`~repro.fabric.merge.TopKMerge`, so the merged list is a pure
-    function of the offered entries — chunk layout and arrival order
-    cannot change it.
-    """
-    entries = itertools.chain.from_iterable(tops)
-    return sorted(entries, key=lambda e: (-e[0], e[1]))[:top_k]
 
 
 def search(
@@ -540,11 +502,10 @@ def search(
         options: sweep restrictions; defaults to the full Table-1 space.
         top_k: how many best configurations to retain; 0 keeps only the
             counts and ``sample_rates`` (negative raises ``ValueError``).
-        workers: process count; 0/1 forces serial.  ``None`` runs serially,
-            except that a search with a ``constraint`` or a fault-tolerance
-            feature applies :func:`auto_workers`.  With more than one
-            worker the space is split into ``4 * workers`` row ranges, each
-            shipped to a process pool as a slice of the columns.
+        workers: process count; ``None``, 0 and 1 run serially.  With more
+            than one worker the space is split into ``4 * workers`` row
+            ranges, each shipped to a process pool as a slice of the
+            columns.
         keep_rates: retain every feasible sample rate in ``sample_rates``
             (Fig. 6 histograms), in the evaluation stream order of each
             chunk.  Off by default: the histogram prices every feasible
@@ -573,10 +534,7 @@ def search(
         events: a :class:`~repro.obs.EventJournal` flight recorder; the
             search emits ``search.start``/``search.done`` plus the full
             chunk lifecycle (dispatch, done, retry, timeout, fallback,
-            skip, resume, truncation).  Supplying a journal engages the
-            supervised chunked dispatch — the layer where the lifecycle
-            exists — so a journaled serial search is chunked like a
-            checkpointed one.
+            skip, resume, truncation).
         checkpoint: path of a JSONL checkpoint journal; every completed
             chunk is journaled so an interrupted sweep can be resumed.
         resume: reload ``checkpoint`` and skip already-journaled chunks
@@ -593,13 +551,17 @@ def search(
         fault_injector: deterministic test hook that makes one chunk raise,
             hang or crash (see :class:`~repro.search.faults.FaultInjector`).
 
-    ``events`` or any of the last five arguments engages the supervised
-    chunked dispatch; without them, and with at most one worker, the whole
-    space is evaluated as one row range.  Chunk tops merge on the
-    ``(-rate, global index)`` total order (:func:`_merge_tops`), exactly
-    like the fabric; on an exact rate tie at the k-th boundary a chunked
-    search may therefore keep a different tied candidate than the
-    one-range search, which prefers the earlier one in stream order.
+    Chunks run through :func:`~repro.search.faults.run_chunks`.  The space
+    is cut into chunks only with more than one worker or a fault-tolerance
+    argument (``checkpoint``, ``deadline``, ``retry_policy``,
+    ``fault_injector``); ``tracer``, ``events``, ``collect_stats`` and
+    ``progress`` never change the layout or the dispatch.  Without a
+    fault-tolerance argument a failing chunk re-raises its exception at
+    any worker count.  Chunk tops merge on the ``(-rate, global index)``
+    total order, exactly like the fabric; on an exact rate tie at the k-th
+    boundary a chunked search may therefore keep a different tied
+    candidate than the one-range search, which prefers the earlier one in
+    stream order.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -609,13 +571,6 @@ def search(
         raise ValueError("resume=True requires a checkpoint path")
     t_start = perf_counter()
     instrument = collect_stats or tracer is not None
-    fault_mode = (
-        events is not None
-        or checkpoint is not None
-        or deadline is not None
-        or retry_policy is not None
-        or fault_injector is not None
-    )
     opts = options or SearchOptions()
     t0 = perf_counter()
     cols = candidate_columns(llm, system, batch, opts)
@@ -623,25 +578,12 @@ def search(
     if tracer is not None:
         tracer.add_span("enumerate", "search", t0, perf_counter() - t0,
                         candidates=total)
-    if progress is not None:
-        progress.set_total(total)
-    if workers is None:
-        workers = (
-            auto_workers(total) if constraint is not None or fault_mode else 1
-        )
     # Pruning engages only when the caller needs nothing beyond the top-k
     # ranking (see the docstring); the flag rides into every chunk.
     do_prune = bool(
         bound_prune and constraint is None and not keep_rates and top_k > 0
     )
-    # Multi-worker and supervised runs are chunked — checkpoints, deadlines
-    # and retries all operate at chunk granularity; everything else is one
-    # row range over the whole space.
-    step = max(total, 1)
-    if (workers > 1 or fault_mode) and total > 1:
-        step = math.ceil(total / (max(workers, 1) * 4))
-
-    journal = None
+    key = None
     if checkpoint is not None:
         key = run_key(
             llm, system, batch, opts, kind="search",
@@ -652,143 +594,51 @@ def search(
                 if constraint is not None else None,
             },
         )
-        journal = CheckpointJournal.open(
-            checkpoint, key, resume=resume, events=events,
-            meta={
-                "step": step,
-                "num_candidates": total,
-                "trace_id": tracer.trace_id if tracer is not None else None,
-            },
-        )
-        # The journal's chunk layout wins: resuming with a different worker
-        # count must slice the space exactly as the original run did.
-        step = int(journal.meta.get("step", step)) or step
-        # So does its trace identity: a resumed run continues the original
-        # trace, letting the stitched Chrome trace span both invocations.
-        if tracer is not None and journal.meta.get("trace_id"):
-            tracer.trace_id = str(journal.meta["trace_id"])
 
-    starts = range(0, total, step) if total else [0]
-    trace_id = tracer.trace_id if tracer is not None else None
-
-    def chunk_args(n: int) -> tuple:
-        lo = starts[n]
-        rows = {name: arr[lo:lo + step] for name, arr in cols.items()}
+    def task(n: int, lo: int, hi: int, trace_id: str | None) -> tuple:
+        rows = {name: arr[lo:hi] for name, arr in cols.items()}
         return (llm, system, rows, lo, top_k, keep_rates, constraint,
                 do_prune, 0.0, instrument, n, fault_injector, trace_id)
 
-    logger.debug(
-        "search: %d candidates, %d workers, %d chunks (instrumented=%s, "
-        "supervised=%s)",
-        total, workers, len(starts), instrument, fault_mode,
+    run = run_chunks(
+        _evaluate_chunk, task, total, top_k=top_k, workers=workers,
+        name="search", start_fields={"candidates": total}, started=t_start,
+        tracer=tracer, events=events, progress=progress,
+        checkpoint=checkpoint, key=key, resume=resume,
+        encode=_chunk_payload, decode=_chunk_from_payload,
+        deadline=deadline, retry_policy=retry_policy,
+        fault_injector=fault_injector,
     )
-    truncated = False
-    retries = 0
-    resumed = 0
-    skipped_ranges: tuple[tuple[int, int], ...] = ()
-    results: list[tuple]
-    if events is not None:
-        events.emit(
-            "search.start", candidates=total,
-            workers=max(workers, 1), chunks=len(starts), trace_id=trace_id,
-        )
-    if fault_mode:
-        chunk_results: dict[int, tuple] = {}
-        tasks: dict[int, tuple] = {}
-        for n in range(len(starts)):
-            if journal is not None and str(n) in journal:
-                chunk_results[n] = _chunk_from_payload(journal.get(str(n)))
-                resumed += 1
-                if events is not None:
-                    events.emit("chunk.resumed", chunk=n)
-            else:
-                tasks[n] = chunk_args(n)
-        if progress is not None:
-            for n in sorted(chunk_results):
-                progress.update(chunk_results[n][0], chunk_results[n][1])
-
-        def _on_chunk(n: int, r: tuple) -> None:
-            chunk_results[n] = r
-            if journal is not None:
-                journal.record(str(n), _chunk_payload(r))
-            if progress is not None:
-                progress.update(r[0], r[1])
-
-        report = run_supervised(
-            _evaluate_chunk,
-            tasks,
-            workers=max(workers, 1),
-            policy=retry_policy,
-            deadline=t_start + deadline if deadline is not None else None,
-            on_result=_on_chunk,
-            events=events,
-            tracer=tracer,
-        )
-        truncated = report.truncated
-        retries = report.retries
-        skipped_ranges = tuple(
-            (n * step, min((n + 1) * step, total)) for n in report.skipped
-        )
-        results = [chunk_results[n] for n in sorted(chunk_results)]
-    elif workers > 1 and len(starts) > 1:
-        results = [None] * len(starts)  # type: ignore[list-item]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {
-                pool.submit(_evaluate_chunk, chunk_args(n)): n
-                for n in range(len(starts))
-            }
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    n = pending.pop(future)
-                    results[n] = future.result()
-                    if progress is not None:
-                        progress.update(results[n][0], results[n][1])
-    else:
-        # Unchunked: the whole space is one row range (step == max(total, 1)).
-        r = _evaluate_chunk(chunk_args(0))
-        results = [r]
-        if progress is not None:
-            progress.update(r[0], r[1])
-    if progress is not None:
-        progress.finish()
-
+    results = run.results
     num_eval = sum(r[0] for r in results)
     num_feasible = sum(r[1] for r in results)
-    top = [
-        (strat, evaluate(llm, system, strat))
-        for _, _, strat in _merge_tops((r[2] for r in results), top_k)
-    ]
+    top = [(strat, evaluate(llm, system, strat)) for _, _, strat in run.top]
     rates = np.concatenate(
-        [np.empty(0)] + [r[3] for r in results if r[3] is not None]
+        [np.empty(0)] + [r[2] for r in results if r[2] is not None]
     )
     best_strategy, best = top[0] if top else (None, None)
 
     stats = None
-    if tracer is not None:
-        for r in results:
-            if r[5]:
-                tracer.add_events(r[5])
-    if collect_stats or fault_mode:
+    if collect_stats or run.tolerant:
         registry = MetricsRegistry.from_snapshots(
             r[4] for r in results if r[4] is not None
         )
         stats = SweepStats(
             engine=PruneStats.from_metrics(registry),
             elapsed=perf_counter() - t_start,
-            workers=max(workers, 1),
+            workers=run.workers,
             num_evaluated=num_eval,
             num_feasible=num_feasible,
-            retries=retries,
-            skipped=skipped_ranges,
-            resumed_chunks=resumed,
-            truncated=truncated,
+            retries=run.retries,
+            skipped=run.skipped,
+            resumed_chunks=run.resumed,
+            truncated=run.truncated,
         )
     if events is not None:
         events.emit(
             "search.done", seconds=perf_counter() - t_start,
-            evaluated=num_eval, feasible=num_feasible, retries=retries,
-            resumed=resumed, truncated=truncated,
+            evaluated=num_eval, feasible=num_feasible, retries=run.retries,
+            resumed=run.resumed, truncated=run.truncated,
         )
     return SearchResult(
         best=best,
@@ -798,5 +648,5 @@ def search(
         num_feasible=num_feasible,
         sample_rates=rates,
         stats=stats,
-        truncated=truncated,
+        truncated=run.truncated,
     )

@@ -26,11 +26,21 @@ supervision policy the search engines share:
 it makes the Nth chunk raise, hang, or kill its process, for the first
 ``fail_attempts`` attempts, so every recovery path above is exercisable in
 tests and CI without flaky timing games.
+
+:func:`run_chunks` is the one chunk driver of the searches built on top
+(``search()`` and ``serve_search()``): it owns the chunk layout
+(:func:`chunk_step`), checkpoint resume and record, progress, dispatch
+through :func:`run_supervised`, skipped ranges, trace stitching and the
+``(-rate, global index)`` top-k merge.  Retries, fallback and skipping
+engage only when the caller asked for fault tolerance; otherwise the first
+failing chunk re-raises, at any worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -39,12 +49,19 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Mapping
 
+from .checkpoint import CheckpointJournal
+
 logger = logging.getLogger(__name__)
 
 # Poll interval of the supervision loop.  Failures are rare; completions are
 # harvested with ``wait(..., FIRST_COMPLETED)``, so the tick only bounds how
 # quickly timeouts and backoff expiries are noticed.
 TICK = 0.05
+
+# Chunks cut per worker: enough for the pool (or the fabric's work
+# stealing) to rebalance around a straggler or a retried chunk, few enough
+# that per-chunk dispatch stays negligible.
+CHUNKS_PER_WORKER = 4
 
 
 class FaultInjected(RuntimeError):
@@ -175,6 +192,7 @@ def run_supervised(
     on_result: Callable[[int, Any], None] | None = None,
     events: Any | None = None,
     tracer: Any | None = None,
+    reraise: bool = False,
 ) -> SupervisionReport:
     """Run ``fn(tasks[i])`` for every task under the supervision policy.
 
@@ -197,14 +215,19 @@ def run_supervised(
     ``workers <= 1`` runs serially in-process: retries and backoff apply,
     but a crash-mode fault kills the caller (there is no isolation to fall
     back on) and ``timeout`` cannot interrupt a hung chunk.
+
+    ``reraise`` turns supervision off: the first failing task re-raises
+    its own exception (after the pool is torn down) instead of being
+    retried, degraded or skipped.
     """
     policy = policy or RetryPolicy()
     report = SupervisionReport()
     if workers <= 1:
-        _run_serial(fn, tasks, policy, deadline, on_result, report, events, tracer)
+        _run_serial(fn, tasks, policy, deadline, on_result, report, events,
+                    tracer, reraise)
     else:
         _run_pool(fn, tasks, workers, policy, deadline, on_result, report,
-                  events, tracer)
+                  events, tracer, reraise)
     report.skipped.sort()
     report.pending.sort()
     return report
@@ -239,7 +262,7 @@ def _record(report, on_result, index, result) -> None:
 
 
 def _run_serial(fn, tasks, policy, deadline, on_result, report,
-                events=None, tracer=None) -> None:
+                events=None, tracer=None, reraise=False) -> None:
     order = sorted(tasks)
     # Timing calls are gated on instrumentation being attached: the serial
     # loop must not consume extra perf_counter() reads when uninstrumented
@@ -259,11 +282,13 @@ def _run_serial(fn, tasks, policy, deadline, on_result, report,
             try:
                 result = fn(tasks[index])
             except Exception as err:
+                _close_failed_span(tracer, index, started, err, attempt)
+                if reraise:
+                    raise
                 logger.warning(
                     "chunk %d failed (attempt %d/%d): %s",
                     index, attempt + 1, policy.max_retries + 1, err,
                 )
-                _close_failed_span(tracer, index, started, err, attempt)
                 if attempt < policy.max_retries:
                     report.retries += 1
                     _emit(events, "chunk.retry", chunk=index, attempt=attempt,
@@ -293,7 +318,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _run_pool(fn, tasks, workers, policy, deadline, on_result, report,
-              events=None, tracer=None) -> None:
+              events=None, tracer=None, reraise=False) -> None:
     queue: list[int] = sorted(tasks)
     attempts: dict[int, int] = {}
     not_before: dict[int, float] = {}
@@ -302,11 +327,13 @@ def _run_pool(fn, tasks, workers, policy, deadline, on_result, report,
 
     def fail(index: int, err: BaseException, started: float) -> None:
         attempt = attempts.get(index, 0)
+        _close_failed_span(tracer, index, started, err, attempt)
+        if reraise:
+            raise err  # the ``finally`` below tears the pool down first
         logger.warning(
             "chunk %d failed (attempt %d/%d): %s",
             index, attempt + 1, policy.max_retries + 1, err,
         )
-        _close_failed_span(tracer, index, started, err, attempt)
         kind = "chunk.timeout" if isinstance(err, TimeoutError) else "chunk.retry"
         if attempt < policy.max_retries:
             attempts[index] = attempt + 1
@@ -422,3 +449,166 @@ def _run_pool(fn, tasks, workers, policy, deadline, on_result, report,
                         ), started)
     finally:
         _kill_pool(pool)
+
+
+def chunk_step(total: int, workers: int, step: int | None = None) -> int:
+    """Chunk size for ``total`` candidates spread over ``workers``.
+
+    ``ceil(total / (workers * CHUNKS_PER_WORKER))``, at least 1.  A given
+    ``step`` wins: a resumed run must slice the space exactly as the
+    journaled run did.  This is the one layout rule of :func:`run_chunks`
+    and of the fabric's ``plan_chunks``.
+    """
+    if step is None:
+        step = math.ceil(total / (max(workers, 1) * CHUNKS_PER_WORKER))
+    return max(int(step), 1)
+
+
+@dataclass
+class ChunkRun:
+    """What :func:`run_chunks` ran, in chunk order, plus the merged top-k.
+
+    ``tolerant`` records whether a fault-tolerance argument was given (only
+    then are chunks retried, skipped or left pending); ``skipped`` holds
+    the ``[start, stop)`` ranges of chunks that failed for good.
+    """
+
+    results: list[Any]
+    top: list[tuple]
+    workers: int
+    tolerant: bool
+    retries: int = 0
+    resumed: int = 0
+    skipped: tuple[tuple[int, int], ...] = ()
+    truncated: bool = False
+
+
+def run_chunks(
+    fn: Callable[[Any], tuple],
+    task: Callable[[int, int, int, str | None], Any],
+    total: int,
+    *,
+    top_k: int,
+    workers: int | None,
+    name: str,
+    start_fields: Mapping[str, Any],
+    started: float,
+    tracer: Any | None = None,
+    events: Any | None = None,
+    progress: Any | None = None,
+    checkpoint: str | os.PathLike | None = None,
+    key: str | None = None,
+    resume: bool = False,
+    encode: Callable[[tuple], Any] | None = None,
+    decode: Callable[[Any], tuple] | None = None,
+    deadline: float | None = None,
+    retry_policy: RetryPolicy | None = None,
+    fault_injector: FaultInjector | None = None,
+) -> ChunkRun:
+    """Drive one search's chunks from layout to merged top-k.
+
+    The search supplies its chunk function ``fn`` and ``task(index, lo,
+    hi, trace_id)``, which builds ``fn``'s (picklable) argument for global
+    candidates ``[lo, hi)``.  ``fn`` returns a tuple ``(n, ok, ..., top,
+    snapshot, trace_events)``: ``n`` candidates of which ``ok`` count as
+    progress successes, and ``top`` entries ``(rate, global index, ...)``.
+
+    * **Layout.**  The space is one chunk unless ``workers > 1`` or a
+      fault-tolerance argument (``checkpoint``, ``deadline``,
+      ``retry_policy``, ``fault_injector``) is given; then chunks are
+      :func:`chunk_step` candidates long, and a resumed journal's ``step``
+      wins.  ``tracer``, ``events`` and ``progress`` never change the
+      layout or the dispatch.
+    * **Journal.**  With ``checkpoint`` (under run key ``key``) journaled
+      chunks are restored through ``decode`` instead of re-run, every
+      finished chunk is recorded through ``encode``, and a resumed tracer
+      adopts the journal's ``trace_id``.
+    * **Dispatch.**  :func:`run_supervised`, serial for ``workers <= 1``,
+      else on a process pool.  Only a tolerant run retries, degrades,
+      skips and honours ``deadline`` (seconds from ``started``); otherwise
+      the first failing chunk re-raises.
+    * **Merge.**  Worker trace events join ``tracer``; ``top`` is the best
+      ``top_k`` entries of every chunk on the ``(-rate, global index)``
+      total order of the fabric's ``TopKMerge``, so neither the layout nor
+      the arrival order changes it (up to ties at a chunk's own k-th rate,
+      which the chunk breaks by its evaluation order).
+
+    ``events`` additionally gets ``<name>.start`` (``start_fields`` plus
+    workers, chunks and trace_id) and the chunk lifecycle; the caller
+    emits its own ``<name>.done``.
+    """
+    workers = max(workers or 1, 1)
+    tolerant = (checkpoint is not None or deadline is not None
+                or retry_policy is not None or fault_injector is not None)
+    step = chunk_step(total, workers) if workers > 1 or tolerant else max(total, 1)
+    if progress is not None:
+        progress.set_total(total)
+    journal = None
+    if checkpoint is not None:
+        journal = CheckpointJournal.open(
+            checkpoint, key, resume=resume, events=events,
+            meta={
+                "step": step,
+                "num_candidates": total,
+                "trace_id": tracer.trace_id if tracer is not None else None,
+            },
+        )
+        step = int(journal.meta.get("step") or step)
+        # A resumed run continues the original trace, so the stitched
+        # Chrome trace spans both invocations.
+        if tracer is not None and journal.meta.get("trace_id"):
+            tracer.trace_id = str(journal.meta["trace_id"])
+    trace_id = tracer.trace_id if tracer is not None else None
+    # An empty space is still one (empty) chunk.
+    bounds = [(lo, min(lo + step, total)) for lo in range(0, max(total, 1), step)]
+    logger.debug("%s: %d candidates, %d workers, %d chunks (tolerant=%s)",
+                 name, total, workers, len(bounds), tolerant)
+    if events is not None:
+        events.emit(f"{name}.start", **start_fields, workers=workers,
+                    chunks=len(bounds), trace_id=trace_id)
+
+    results: dict[int, tuple] = {}
+    tasks: dict[int, Any] = {}
+    for n, (lo, hi) in enumerate(bounds):
+        if journal is not None and str(n) in journal:
+            results[n] = decode(journal.get(str(n)))
+            if events is not None:
+                events.emit("chunk.resumed", chunk=n)
+        else:
+            tasks[n] = task(n, lo, hi, trace_id)
+    resumed = len(results)
+    if progress is not None:
+        for n in sorted(results):
+            progress.update(results[n][0], results[n][1])
+
+    def on_result(n: int, r: tuple) -> None:
+        results[n] = r
+        if journal is not None:
+            journal.record(str(n), encode(r))
+        if progress is not None:
+            progress.update(r[0], r[1])
+
+    report = run_supervised(
+        fn, tasks, workers=workers, policy=retry_policy,
+        deadline=started + deadline if deadline is not None else None,
+        on_result=on_result, events=events, tracer=tracer,
+        reraise=not tolerant,
+    )
+    if progress is not None:
+        progress.finish()
+    ordered = [results[n] for n in sorted(results)]
+    if tracer is not None:
+        for r in ordered:
+            if r[-1]:
+                tracer.add_events(r[-1])
+    entries = itertools.chain.from_iterable(r[-3] for r in ordered)
+    return ChunkRun(
+        results=ordered,
+        top=sorted(entries, key=lambda e: (-e[0], e[1]))[:top_k],
+        workers=workers,
+        tolerant=tolerant,
+        retries=report.retries,
+        resumed=resumed,
+        skipped=tuple(bounds[n] for n in report.skipped),
+        truncated=report.truncated,
+    )

@@ -100,9 +100,8 @@ def best_at_size(
     """Search the execution space at one system size.
 
     ``workers`` is forwarded to :func:`repro.search.search`; the default
-    ``None`` runs each per-size search serially as one columnar batch, and
-    applies the :func:`~repro.search.auto_workers` heuristic only when an
-    ``events`` journal makes the search supervised.
+    ``None`` (like 0 or 1) runs each per-size search serially as one
+    columnar batch, with or without ``events``.
     ``bound_prune`` is forwarded too, and bites hard here: the inner search
     keeps only the single best configuration (``top_k=1``, no rate
     histogram), the exact regime where roofline bound pruning skips the
@@ -110,7 +109,8 @@ def best_at_size(
     ``collect_stats`` instrument the inner search; the point's
     :class:`~repro.obs.SweepStats` lands on ``ScalingPoint.stats``.
     ``events`` threads a flight-recorder journal into the inner search
-    (which records the full chunk lifecycle; see :func:`repro.search.search`).
+    (which records its chunk lifecycle; see :func:`repro.search.search`)
+    without changing how it runs.
     """
     system = system_factory(num_procs)
     result = search(
@@ -158,11 +158,11 @@ def scaling_sweep(
 ) -> ScalingCurve:
     """Best performance at each system size (one Fig. 7 / Fig. 10 panel).
 
-    ``workers`` is honored by every inner per-size search (``None`` =
-    serial, or auto-select for a journaled search; 0/1 = serial; N =
-    process count, so a Fig. 7 sweep over thousands of processors can use
-    the whole machine).  ``bound_prune`` reaches every inner search (see
-    :func:`best_at_size`; the curve is identical either way).
+    ``workers`` is honored by every inner per-size search (``None``, 0 or
+    1 = serial; N = process count, so a Fig. 7 sweep over thousands of
+    processors can use the whole machine).  ``bound_prune`` reaches every
+    inner search (see :func:`best_at_size`; the curve is identical either
+    way).
 
     With a ``tracer``, each per-size search is wrapped in a ``size=N`` span
     (chunk and stage spans of the inner searches nest beneath it);

@@ -3,12 +3,13 @@
 Enumerates :class:`~repro.serving.disagg.ServePlan` candidates (colocated
 parallelizations plus disaggregated prefill/decode splits of the same
 system), simulates each against a traffic mix, and returns the top-k by
-goodput among plans that meet the SLO.  Structure deliberately mirrors
-:mod:`repro.search.execution_search`: chunked dispatch through
-:func:`~repro.search.faults.run_supervised`, content-keyed checkpoint
-journal with bit-identical resume, obs spans/events/metrics, and a sound
-prune step — here the SLO lower-bound admission test of
-:mod:`repro.serving.bounds` instead of the roofline bound.
+goodput among plans that meet the SLO.  It runs its chunks through the same
+driver as :mod:`repro.search.execution_search`,
+:func:`~repro.search.faults.run_chunks` (layout, content-keyed checkpoint
+journal with bit-identical resume, dispatch, obs spans/events, top-k
+merge), and has a sound prune step of its own — the SLO lower-bound
+admission test of :mod:`repro.serving.bounds` instead of the roofline
+bound.
 
 The top-k guarantee: pruning only ever skips plans whose *lower bound*
 already violates the SLO; such plans could never rank (ranking admits
@@ -20,8 +21,6 @@ oracle (``tests/test_serve_search.py``).
 from __future__ import annotations
 
 import heapq
-import logging
-import math
 import os
 from dataclasses import dataclass
 from time import perf_counter
@@ -37,8 +36,8 @@ from ..obs import (
     Tracer,
 )
 from ..obs.stats import M_CHUNK_SECONDS
-from ..search.checkpoint import CheckpointJournal, run_key
-from ..search.faults import FaultInjector, RetryPolicy, run_supervised
+from ..search.checkpoint import run_key
+from ..search.faults import FaultInjector, RetryPolicy, run_chunks
 from .bounds import plan_bounds, slo_admits
 from .disagg import ServePlan, check_plan, simulate_plan
 from .simulator import ServeStats
@@ -51,8 +50,6 @@ from .stats import (
     ServeSearchStats,
 )
 from .workload import SLOSpec, ServeWorkload
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,9 @@ def _serve_chunk(
     Returns ``(n, simulated, pruned, infeasible, violated, top, snapshot,
     trace_events)`` with ``top`` the chunk's SLO-satisfying plans ranked by
     ``(-goodput, gidx)`` — an associative partial result safe to merge in
-    any order (the fabric's serve chunks reuse this exact contract).
+    any order (the fabric's serve chunks reuse this exact contract).  The
+    metrics snapshot and ``serve-chunk[i]`` span are ``None`` unless
+    ``instrument`` is set.
     """
     (llm, system, indexed, workload, slo, top_k, instrument, chunk_index,
      injector, prune, max_batch, trace_id) = args
@@ -316,12 +315,16 @@ def serve_search(
     (the default), 0 or 1 runs serially in-process.  The answer is the same
     either way.
 
-    The fault-tolerance surface (``events`` / ``checkpoint`` / ``resume`` /
-    ``deadline`` / ``retry_policy`` / ``fault_injector``) behaves exactly
-    like :func:`repro.search.execution_search.search`: supplying any of
-    them engages supervised chunked dispatch, checkpoints record completed
-    chunks under a :func:`~repro.cachekey.run_key` that includes the
-    workload and SLO (so serving journals never collide with training
+    The fault-tolerance surface (``checkpoint`` / ``resume`` /
+    ``deadline`` / ``retry_policy`` / ``fault_injector``) and the
+    instrumentation (``events`` / ``tracer`` / ``collect_stats`` /
+    ``progress``) behave exactly like
+    :func:`repro.search.execution_search.search`, through the same chunk
+    driver: only more than one worker or a fault-tolerance argument cuts
+    the plans into chunks, only a fault-tolerance argument makes a failing
+    chunk retried or skipped instead of re-raised, checkpoints record
+    completed chunks under a :func:`~repro.cachekey.run_key` that includes
+    the workload and SLO (so serving journals never collide with training
     ones), and a resumed run is bit-identical to an uninterrupted one.
     """
     if resume and checkpoint is None:
@@ -329,15 +332,6 @@ def serve_search(
     t_start = perf_counter()
     opts = options or ServeSearchOptions()
     instrument = collect_stats or tracer is not None
-    workers = max(workers or 1, 1)
-    fault_mode = (
-        events is not None
-        or checkpoint is not None
-        or deadline is not None
-        or retry_policy is not None
-        or fault_injector is not None
-    )
-    supervised = fault_mode or workers > 1
 
     t0 = perf_counter()
     plans = candidate_plans(llm, system, opts)
@@ -345,16 +339,7 @@ def serve_search(
     if tracer is not None:
         tracer.add_span("enumerate", "serve-search", t0, perf_counter() - t0,
                         plans=len(plans))
-    if progress is not None:
-        progress.set_total(len(plans))
-
-    chunked = workers > 1 or ((instrument or progress is not None or fault_mode)
-                              and len(plans) > 1)
-    step = max(len(plans), 1)
-    if chunked:
-        step = math.ceil(len(plans) / (workers * 4))
-
-    journal = None
+    key = None
     if checkpoint is not None:
         key = run_key(
             llm, system, 0, opts, kind="serve-search",
@@ -364,112 +349,39 @@ def serve_search(
                 "top_k": top_k,
             },
         )
-        journal = CheckpointJournal.open(
-            checkpoint, key, resume=resume, events=events,
-            meta={
-                "step": step,
-                "num_candidates": len(plans),
-                "trace_id": tracer.trace_id if tracer is not None else None,
-            },
-        )
-        step = int(journal.meta.get("step", step)) or step
-        if tracer is not None and journal.meta.get("trace_id"):
-            tracer.trace_id = str(journal.meta["trace_id"])
 
-    chunks: list[list[tuple[int, ServePlan]]] = [indexed]
-    if chunked:
-        chunks = [indexed[i : i + step] for i in range(0, len(indexed), step)]
-    logger.debug(
-        "serve-search: %d plans, %d workers, %d chunks (supervised=%s)",
-        len(plans), workers, len(chunks), supervised,
+    def task(n: int, lo: int, hi: int, trace_id: str | None) -> tuple:
+        return (llm, system, indexed[lo:hi], workload, slo, top_k, instrument,
+                n, fault_injector, prune, opts.max_batch, trace_id)
+
+    def decode(payload: dict) -> tuple:
+        return _chunk_from_payload(llm, system, workload, slo, opts.max_batch,
+                                   payload)
+
+    run = run_chunks(
+        _serve_chunk, task, len(plans), top_k=top_k, workers=workers,
+        name="serve", start_fields={"plans": len(plans)}, started=t_start,
+        tracer=tracer, events=events, progress=progress,
+        checkpoint=checkpoint, key=key, resume=resume,
+        encode=_chunk_payload, decode=decode,
+        deadline=deadline, retry_policy=retry_policy,
+        fault_injector=fault_injector,
     )
-
-    trace_id = tracer.trace_id if tracer is not None else None
-    args = [
-        (llm, system, c, workload, slo, top_k, instrument, n, fault_injector,
-         prune, opts.max_batch, trace_id)
-        for n, c in enumerate(chunks)
-    ]
-    truncated = False
-    retries = 0
-    resumed = 0
-    skipped_ranges: tuple[tuple[int, int], ...] = ()
-    if events is not None:
-        events.emit(
-            "serve.start", plans=len(plans), workers=workers,
-            chunks=len(chunks), trace_id=trace_id,
-        )
-    if supervised:
-        chunk_results: dict[int, tuple] = {}
-        tasks: dict[int, tuple] = {}
-        for n, a in enumerate(args):
-            if journal is not None and str(n) in journal:
-                chunk_results[n] = _chunk_from_payload(
-                    llm, system, workload, slo, opts.max_batch,
-                    journal.get(str(n)),
-                )
-                resumed += 1
-                if events is not None:
-                    events.emit("chunk.resumed", chunk=n)
-            else:
-                tasks[n] = a
-        if progress is not None:
-            for n in sorted(chunk_results):
-                progress.update(chunk_results[n][0], chunk_results[n][1])
-
-        def _on_chunk(n: int, r: tuple) -> None:
-            chunk_results[n] = r
-            if journal is not None:
-                journal.record(str(n), _chunk_payload(r))
-            if progress is not None:
-                progress.update(r[0], r[1])
-
-        report = run_supervised(
-            _serve_chunk,
-            tasks,
-            workers=workers,
-            policy=retry_policy,
-            deadline=t_start + deadline if deadline is not None else None,
-            on_result=_on_chunk,
-            events=events,
-            tracer=tracer,
-        )
-        truncated = report.truncated
-        retries = report.retries
-        skipped_ranges = tuple(
-            (n * step, min((n + 1) * step, len(plans)))
-            for n in report.skipped
-        )
-        results = [chunk_results[n] for n in sorted(chunk_results)]
-    else:
-        results = []
-        for a in args:
-            r = _serve_chunk(a)
-            results.append(r)
-            if progress is not None:
-                progress.update(r[0], r[1])
-    if progress is not None:
-        progress.finish()
-
+    results = run.results
     num_candidates = sum(r[0] for r in results)
     num_simulated = sum(r[1] for r in results)
     num_pruned = sum(r[2] for r in results)
     num_infeasible = sum(r[3] for r in results)
     num_violated = sum(r[4] for r in results)
-    merged = [entry for r in results for entry in r[5]]
-    merged.sort(key=lambda e: (-e[0], e[1]))
-    top = [(plan, stats) for _g, _gidx, plan, stats in merged[:top_k]]
+    top = [(plan, stats) for _g, _gidx, plan, stats in run.top]
 
-    if tracer is not None:
-        for r in results:
-            if r[7]:
-                tracer.add_events(r[7])
     stats = None
-    if collect_stats or fault_mode:
+    if collect_stats or run.tolerant:
         # The result-level totals are exact even when chunks ran without
-        # metric snapshots (fault mode without --stats), so build the typed
-        # summary from them directly; from_metrics() serves merged-registry
-        # consumers (the fabric coordinator, the service exposition).
+        # metric snapshots (a checkpointed run without --stats), so build
+        # the typed summary from them directly; from_metrics() serves
+        # merged-registry consumers (the fabric coordinator, the service
+        # exposition).
         stats = ServeSearchStats(
             candidates=num_candidates,
             simulated=num_simulated,
@@ -477,18 +389,18 @@ def serve_search(
             violated=num_violated,
             infeasible=num_infeasible,
             elapsed=perf_counter() - t_start,
-            workers=workers,
-            retries=retries,
-            skipped=skipped_ranges,
-            resumed_chunks=resumed,
-            truncated=truncated,
+            workers=run.workers,
+            retries=run.retries,
+            skipped=run.skipped,
+            resumed_chunks=run.resumed,
+            truncated=run.truncated,
         )
     if events is not None:
         events.emit(
             "serve.done", seconds=perf_counter() - t_start,
             plans=num_candidates, simulated=num_simulated,
             pruned=num_pruned, violated=num_violated,
-            retries=retries, resumed=resumed, truncated=truncated,
+            retries=run.retries, resumed=run.resumed, truncated=run.truncated,
         )
     return ServeSearchResult(
         top=top,
@@ -498,5 +410,5 @@ def serve_search(
         num_infeasible=num_infeasible,
         num_violated=num_violated,
         stats=stats,
-        truncated=truncated,
+        truncated=run.truncated,
     )

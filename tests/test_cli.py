@@ -105,6 +105,18 @@ def test_counts_below_one_are_usage_errors(argv, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--max-retries", "3"],
+                                  ["--chunk-timeout", "5"]])
+def test_sweep_rejects_retry_flags(flag, capsys):
+    # The per-size searches of a sweep are never retried, so the flags
+    # are usage errors instead of being silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "tiny-test", "a100:8", "--batch", "16",
+              "--max-size", "8", "--step", "8", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_presets_subcommand(capsys):
     rc = main(["presets"])
     out = capsys.readouterr().out
