@@ -20,14 +20,20 @@ the whole space, at least one tile, a bound per feasible bucket, and most
 feasible candidates pruned without reaching the comm stage.  Its
 ``evaluated_full`` and tile counts are deterministic, so CI gates them
 exactly (``.github/ci_bench_trend.py``).
+
+The columnar profile stage is gated on its own too: for every profile
+group of the space, each ``gprof`` column of ``batch_profile`` must equal
+the scalar ``profile_block`` field bit for bit.
 """
 
 import gc
 import time
 from pathlib import Path
 
-from repro.engine import clear_caches, evaluate
-from repro.search import candidate_strategies, search
+from repro.engine import batch as engine_batch
+from repro.engine import clear_caches, evaluate, profile_block, profile_key
+from repro.search import SearchOptions, candidate_strategies, search
+from repro.search.columns import candidate_columns
 
 from _helpers import banner, gpt3_sweep_problem, merge_bench
 
@@ -89,6 +95,26 @@ def _run():
     return t_oracle, oracle, t_col, col, untiled, counted
 
 
+def _profile_mismatches():
+    """(groups, mismatches): columnar profile columns vs ``profile_block``."""
+    llm, system, batch = gpt3_sweep_problem()
+    cols = candidate_columns(llm, system, batch, SearchOptions())
+    eb = engine_batch.EvalBatch.from_columns(llm, system, cols)
+    engine_batch.batch_validate(eb)
+    engine_batch.batch_profile(eb)
+    firsts = {}
+    for row, g in enumerate(eb.gid.tolist()):
+        firsts.setdefault(g, int(eb.vidx[row]))
+    bad = []
+    for g, i in firsts.items():
+        prof = profile_block(llm, system, *profile_key(eb.strategy_at(i)))
+        bad += [
+            (g, name) for name in engine_batch._PROF_FIELDS
+            if eb.gprof[name][g] != getattr(prof, name)
+        ]
+    return eb.n_groups, bad
+
+
 def _same_topk(a, b) -> bool:
     return len(a) == len(b) == TOP_K and all(
         s1 == s2 and r1 == r2 for (s1, r1), (s2, r2) in zip(a, b)
@@ -145,6 +171,12 @@ def test_columnar_search_speedup(benchmark):
 
     assert speedup >= 8.0
 
+    groups, mismatches = _profile_mismatches()
+    print(f"profile groups        {groups} (columnar == profile_block: "
+          f"{not mismatches})")
+    assert groups > 0
+    assert mismatches == []
+
     # Merge into the engine benchmark record; other benchmarks keep their
     # own key groups there.  The ratio is same-process, so it is meaningful
     # even on one core — merge_bench tags the core count so trend gates can
@@ -165,5 +197,7 @@ def test_columnar_search_speedup(benchmark):
             "adaptive_bound_evals": stats.bound_evals,
             "adaptive_bound_pruned": stats.bound_pruned,
             "adaptive_bucket_skip_rate": skip_rate,
+            "columnar_profile_groups": groups,
+            "columnar_identical_profiles": not mismatches,
         },
     )

@@ -38,12 +38,9 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import MeasuredRun, calibrate, plan_training_run, sensitivity
-from .core import hottest_layers, profile_layers
 from .engine import evaluate
 from .execution import ExecutionStrategy
 from .hardware import System
-from .inference import InferenceStrategy, calculate_inference
 from .io import llm_from_spec, load_strategy, system_from_spec
 from .llm import LLMConfig, iter_presets
 from .obs import EventJournal, MetricsRegistry, ProgressReporter, Tracer
@@ -412,6 +409,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     """
     import json as _json
 
+    from .analysis import MeasuredRun, calibrate
+
     manifest = _json.loads(Path(args.runs).read_text())
     runs = []
     for entry in manifest:
@@ -441,6 +440,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
+    from .analysis import sensitivity
+
     llm = _parse_llm(args.llm)
     system = _parse_system(args.system)
     strategy = ExecutionStrategy(
@@ -465,6 +466,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_inference(args: argparse.Namespace) -> int:
+    from .inference import InferenceStrategy, calculate_inference
+
     llm = _parse_llm(args.llm)
     system = _parse_system(args.system)
     strategy = InferenceStrategy(
@@ -482,6 +485,8 @@ def _cmd_inference(args: argparse.Namespace) -> int:
 
 
 def _cmd_layers(args: argparse.Namespace) -> int:
+    from .core.layers_report import hottest_layers, profile_layers
+
     llm = _parse_llm(args.llm)
     system = _parse_system(args.system)
     strategy = ExecutionStrategy(
@@ -552,6 +557,8 @@ def _cmd_deployments(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .analysis import plan_training_run
+
     llm = _parse_llm(args.llm)
     system = _parse_system(args.system)
     strategy = ExecutionStrategy(

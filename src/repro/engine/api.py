@@ -71,10 +71,13 @@ STAGE_SHORT_NAMES = {fn: fn.__name__.removeprefix("stage_") for fn in PIPELINE}
 # path never formats strings.
 _STAGE_METRICS = {fn: stage_metric(name) for fn, name in STAGE_SHORT_NAMES.items()}
 
-# Below this many candidates building a columnar batch costs more than
-# running the scalar oracle per candidate: on gpt3-175b/a100:512,
-# evaluate() takes 19 us warm per candidate against 0.8 ms for a one-row
-# columnar batch, and 0.26 ms against 1.6 ms at n=8.
+# Below this many candidates the scalar oracle runs per candidate instead
+# of a columnar batch.  Medians over random gpt3-175b/a100:512 candidates
+# (2-vCPU host): with warm caches evaluate() takes about 35 us per
+# candidate and the scalar path stays faster up to 512 candidates (0.8 ms
+# against 2.6 ms at n=32); after clear_caches() the columnar batch is
+# faster from about 8 candidates (8.2 ms against 3.2 ms at n=32).  32 sits
+# between the two regimes.
 _COLUMNAR_MIN_BATCH = 32
 
 

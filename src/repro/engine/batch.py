@@ -25,12 +25,15 @@ mapped over the list.  Three disciplines make that hold:
   value, so masked-out lanes keep the exact partial sums the scalar early
   returns would have produced;
 * the comm kernels (:func:`~repro.engine.stages.tp_exposure`,
-  :func:`~repro.engine.stages.pp_p2p_time`, ...) are *not* vectorized: they
-  are called once per distinct argument tuple with Python scalar keys, so
-  they return exactly the floats the scalar pipeline computes.
+  :func:`~repro.engine.stages.pp_p2p_time`, ...) and the profile's
+  non-basic-IEEE pieces (efficiency-curve ``log10``, memory small-access
+  ``log2`` ramp, collective times) are *not* vectorized: they are called
+  once per distinct argument with Python scalars, so they return exactly
+  the floats the scalar pipeline computes.
 
 Candidates are factorized into profile groups and memory buckets (numbered
-in first-seen order), the memory plan and roofline bound are computed once
+in first-seen order), every group's block profile is computed in one
+vectorized pass, the memory plan and roofline bound are computed once
 per bucket, and result objects are materialized only for survivors —
 every candidate of a capacity-rejected bucket shares one frozen result.
 """
@@ -38,9 +41,11 @@ every candidate of a capacity-rejected bucket shares one frozen result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import partial, reduce
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,6 +90,7 @@ from ..core.results import (  # noqa: E402
 from ..execution.strategy import ExecutionStrategy, StrategyError  # noqa: E402
 from ..hardware.system import System  # noqa: E402
 from ..llm.config import LLMConfig  # noqa: E402
+from ..llm.layers import _VECTOR_FLOPS_PER_ELEMENT, Role  # noqa: E402
 from ..obs import MetricsRegistry  # noqa: E402
 from ..obs.stats import (  # noqa: E402
     M_BOUND_EVALS,
@@ -108,18 +114,15 @@ from .bounds import (  # noqa: E402
     strict_prune_threshold_for_rate,
 )
 from .context import EvalContext  # noqa: E402
-from .profile import profile_block  # noqa: E402
 from .stages import (  # noqa: E402
     OFFLOAD_WORKING_BLOCKS,
+    TPTimes,
     dp_collectives,
     infeasible_result,
     optim_step_time,
     pp_p2p_time,
     tp_exposure,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .profile import BlockProfile
 
 _M_VALIDATE = stage_metric("validate")
 _M_PROFILE = stage_metric("profile")
@@ -162,7 +165,10 @@ COLUMN_FIELDS = (
 COLUMN_NAMES = tuple(name for name, _field in COLUMN_FIELDS)
 _CODE_MAPS = {"tpm": _TP_MODE_CODES, "tpo": _TP_OVERLAP_CODES, "rc": _RECOMPUTE_CODES}
 
-# BlockProfile fields lifted into per-group float columns.
+# Candidate columns that key a profile group, in profile_key order.
+_GROUP_KEYS = ("m", "t", "sp", "fus", "redo", "rc", "tpm")
+
+# BlockProfile fields held as per-group float columns.
 _PROF_FIELDS = (
     "fw_time", "bw_time", "recompute_time", "fw_hbm_idle", "bw_hbm_idle",
     "flops_fw", "flops_bw", "weight_bytes", "weight_grad_bytes",
@@ -371,46 +377,347 @@ def batch_validate(eb: EvalBatch) -> EvalBatch:
 # ---------------------------------------------------------------------------
 
 
+# Recompute-mode codes the profile columns branch on.
+_RC_ATTN = _RECOMPUTE_CODES["attn_only"]
+_RC_FULL = _RECOMPUTE_CODES["full"]
+
+# CPython 3.12 made the builtin ``sum`` of floats compensated (Neumaier);
+# the scalar profile aggregates with ``sum()``, so the columns follow suit.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+def _builtin_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Lane-wise ``sum(terms)`` with the builtin's rounding on this Python.
+
+    Plain left-to-right float addition before 3.12; from 3.12 on the
+    Neumaier running compensation CPython uses, added back at the end when
+    non-zero and finite.  Zero terms are exact identities in both forms,
+    so callers pad lanes with fewer terms with ``0.0``.
+    """
+    total = np.zeros(np.shape(terms[0]), dtype=np.float64)
+    if not _COMPENSATED_SUM:
+        for x in terms:
+            total = total + x
+        return total
+    comp = np.zeros_like(total)
+    for x in terms:
+        s = total + x
+        comp = comp + np.where(
+            np.abs(total) >= np.abs(x), (total - s) + x, (x - s) + total
+        )
+        total = s
+    return np.where((comp != 0.0) & np.isfinite(comp), total + comp, total)
+
+
+def _per_value(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` over every element of ``x``, called once per distinct value.
+
+    Values reach ``fn`` as the Python ints or floats ``x.tolist()`` yields,
+    so a scalar kernel sees the very arguments the scalar pipeline passes.
+    """
+    flat = np.asarray(x).ravel()
+    uniq, inv = np.unique(flat, return_inverse=True)
+    vals = np.array([fn(v) for v in uniq.tolist()], dtype=np.float64)
+    return vals[inv.ravel()].reshape(np.shape(x))
+
+
+@dataclass
+class _LayerCols:
+    """One block layer as per-group columns (a :class:`Layer` per lane)."""
+
+    engine: str
+    role: Role
+    attn_only: bool
+    fusible: bool
+    flops_fw: np.ndarray
+    flops_bw: np.ndarray
+    traffic_fw: np.ndarray
+    traffic_bw: np.ndarray
+    weight_bytes: np.ndarray
+    optimizer_bytes: np.ndarray
+    stash_bytes: np.ndarray
+    output_bytes: np.ndarray
+
+
+def _gemm_cols(m, n, k, *, e, stash, batch=1, weights=True, attn_only=False):
+    """Columnar :func:`~repro.llm.layers.gemm_layer`, term for term.
+
+    Every weighted GEMM of a block carries a bias and no batched one does,
+    so ``weights`` stands for both flags.
+    """
+    flops = 2.0 * batch * m * n * k
+    in_bytes = batch * (m * k + k * n) * e
+    out_bytes = batch * m * n * e
+    w_elems = (k * n + n) if weights else 0
+    w_bytes = w_elems * e
+    return _LayerCols(
+        engine="matrix", role=Role.GEMM, attn_only=attn_only, fusible=False,
+        flops_fw=flops,
+        flops_bw=flops * 2.0,
+        traffic_fw=in_bytes + out_bytes + (w_bytes if weights else 0.0),
+        traffic_bw=2 * out_bytes + in_bytes + 2.0 * w_bytes,
+        weight_bytes=w_bytes,
+        optimizer_bytes=w_elems * 12.0,
+        stash_bytes=stash,
+        output_bytes=out_bytes,
+    )
+
+
+def _ew_cols(role, elements, *, e, inputs=1, weight_elements=0.0,
+             stash=0.0, attn_only=False, fusible=False):
+    """Columnar :func:`~repro.llm.layers.elementwise_layer`, term for term."""
+    flops = _VECTOR_FLOPS_PER_ELEMENT[role] * elements
+    return _LayerCols(
+        engine="vector", role=role, attn_only=attn_only, fusible=fusible,
+        flops_fw=flops,
+        flops_bw=flops,
+        traffic_fw=(inputs + 1) * elements * e + weight_elements * e,
+        traffic_bw=(inputs + 1) * elements * e + 2.0 * weight_elements * e,
+        weight_bytes=weight_elements * e,
+        optimizer_bytes=weight_elements * 12.0,
+        stash_bytes=stash,
+        output_bytes=elements * e,
+    )
+
+
+def _fuse_cols(layer: _LayerCols, fus: np.ndarray) -> _LayerCols:
+    """Columnar :func:`~repro.llm.blocks._fuse`, applied on ``fus`` lanes."""
+    if not layer.fusible:
+        return layer
+    if layer.role is Role.DROPOUT:
+        fused_stash = np.minimum(layer.stash_bytes, layer.output_bytes / 2)
+    else:
+        fused_stash = 0.0
+    out = layer.output_bytes
+    layer.traffic_fw = np.where(fus, out, layer.traffic_fw)
+    layer.traffic_bw = np.where(fus, out, layer.traffic_bw)
+    layer.stash_bytes = np.where(fus, fused_stash, layer.stash_bytes)
+    return layer
+
+
+def _block_layer_cols(
+    llm: LLMConfig, m, t, sp, fus, tpm
+) -> tuple[list[_LayerCols], np.ndarray]:
+    """The 15 layers of :func:`~repro.llm.blocks.build_block`, per lane.
+
+    Returns the layers and the block's ``input_bytes`` column.
+    """
+    h, f, a, s = llm.hidden, llm.feedforward, llm.attn_heads, llm.seq_size
+    b, e = m, llm.bytes_per_element
+    shard = sp | (tpm == _TP_MODE_CODES["2d"])
+    div = np.where(shard, t, 1)
+    resid_elems = b * s * h / div
+    bsh = b * s * h
+    heads_local = a // t
+    attn_score_elems = b * heads_local * s * s
+    mlp_inner_elems = b * s * f / t
+    layers = [
+        _ew_cols(Role.NORM, resid_elems, e=e, weight_elements=2 * h,
+                 stash=bsh * e / div),
+        _gemm_cols(b * s, 3 * h // t, h, e=e, stash=bsh * e / div),
+        _gemm_cols(s, s, h // a, e=e, batch=b * heads_local, weights=False,
+                   stash=2 * bsh * e / t, attn_only=True),
+        _ew_cols(Role.SOFTMAX, attn_score_elems, e=e,
+                 stash=attn_score_elems * e, attn_only=True),
+        _ew_cols(Role.DROPOUT, attn_score_elems, e=e,
+                 stash=attn_score_elems * (1 + e), attn_only=True,
+                 fusible=True),
+        _gemm_cols(s, h // a, s, e=e, batch=b * heads_local, weights=False,
+                   stash=bsh * e / t, attn_only=True),
+        _gemm_cols(b * s, h, h // t, e=e, stash=bsh * e / t),
+        _ew_cols(Role.DROPOUT, resid_elems, e=e, stash=bsh / div,
+                 fusible=True),
+        _ew_cols(Role.ADD, resid_elems, e=e, inputs=2),
+        _ew_cols(Role.NORM, resid_elems, e=e, weight_elements=2 * h,
+                 stash=bsh * e / div),
+        _gemm_cols(b * s, f // t, h, e=e, stash=bsh * e / div),
+        _ew_cols(Role.ACTIVATION, mlp_inner_elems, e=e,
+                 stash=mlp_inner_elems * e, fusible=True),
+        _gemm_cols(b * s, h, f // t, e=e, stash=mlp_inner_elems * e),
+        _ew_cols(Role.DROPOUT, resid_elems, e=e, stash=bsh / div,
+                 fusible=True),
+        _ew_cols(Role.ADD, resid_elems, e=e, inputs=2),
+    ]
+    return [_fuse_cols(layer, fus) for layer in layers], bsh * e / div
+
+
+def _tp_comm_cols(llm: LLMConfig, system: System, m, t, sp, redo, tpm):
+    """Per-lane ``(fw, bw)`` TP collective time sums of one block.
+
+    The events of :func:`~repro.llm.blocks.build_block`'s schedule are
+    priced by :meth:`Network.collective_time` once per distinct
+    ``(t, op, nbytes)`` and summed in schedule order like ``sum()`` does.
+    """
+    h, f, s, e = llm.hidden, llm.feedforward, llm.seq_size, llm.bytes_per_element
+    n = t.shape[0]
+    zero = np.zeros(n, dtype=np.float64)
+    fw: list[np.ndarray] = [zero] * 8
+    bw: list[np.ndarray] = [zero] * 8
+    is2d = tpm == _TP_MODE_CODES["2d"]
+    multi = t > 1
+    ar_bytes = m * s * h * e
+
+    def priced(lanes, op, nbytes, grid=False):
+        idx = np.flatnonzero(lanes)
+        keys = list(zip(t[idx].tolist(), nbytes[idx].tolist()))
+        times = {}
+        for tv, nb in set(keys):
+            group = math.isqrt(tv) if grid else tv
+            net = system.network_for_span(tv)
+            times[tv, nb] = net.collective_time(op, nb, group)
+        out = np.zeros(n, dtype=np.float64)
+        out[idx] = [times[key] for key in keys]
+        return out
+
+    # Each lane takes the schedule of its own mode; the other modes' event
+    # columns are 0.0 on it, so adding them slot by slot changes nothing.
+    def schedule(slots, events):
+        for j, ev in enumerate(events):
+            slots[j] = slots[j] + ev
+
+    one_d = multi & ~is2d & ~sp
+    if np.any(one_d):
+        ar = priced(one_d, "all_reduce", ar_bytes)
+        schedule(fw, (ar, ar))
+        schedule(bw, (ar, ar))
+    seq = multi & ~is2d & sp
+    if np.any(seq):
+        ag = priced(seq, "all_gather", ar_bytes)
+        rs = priced(seq, "reduce_scatter", ar_bytes)
+        schedule(fw, (ag, rs, ag, rs))
+        schedule(bw, (rs, ag, rs, ag, np.where(redo, ag, 0.0)))
+    two_d = multi & is2d
+    if np.any(two_d):
+        grid = np.array(
+            [math.isqrt(v) for v in np.where(two_d, t, 1).tolist()],
+            dtype=np.int64,
+        )
+        gemm_inputs = (ar_bytes,) * 3 + (m * s * f * e,)  # qkv/out/fc1/fc2
+        gemm_weights = (3 * h * h * e, h * h * e, h * f * e, f * h * e)
+        events = []
+        for act, w in zip(gemm_inputs, gemm_weights):
+            events.append(priced(two_d, "all_gather", act / grid, grid=True))
+            events.append(priced(two_d, "all_gather", w / grid, grid=True))
+        schedule(fw, events)
+        schedule(bw, events)
+    return _builtin_sum(fw), _builtin_sum(bw)
+
+
+def profile_columns(
+    llm: LLMConfig,
+    system: System,
+    m: np.ndarray,
+    t: np.ndarray,
+    sp: np.ndarray,
+    fus: np.ndarray,
+    redo: np.ndarray,
+    rc: np.ndarray,
+    tpm: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """:func:`~repro.engine.profile.profile_block` over columns of keys.
+
+    One lane per ``(m, t, sp, fus, redo, rc, tpm)`` key (``rc``/``tpm`` as
+    :data:`RECOMPUTE_NAMES`/:data:`TP_MODE_NAMES` codes); returns one
+    float64 column per :data:`_PROF_FIELDS` entry, each lane bit-identical
+    to the scalar profile's field.  The block's 15 layers are built as
+    columns with the expressions of :mod:`repro.llm.layers` and
+    :mod:`repro.llm.blocks`, and every aggregate replays the scalar
+    accumulation order.  Only the roofline kernels (efficiency-curve
+    ``log10``, memory small-access ``log2`` ramp) and collective times stay
+    scalar, called once per distinct argument.  The integer quantities the
+    scalar code keeps as Python ints are int64 columns here: exact, and
+    converted to float at the same points, while every byte and element
+    count stays below 2**53.
+    """
+    n = int(m.shape[0])
+    layers, input_bytes = _block_layer_cols(llm, m, t, sp, fus, tpm)
+    proc, hbm = system.processor, system.mem1
+
+    # Roofline time of every (pass, layer, lane): rows 0/1 are fw/bw.
+    flops = np.empty((2, len(layers), n), dtype=np.float64)
+    traffic = np.empty_like(flops)
+    for j, layer in enumerate(layers):
+        flops[0, j], flops[1, j] = layer.flops_fw, layer.flops_bw
+        traffic[0, j], traffic[1, j] = layer.traffic_fw, layer.traffic_bw
+    compute = np.empty_like(flops)
+    for engine in ("matrix", "vector"):
+        rows = [j for j, layer in enumerate(layers) if layer.engine == engine]
+        compute[:, rows] = _per_value(
+            partial(proc.compute_time, engine), flops[:, rows]
+        )
+    memory = _per_value(hbm.access_time, traffic)
+    total = np.maximum(compute, memory)
+
+    fw_time = bw_time = fw_idle = bw_idle = attn_time = np.zeros(n)
+    stash_all = stash_attn = np.zeros(n)
+    for j, layer in enumerate(layers):
+        fw_time = fw_time + total[0, j]
+        bw_time = bw_time + total[1, j]
+        fw_idle = fw_idle + (total[0, j] - memory[0, j])
+        bw_idle = bw_idle + (total[1, j] - memory[1, j])
+        if layer.attn_only:
+            attn_time = attn_time + total[0, j]
+        stash_all = stash_all + layer.stash_bytes
+        if not (layer.attn_only and layer.role in (Role.SOFTMAX, Role.DROPOUT)):
+            stash_attn = stash_attn + layer.stash_bytes
+
+    full, attn = rc == _RC_FULL, rc == _RC_ATTN
+    # Every layer's weight gradient is its weight's size, so one sum serves
+    # both block totals.
+    weight_bytes = _builtin_sum([layer.weight_bytes for layer in layers])
+    tp_fw, tp_bw = _tp_comm_cols(llm, system, m, t, sp, redo, tpm)
+    cols = {
+        "fw_time": fw_time,
+        "bw_time": bw_time,
+        "recompute_time": np.where(
+            full, fw_time, np.where(attn, attn_time, 0.0)
+        ),
+        "fw_hbm_idle": fw_idle,
+        "bw_hbm_idle": bw_idle,
+        "flops_fw": _builtin_sum([layer.flops_fw for layer in layers]),
+        "flops_bw": _builtin_sum([layer.flops_bw for layer in layers]),
+        "weight_bytes": weight_bytes,
+        "weight_grad_bytes": weight_bytes,
+        "optimizer_bytes": _builtin_sum(
+            [layer.optimizer_bytes for layer in layers]
+        ),
+        "stash_bytes": np.where(
+            full, input_bytes, np.where(attn, stash_attn, stash_all)
+        ),
+        "act_grad_bytes": 2.0 * reduce(
+            np.maximum, [layer.output_bytes for layer in layers]
+        ),
+        "tp_fw_comm": tp_fw,
+        "tp_bw_comm": tp_bw,
+        "tp_recompute_comm": np.where(full, tp_fw, 0.0),
+    }
+    return {name: np.asarray(cols[name], dtype=np.float64) for name in _PROF_FIELDS}
+
+
 def batch_profile(eb: EvalBatch) -> EvalBatch:
-    """Factorize valid candidates into profile groups; profile each once.
+    """Factorize valid candidates into profile groups; profile them columnar.
 
     Groups are keyed by the :func:`~repro.engine.profile.profile_key`
     fields and numbered in first-seen order, which fixes the stream order
-    results come out in.  The profile computation
-    itself stays scalar — one (cached) :func:`profile_block` call per group
-    — and its float fields are lifted into per-group columns.
+    results come out in.  :func:`profile_columns` then prices every group's
+    block in one vectorized pass, filling the per-group ``eb.gprof``
+    columns bit-identically to :func:`~repro.engine.profile.profile_block`
+    without building a block or profile object per group.
     """
     c = eb.cols
     vidx = np.flatnonzero(eb.valid)
     eb.vidx = vidx
     nv = int(vidx.shape[0])
     eb.n_valid = nv
-    gcols = [c[name][vidx] for name in ("m", "t", "sp", "fus", "redo", "rc", "tpm")]
+    gcols = [c[name][vidx] for name in _GROUP_KEYS]
     gid, gfirst = _factorize(gcols)
     eb.gid = gid
     eb.n_groups = int(gfirst.shape[0])
-
-    profiles: list[BlockProfile] = []
-    for rep in gfirst:
-        i = int(vidx[rep])
-        profiles.append(
-            profile_block(
-                eb.llm,
-                eb.system,
-                int(c["m"][i]),
-                int(c["t"][i]),
-                bool(c["sp"][i]),
-                bool(c["fus"][i]),
-                bool(c["redo"][i]),
-                RECOMPUTE_NAMES[int(c["rc"][i])],
-                TP_MODE_NAMES[int(c["tpm"][i])],
-            )
-        )
-    eb.profiles = profiles
-    eb.gprof = {
-        name: np.array([getattr(prof, name) for prof in profiles], dtype=np.float64)
-        for name in _PROF_FIELDS
-    }
+    key = {name: col[gfirst] for name, col in zip(_GROUP_KEYS, gcols)}
+    eb.gprof = profile_columns(
+        eb.llm, eb.system, key["m"], key["t"], key["sp"] != 0,
+        key["fus"] != 0, key["redo"] != 0, key["rc"], key["tpm"],
+    )
 
     # Scalar stream order: validate-rejects first (input order), then groups
     # in first-seen order with members in input order within each group.
@@ -623,11 +930,12 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
     # ---- per-block TP communication exposure (per group x overlap cell) -----
     cell_ids, cell_first = _factorize([gid_s, tpo_s])
     tp_cells = np.empty((int(cell_first.shape[0]), 6), dtype=np.float64)
+    tp_prof = np.stack([eb.gprof[name] for name in TPTimes._fields], axis=1)
     for ci, pos in enumerate(cell_first):
         g = int(gid_s[pos])
         tp_cells[ci] = tp_exposure(
             system, int(b["t"][bid_s[pos]]), TP_OVERLAP_NAMES[int(tpo_s[pos])],
-            eb.profiles[g],
+            TPTimes(*tp_prof[g].tolist()),
         )
     tp6 = tp_cells[cell_ids]
     tp_fw_exp, tp_fw_tax = tp6[:, 0], tp6[:, 1]

@@ -150,16 +150,21 @@ def batch_lower_bounds(eb: "EvalBatch") -> np.ndarray:
     return lb
 
 
-def prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
-    """The smallest batch time whose sample rate cannot beat ``rate_floor``.
+def strict_prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
+    """The smallest batch time whose sample rate is *strictly* below the floor.
 
     Because float division is inexact, pruning directly on
     ``batch_time >= batch / rate_floor`` could discard a candidate whose
-    *rounded* rate still exceeds the floor by an ulp.  This returns a
-    threshold ``T`` with ``fl(batch / T) <= rate_floor``; division is
+    *rounded* rate still reaches the floor.  This returns the smallest
+    threshold ``T`` with ``fl(batch / T) < rate_floor``; division is
     antitone in the denominator, so every ``batch_time >= T`` (and hence
-    every lower bound ``>= T``) yields a rate ``<= rate_floor``.
-    :func:`strict_prune_threshold_for_rate` starts from this ``T``.
+    every lower bound ``>= T``) yields a rate strictly below the floor.
+    Strictness matters: tiled best-bound-first evaluation processes
+    candidates *out* of stream order, so a rate tying the floor must never
+    be pruned — the final ``lexsort`` tie break might still retain it.
+    Every pruned candidate's rate is provably below the current k-th best
+    and can never enter the top-k under any tile order; candidates tying
+    the floor exactly are evaluated in full, a negligible population.
 
     ``rate_floor <= 0`` disables pruning (returns ``inf``), and so does any
     non-finite floor: an empty or all-infeasible top-k reports its k-th-best
@@ -171,27 +176,6 @@ def prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
     t = batch / rate_floor
     if t <= 0.0 or math.isnan(t):
         return math.inf
-    while not math.isinf(t) and batch / t > rate_floor:
-        t = math.nextafter(t, math.inf)
-    return t
-
-
-def strict_prune_threshold_for_rate(batch: float, rate_floor: float) -> float:
-    """The smallest batch time whose sample rate is *strictly* below the floor.
-
-    A rate tying the floor exactly still passes
-    :func:`prune_threshold_for_rate`'s ``fl(batch / T) <= rate_floor``
-    test.  Tiled best-bound-first evaluation processes candidates *out* of
-    stream order, so a tie at the floor must never be pruned — the final
-    ``lexsort`` tie break might still retain it.  This variant keeps bumping until
-    ``fl(batch / T) < rate_floor`` strictly, so every pruned candidate's
-    rate is provably below the current k-th best and can never enter the
-    top-k under any tile order.  The cost is that candidates tying the
-    floor exactly are evaluated in full — a negligible population.
-
-    Inherits the non-finite-floor guard (returns ``inf``).
-    """
-    t = prune_threshold_for_rate(batch, rate_floor)
     while not math.isinf(t) and batch / t >= rate_floor:
         t = math.nextafter(t, math.inf)
     return t

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from typing import NamedTuple
 
 from ..core.results import (
     MemoryBreakdown,
@@ -254,8 +255,32 @@ def exposed_and_tax(
 _COMM_CACHE_SIZE = 65536
 
 
+class TPTimes(NamedTuple):
+    """The block-profile figures :func:`tp_exposure` reads, as its cache key.
+
+    Both pipelines key the kernel on this tuple: the scalar one builds it
+    from a :class:`~repro.engine.profile.BlockProfile`, the columnar one
+    from its per-group profile columns, so either path hits the other's
+    cache entries.
+    """
+
+    fw_time: float
+    bw_time: float
+    recompute_time: float
+    tp_fw_comm: float
+    tp_bw_comm: float
+    tp_recompute_comm: float
+
+    @classmethod
+    def of(cls, prof) -> "TPTimes":
+        return cls(
+            prof.fw_time, prof.bw_time, prof.recompute_time,
+            prof.tp_fw_comm, prof.tp_bw_comm, prof.tp_recompute_comm,
+        )
+
+
 @lru_cache(maxsize=_COMM_CACHE_SIZE)
-def tp_exposure(system, t: int, tp_overlap: str, prof):
+def tp_exposure(system, t: int, tp_overlap: str, prof: TPTimes):
     """Exposed time + overlap tax of the fw/bw/recompute TP collectives."""
     tp_net = system.network_for_span(t) if t > 1 else None
     win_frac = TP_OVERLAP_WINDOW[tp_overlap]
@@ -360,7 +385,7 @@ def stage_comm(
     # ---- per-block TP communication exposure --------------------------------
     tp_hit = group_memo.get(strategy.tp_overlap) if group_memo is not None else None
     if tp_hit is None:
-        tp_hit = tp_exposure(system, t, strategy.tp_overlap, prof)
+        tp_hit = tp_exposure(system, t, strategy.tp_overlap, TPTimes.of(prof))
         if group_memo is not None:
             group_memo[strategy.tp_overlap] = tp_hit
     tp_fw_exp, tp_fw_tax, tp_bw_exp, tp_bw_tax, tp_rc_exp, tp_rc_tax = tp_hit

@@ -25,6 +25,7 @@ import logging
 
 from ..obs import EventJournal, MetricsRegistry, Tracer
 from ..service.server import (
+    METRICS_CONTENT_TYPE,
     BadRequest,
     EvaluationService,
     ServiceHTTPServer,
@@ -51,12 +52,7 @@ class _FabricHandler(_Handler):
             extra = self.coordinator.worker_metric_lines()
             if extra:
                 body = body.rstrip("\n") + "\n" + "\n".join(extra) + "\n"
-            raw = body.encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
+            self._respond(200, METRICS_CONTENT_TYPE, body.encode("utf-8"))
         else:
             super().do_GET()
 

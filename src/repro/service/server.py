@@ -536,6 +536,10 @@ def _engine_version() -> int:
 # HTTP layer
 # ---------------------------------------------------------------------------
 
+# Prometheus text exposition format.
+METRICS_CONTENT_TYPE = "text/plain; version=0.0.4"
+
+
 class _Handler(BaseHTTPRequestHandler):
     # Holding the whole request in memory is fine: strategy dicts are tiny.
     max_body = 8 * 2**20
@@ -550,11 +554,22 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         logger.debug("%s %s", self.address_string(), format % args)
 
-    def _send_json(self, status: int, payload: dict, headers: dict | None = None) -> None:
-        body = (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+    def _respond(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        headers: dict | None = None,
+    ) -> None:
+        """Send status line, headers and body in one socket write.
+
+        ``end_headers()`` followed by a body write is two small writes; on
+        a keep-alive connection Nagle's algorithm then holds the body until
+        the client's delayed ACK of the headers, about 40 ms per request.
+        """
         close = self.close_connection
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if close:
             # A route set close_connection (e.g. it refused to read an
@@ -562,8 +577,18 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() without its flush: the buffered header block goes
+        # out together with the body.  An HTTP/0.9 request (a request line
+        # with no version) gets no status line or headers, so no buffer.
+        head = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":
+            head.append(b"\r\n")
+        self.wfile.write(b"".join(head) + body)
+        self._headers_buffer = []
+
+    def _send_json(self, status: int, payload: dict, headers: dict | None = None) -> None:
+        body = (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+        self._respond(status, "application/json", body, headers)
 
     def _send_error_json(self, err: ServiceError) -> None:
         headers = {}
@@ -603,11 +628,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, self.service.presets_payload())
         elif path == "/metrics":
             body = self.service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._respond(200, METRICS_CONTENT_TYPE, body)
         else:
             self._send_json(404, {"error": f"no such endpoint {path!r}"})
 

@@ -279,3 +279,28 @@ def test_calibrate_subcommand(tmp_path, capsys):
     assert rc == 0
     assert "fitted matrix plateau" in out
     assert "mean abs error" in out
+
+
+def test_cli_import_leaves_analysis_and_inference_unloaded():
+    # Verbs import what only they need, so a cold `repro search` does not
+    # pay for the analysis and inference packages.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['repro', 'analysis'], ['repro', 'inference'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -26,7 +26,6 @@ from repro.engine import batch as engine_batch
 from repro.engine.batch import AdaptivePlan, EvalBatch, run_batch
 from repro.engine.bounds import (
     batch_lower_bounds,
-    prune_threshold_for_rate,
     strict_prune_threshold_for_rate,
 )
 from repro.engine.context import EvalContext
@@ -92,9 +91,7 @@ def _top_retention(eb: EvalBatch, k: int) -> list[tuple[int, float]]:
 
 
 @pytest.mark.parametrize("floor", [math.nan, -math.inf, -1.0, 0.0])
-@pytest.mark.parametrize(
-    "fn", [prune_threshold_for_rate, strict_prune_threshold_for_rate]
-)
+@pytest.mark.parametrize("fn", [strict_prune_threshold_for_rate])
 def test_threshold_nonfinite_floor_never_prunes(fn, floor):
     """nan/-inf/non-positive floors must disable pruning, not prune it all.
 
@@ -116,7 +113,6 @@ def test_strict_threshold_excludes_floor_ties():
 def test_threshold_positive_infinite_floor():
     # rate floor +inf: nothing can beat it, threshold collapses to inf
     # via the t <= 0 branch (batch / inf == 0).
-    assert prune_threshold_for_rate(64.0, math.inf) == math.inf
     assert strict_prune_threshold_for_rate(64.0, math.inf) == math.inf
 
 

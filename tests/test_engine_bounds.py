@@ -5,8 +5,9 @@ The load-bearing invariants of ``repro.engine.bounds``:
 * the roofline lower bound never exceeds the fully-assembled batch time
   (checked property-based over randomized valid triples — this is what
   makes pruning lossless);
-* ``prune_threshold_for_rate`` round-trips soundly through float division
-  (a candidate at the returned threshold can never beat the rate floor);
+* ``strict_prune_threshold_for_rate`` round-trips soundly through float
+  division (a candidate at the returned threshold can never reach the rate
+  floor);
 * a pruned top-k search is bit-identical to an unpruned one over an
   exhaustive space;
 * the engine's policy gates (constraint / keep_rates / top_k) keep pruning
@@ -26,7 +27,7 @@ from repro.engine import (
     evaluate_many,
     roofline_lower_bound,
 )
-from repro.engine.bounds import prune_threshold_for_rate
+from repro.engine.bounds import strict_prune_threshold_for_rate
 from repro.engine.context import EvalContext
 from repro.engine.profile import profile_block, profile_key
 from repro.engine.stages import fill_scalars, stage_memory
@@ -151,10 +152,10 @@ def candidate_list(llm, system, batch):
 
 
 def test_threshold_edge_cases():
-    assert prune_threshold_for_rate(64.0, 0.0) == math.inf
-    assert prune_threshold_for_rate(64.0, -1.0) == math.inf
-    assert prune_threshold_for_rate(64.0, math.inf) == math.inf  # 64/inf == 0
-    t = prune_threshold_for_rate(64.0, 8.0)
+    assert strict_prune_threshold_for_rate(64.0, 0.0) == math.inf
+    assert strict_prune_threshold_for_rate(64.0, -1.0) == math.inf
+    assert strict_prune_threshold_for_rate(64.0, math.inf) == math.inf  # 64/inf == 0
+    t = strict_prune_threshold_for_rate(64.0, 8.0)
     assert t == pytest.approx(8.0)
 
 
@@ -164,13 +165,13 @@ def test_threshold_edge_cases():
 )
 @settings(max_examples=200, deadline=None)
 def test_threshold_round_trip_sound(batch, rate):
-    """Anything at or above the threshold can never beat the rate floor.
+    """Anything at or above the threshold can never reach the rate floor.
 
-    This is what makes the heap's strict `rate > floor` admission and the
-    engine's `bound >= threshold` prune test exact mirror images.
+    This is what makes the heap's `rate > floor` admission and the
+    engine's `bound >= threshold` prune test safe under any tile order.
     """
-    t = prune_threshold_for_rate(batch, rate)
-    assert batch / t <= rate
+    t = strict_prune_threshold_for_rate(batch, rate)
+    assert batch / t < rate
     # ...and it is tight: the nextafter bump loop never wanders more than a
     # few ulps above the naive quotient, so pruning is not conservative.
     assert t == pytest.approx(batch / rate, rel=1e-12)

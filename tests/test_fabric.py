@@ -421,6 +421,32 @@ def test_http_worker_loop_and_inherited_service_routes(tmp_path):
         server.service.stop(drain=False)
 
 
+def test_http_fabric_routes_respond_in_one_write(monkeypatch):
+    import http.client
+
+    from repro.fabric.server import _FabricHandler
+    from tests.test_service import count_writes
+
+    writes, connections = count_writes(_FabricHandler, monkeypatch)
+    server = make_fabric_server(LLM, SYS, BATCH, small_options(), top_k=5)
+    _serve(server)
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+    try:
+        for path in ("/metrics", "/fabric/status", "/metrics", "/healthz"):
+            before = len(writes)
+            conn.request("GET", path)
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
+            assert len(writes) - before == 1
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        server.service.stop(drain=False)
+    assert len(connections) == 1
+
+
 def test_http_worker_refuses_wrong_problem_total(monkeypatch):
     """A worker whose local enumeration disagrees must refuse to join."""
     server = make_fabric_server(LLM, SYS, BATCH, small_options(), top_k=5)

@@ -501,6 +501,90 @@ def test_http_oversized_body_closes_keepalive_connection(http_server):
         conn.close()
 
 
+class WriteLog:
+    """A handler ``wfile`` proxy that logs the size of every write."""
+
+    def __init__(self, raw, log):
+        self._raw, self._log = raw, log
+
+    def write(self, data):
+        self._log.append(len(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+def count_writes(handler_cls, monkeypatch):
+    """Patch ``handler_cls`` to log writes; returns (writes, connections)."""
+    writes, connections = [], []
+    setup = handler_cls.setup
+
+    def logged_setup(self):
+        setup(self)
+        connections.append(self.client_address)
+        self.wfile = WriteLog(self.wfile, writes)
+
+    monkeypatch.setattr(handler_cls, "setup", logged_setup)
+    return writes, connections
+
+
+def test_http_keepalive_responses_go_out_in_one_write(monkeypatch, tmp_path):
+    # Headers and body written separately stall every keep-alive response
+    # on Nagle + delayed ACK; one write per response cannot.
+    import http.client
+
+    from repro.service.server import _Handler
+
+    writes, connections = count_writes(_Handler, monkeypatch)
+    server = make_server(port=0, cache_dir=str(tmp_path / "cache"))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=20)
+    try:
+        for i in range(10):
+            before = len(writes)
+            if i % 5 == 4:
+                conn.request("GET", "/metrics")
+            else:
+                body = json.dumps(_payload(STRATEGY.evolve(microbatch=1 + i % 2)))
+                conn.request(
+                    "POST", "/evaluate", body,
+                    {"Content-Type": "application/json"},
+                )
+            resp = conn.getresponse()
+            data = resp.read()
+            assert resp.status == 200
+            assert resp.getheader("Connection") != "close"
+            assert len(data) == int(resp.getheader("Content-Length"))
+            assert len(writes) - before == 1
+    finally:
+        conn.close()
+        server.service.stop()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert len(connections) == 1
+
+
+@pytest.mark.parametrize("path", ["/healthz", "/metrics"])
+def test_http_versionless_request_line_gets_bare_body(http_server, path):
+    # "GET /path" with no version is an HTTP/0.9 request: the answer is the
+    # body alone, no status line or headers, then the connection closes.
+    import socket
+
+    with socket.create_connection(("127.0.0.1", http_server.port), timeout=10) as sock:
+        sock.sendall(f"GET {path}\r\n\r\n".encode())
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    data = b"".join(chunks)
+    assert data
+    assert not data.startswith(b"HTTP/")
+    if path == "/healthz":
+        assert json.loads(data)["status"] == "ok"
+
+
 def test_http_concurrent_identical_queries_coalesce(http_server):
     client = ServiceClient(f"http://127.0.0.1:{http_server.port}")
     strategy = STRATEGY.evolve(microbatch=4)
