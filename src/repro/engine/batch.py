@@ -496,13 +496,16 @@ def _fuse_cols(layer: _LayerCols, fus: np.ndarray) -> _LayerCols:
 
 
 def _block_layer_cols(
-    llm: LLMConfig, m, t, sp, fus, tpm
+    llm: LLMConfig, m, t, sp, fus, tpm, seq=None
 ) -> tuple[list[_LayerCols], np.ndarray]:
     """The 15 layers of :func:`~repro.llm.blocks.build_block`, per lane.
 
-    Returns the layers and the block's ``input_bytes`` column.
+    ``seq`` (default ``llm.seq_size``) may be a column: lane ``i`` is then
+    the block of ``llm.with_seq(seq[i])``.  Returns the layers and the
+    block's ``input_bytes`` column.
     """
-    h, f, a, s = llm.hidden, llm.feedforward, llm.attn_heads, llm.seq_size
+    h, f, a = llm.hidden, llm.feedforward, llm.attn_heads
+    s = llm.seq_size if seq is None else seq
     b, e = m, llm.bytes_per_element
     shard = sp | (tpm == _TP_MODE_CODES["2d"])
     div = np.where(shard, t, 1)
@@ -541,14 +544,17 @@ def _block_layer_cols(
     return [_fuse_cols(layer, fus) for layer in layers], bsh * e / div
 
 
-def _tp_comm_cols(llm: LLMConfig, system: System, m, t, sp, redo, tpm):
+def _tp_comm_cols(llm: LLMConfig, system: System, m, t, sp, redo, tpm,
+                  seq=None):
     """Per-lane ``(fw, bw)`` TP collective time sums of one block.
 
     The events of :func:`~repro.llm.blocks.build_block`'s schedule are
     priced by :meth:`Network.collective_time` once per distinct
     ``(t, op, nbytes)`` and summed in schedule order like ``sum()`` does.
+    ``seq`` is as in :func:`_block_layer_cols`.
     """
-    h, f, s, e = llm.hidden, llm.feedforward, llm.seq_size, llm.bytes_per_element
+    h, f, e = llm.hidden, llm.feedforward, llm.bytes_per_element
+    s = llm.seq_size if seq is None else seq
     n = t.shape[0]
     zero = np.zeros(n, dtype=np.float64)
     fw: list[np.ndarray] = [zero] * 8
@@ -603,6 +609,69 @@ def _tp_comm_cols(llm: LLMConfig, system: System, m, t, sp, redo, tpm):
     return _builtin_sum(fw), _builtin_sum(bw)
 
 
+def _roofline_cols(
+    system: System, layers: list[_LayerCols], n: int, passes: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roofline ``(total, memory)`` time of every (pass, layer, lane).
+
+    Row ``i`` of either array is pass ``passes[i]`` (``"fw"``/``"bw"``).
+    """
+    proc, hbm = system.processor, system.mem1
+    flops = np.empty((len(passes), len(layers), n), dtype=np.float64)
+    traffic = np.empty_like(flops)
+    for j, layer in enumerate(layers):
+        for i, name in enumerate(passes):
+            flops[i, j] = getattr(layer, f"flops_{name}")
+            traffic[i, j] = getattr(layer, f"traffic_{name}")
+    compute = np.empty_like(flops)
+    for engine in ("matrix", "vector"):
+        rows = [j for j, layer in enumerate(layers) if layer.engine == engine]
+        compute[:, rows] = _per_value(
+            partial(proc.compute_time, engine), flops[:, rows]
+        )
+    memory = _per_value(hbm.access_time, traffic)
+    return np.maximum(compute, memory), memory
+
+
+def prefill_columns(
+    llm: LLMConfig, system: System, seq: Sequence[int], tensor_par: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane ``(fw_block, tp_fw_comm)`` of a batch-1 forward pass.
+
+    Lane ``i`` is one block of ``llm.with_seq(seq[i])`` at ``m=1`` with
+    sequence parallelism, fusion and redo off and 1-D tensor parallelism:
+    the block :func:`profile_columns` builds for that key, priced with the
+    same layer columns, roofline and collective schedule.  Unlike
+    :func:`profile_columns`' ``fw_time`` (a running sum, as the engine's
+    scalar profile accumulates it), the per-layer forward times and the TP
+    events are added as the builtin ``sum()`` adds them on this Python,
+    so each lane equals ``sum(layer_fw_time(...).total for l in
+    block.layers)`` and ``sum(collective_time(...) for c in
+    block.tp_comm_fw)`` over the scalar block.
+
+    Raises:
+        ValueError: if ``tensor_par`` does not divide the model shape or a
+            length is not positive.
+    """
+    h, f, a, t = llm.hidden, llm.feedforward, llm.attn_heads, tensor_par
+    if t <= 0 or a % t or h % t or f % t:
+        raise ValueError(
+            f"tensor_par={t} must divide attn_heads={a}, hidden={h}, feedforward={f}"
+        )
+    seq = np.asarray(seq, dtype=np.int64)
+    if np.any(seq <= 0):
+        raise ValueError("sequence lengths must be positive")
+    n = int(seq.shape[0])
+    one = np.ones(n, dtype=np.int64)
+    off = np.zeros(n, dtype=bool)
+    t = np.full(n, tensor_par, dtype=np.int64)
+    tpm = np.full(n, _TP_MODE_CODES["1d"], dtype=np.int64)
+    layers, _ = _block_layer_cols(llm, one, t, off, off, tpm, seq)
+    total, _ = _roofline_cols(system, layers, n, ("fw",))
+    tp_fw, _ = _tp_comm_cols(llm, system, one, t, off, off, tpm, seq)
+    return _builtin_sum(total[0]), tp_fw
+
+
 def profile_columns(
     llm: LLMConfig,
     system: System,
@@ -631,22 +700,7 @@ def profile_columns(
     """
     n = int(m.shape[0])
     layers, input_bytes = _block_layer_cols(llm, m, t, sp, fus, tpm)
-    proc, hbm = system.processor, system.mem1
-
-    # Roofline time of every (pass, layer, lane): rows 0/1 are fw/bw.
-    flops = np.empty((2, len(layers), n), dtype=np.float64)
-    traffic = np.empty_like(flops)
-    for j, layer in enumerate(layers):
-        flops[0, j], flops[1, j] = layer.flops_fw, layer.flops_bw
-        traffic[0, j], traffic[1, j] = layer.traffic_fw, layer.traffic_bw
-    compute = np.empty_like(flops)
-    for engine in ("matrix", "vector"):
-        rows = [j for j, layer in enumerate(layers) if layer.engine == engine]
-        compute[:, rows] = _per_value(
-            partial(proc.compute_time, engine), flops[:, rows]
-        )
-    memory = _per_value(hbm.access_time, traffic)
-    total = np.maximum(compute, memory)
+    total, memory = _roofline_cols(system, layers, n, ("fw", "bw"))
 
     fw_time = bw_time = fw_idle = bw_idle = attn_time = np.zeros(n)
     stash_all = stash_attn = np.zeros(n)

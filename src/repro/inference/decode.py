@@ -31,18 +31,57 @@ class DecodeBlockProfile:
     cache_read_bytes: float  # KV cache read per step
     cache_write_bytes: float  # new K/V entries appended per step
     activation_bytes: float  # transient activations moved per step
+    traffic: float  # total tier-1 memory traffic: the four above, summed
     vector_flops: float  # element-wise work per step
     tp_comm_bytes: float  # per all-reduce payload
     tp_comm_count: int  # all-reduces per block per step
 
-    @property
-    def traffic(self) -> float:
-        """Total tier-1 memory traffic per step."""
+
+@dataclass(frozen=True)
+class DecodeBatchTerms:
+    """The context-independent figures of a decode step at one batch size.
+
+    A step's figures are these plus the per-context part :meth:`at` adds,
+    in the order the one-expression formulas would round them, so
+    :func:`profile_decode_block` and the serving step kernel (which keeps
+    one of these per batch size and calls :meth:`at` per context) share
+    every decode formula.
+    """
+
+    hidden: int
+    tensor_par: int
+    bytes_per_element: float
+    # The per-context formulas' leading factors, already rounded as they
+    # would be: attention FLOPs are ``attn_flops_coef * c * h / t``, cache
+    # reads ``cache_read_coef * c * h * e / t``, softmax FLOPs
+    # ``softmax_coef * c``.
+    attn_flops_coef: float
+    cache_read_coef: float
+    softmax_coef: float
+    proj_flops: float
+    norm_flops: float
+    gelu_flops: float
+    residual_flops: float
+    weight_read_bytes: float
+    cache_write_bytes: float
+    activation_bytes: float
+    tp_comm_bytes: float
+    tp_comm_count: int
+
+    def at(self, context: int) -> tuple[float, float, float, float]:
+        """``(flops, vector_flops, cache_read_bytes, traffic)`` at ``context``."""
+        h, t = self.hidden, self.tensor_par
+        # Attention over the cache: QK^T and AV, each 2 * B * c * h / t FLOPs.
+        attn_flops = self.attn_flops_coef * context * h / t
+        # K and V, full context.
+        cache_read = self.cache_read_coef * context * h * self.bytes_per_element / t
         return (
-            self.weight_read_bytes
-            + self.cache_read_bytes
-            + self.cache_write_bytes
-            + self.activation_bytes
+            self.proj_flops + attn_flops,
+            self.norm_flops + self.softmax_coef * context + self.gelu_flops
+            + self.residual_flops,
+            cache_read,
+            self.weight_read_bytes + cache_read + self.cache_write_bytes
+            + self.activation_bytes,
         )
 
 
@@ -57,6 +96,44 @@ def kv_cache_bytes(
         raise ValueError("batch >= 1, context >= 0, tensor_par >= 1 required")
     per_block = 2.0 * batch * context * llm.hidden * llm.bytes_per_element / tensor_par
     return per_block * llm.num_blocks
+
+
+def decode_batch_terms(
+    llm: LLMConfig, *, batch: int, tensor_par: int = 1
+) -> DecodeBatchTerms:
+    """The context-independent part of a decode step's block profile.
+
+    Raises:
+        ValueError: on non-positive batch or non-dividing ``t``.
+    """
+    h, f, a = llm.hidden, llm.feedforward, llm.attn_heads
+    t, e = tensor_par, llm.bytes_per_element
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
+    if a % t or h % t or f % t:
+        raise ValueError(f"tensor_par={t} must divide the model shape")
+
+    # GEMV-shaped projections: QKV (h x 3h/t), out (h/t x h), MLP (h x f/t,
+    # f/t x h).  FLOPs are 2 * B * (in x out); weights stream once per step.
+    # Element-wise work: 2 LNs, softmax over [B, a/t, c], GeLU over [B, f/t],
+    # dropouts disabled at inference.
+    return DecodeBatchTerms(
+        hidden=h,
+        tensor_par=t,
+        bytes_per_element=e,
+        attn_flops_coef=2.0 * 2.0 * batch,
+        cache_read_coef=2.0 * batch,
+        softmax_coef=5.0 * batch * (a / t),
+        proj_flops=2.0 * batch * (h * 3 * h + h * h + 2 * h * f) / t,
+        norm_flops=7.0 * 2 * batch * h / t,
+        gelu_flops=8.0 * batch * f / t,
+        residual_flops=2.0 * batch * h / t,  # residual adds
+        weight_read_bytes=(3 * h * h + h * h + 2 * h * f) * e / t,
+        cache_write_bytes=2.0 * batch * h * e / t,  # append one K and one V row
+        activation_bytes=batch * (6 * h + 2 * f) * e / t,  # transient tensors
+        tp_comm_bytes=batch * h * e,
+        tp_comm_count=2 if t > 1 else 0,
+    )
 
 
 def profile_decode_block(
@@ -77,40 +154,18 @@ def profile_decode_block(
     Raises:
         ValueError: on non-positive batch/context or non-dividing ``t``.
     """
-    h, f, a = llm.hidden, llm.feedforward, llm.attn_heads
-    t, e = tensor_par, llm.bytes_per_element
     if batch < 1 or context < 1:
         raise ValueError("batch and context must be >= 1")
-    if a % t or h % t or f % t:
-        raise ValueError(f"tensor_par={t} must divide the model shape")
-
-    # GEMV-shaped projections: QKV (h x 3h/t), out (h/t x h), MLP (h x f/t,
-    # f/t x h).  FLOPs are 2 * B * (in x out); weights stream once per step.
-    proj_flops = 2.0 * batch * (h * 3 * h + h * h + 2 * h * f) / t
-    weight_bytes = (3 * h * h + h * h + 2 * h * f) * e / t
-
-    # Attention over the cache: QK^T and AV, each 2 * B * c * h / t FLOPs.
-    attn_flops = 2.0 * 2.0 * batch * context * h / t
-    cache_read = 2.0 * batch * context * h * e / t  # K and V, full context
-    cache_write = 2.0 * batch * h * e / t  # append one K and one V row
-
-    # Element-wise work: 2 LNs, softmax over [B, a/t, c], GeLU over [B, f/t],
-    # dropouts disabled at inference.
-    vector_flops = (
-        7.0 * 2 * batch * h / t
-        + 5.0 * batch * (a / t) * context
-        + 8.0 * batch * f / t
-        + 2.0 * batch * h / t  # residual adds
-    )
-    activation_bytes = batch * (6 * h + 2 * f) * e / t  # transient tensors
-
+    terms = decode_batch_terms(llm, batch=batch, tensor_par=tensor_par)
+    flops, vector_flops, cache_read, traffic = terms.at(context)
     return DecodeBlockProfile(
-        flops=proj_flops + attn_flops,
-        weight_read_bytes=weight_bytes,
+        flops=flops,
+        weight_read_bytes=terms.weight_read_bytes,
         cache_read_bytes=cache_read,
-        cache_write_bytes=cache_write,
-        activation_bytes=activation_bytes,
+        cache_write_bytes=terms.cache_write_bytes,
+        activation_bytes=terms.activation_bytes,
+        traffic=traffic,
         vector_flops=vector_flops,
-        tp_comm_bytes=batch * h * e,
-        tp_comm_count=2 if t > 1 else 0,
+        tp_comm_bytes=terms.tp_comm_bytes,
+        tp_comm_count=terms.tp_comm_count,
     )

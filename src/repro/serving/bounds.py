@@ -34,8 +34,8 @@ import numpy as np
 
 from ..hardware.system import System
 from ..llm.config import LLMConfig
-from .disagg import ServePlan, kv_transfer_time
-from .simulator import _Kernels
+from .disagg import ServePlan, kv_transfer_times
+from .simulator import _Kernels, _percentiles
 from .workload import SLOSpec, ServeWorkload
 
 __all__ = ["TPOT_SAFETY", "ServeBounds", "plan_bounds", "slo_admits"]
@@ -94,26 +94,28 @@ def plan_bounds(
         pre_system = system.with_num_procs(pre.num_procs)
         decode_system = system.with_num_procs(dec.num_procs)
 
-    # Price each distinct prompt once, from the simulator's own tables.
-    prefill_kernels = _Kernels(llm, pre_system, pre.tensor_par, pre.pipeline_par)
-    floor_by_len = {}
-    for n in np.unique(prompts).tolist():
-        pf = prefill_kernels.prefill(n)
+    # Price each distinct prompt once, in one pass, from the simulator's own
+    # tables.
+    lengths = np.unique(prompts).tolist()
+    floor_by_len = _Kernels(
+        llm, pre_system, pre.tensor_par, pre.pipeline_par
+    ).prefill_many(lengths)
+    if plan.prefill is not None:
         # Same fl shape as the simulator's per-request floor: pf, or
         # fl(pf + transfer) for disaggregated plans.
-        floor_by_len[n] = (
-            pf if plan.prefill is None else pf + kv_transfer_time(llm, system, n)
-        )
+        transfer = kv_transfer_times(llm, system, lengths)
+        floor_by_len = {n: pf + transfer[n] for n, pf in floor_by_len.items()}
     base = np.array([floor_by_len[n] for n in prompts.tolist()], dtype=float)
+    ttft_p50, ttft_p95, ttft_p99 = _percentiles(base)
 
     min_prompt = int(prompts.min())
     step_floor = _Kernels(
         llm, decode_system, dec.tensor_par, dec.pipeline_par
     ).step(1, min_prompt)
     return ServeBounds(
-        ttft_p50=float(np.percentile(base, 50)),
-        ttft_p95=float(np.percentile(base, 95)),
-        ttft_p99=float(np.percentile(base, 99)),
+        ttft_p50=ttft_p50,
+        ttft_p95=ttft_p95,
+        ttft_p99=ttft_p99,
         tpot_p95=step_floor * TPOT_SAFETY,
     )
 

@@ -25,11 +25,12 @@ Disaggregation model (documented in ``docs/SERVING.md``):
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..hardware.system import System
 from ..inference.decode import kv_cache_bytes
 from ..llm.config import LLMConfig
+from . import simulator
 from .simulator import (
     ServeStats,
     _assemble_stats,
@@ -43,7 +44,7 @@ from ..inference.model import InferenceStrategy
 from .workload import SLOSpec, ServeWorkload
 
 __all__ = ["ServePlan", "simulate_plan", "simulate_disagg", "check_plan",
-           "kv_transfer_time"]
+           "kv_transfer_time", "kv_transfer_times"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,27 @@ def kv_transfer_time(llm: LLMConfig, system: System, prompt_len: int) -> float:
     """Prefill→decode KV handoff over the inter-cluster network tier."""
     nbytes = kv_cache_bytes(llm, 1, prompt_len, 1)
     return system.networks[-1].collective_time("p2p", nbytes, 2)
+
+
+def kv_transfer_times(
+    llm: LLMConfig, system: System, prompt_lens: Iterable[int]
+) -> dict[int, float]:
+    """:func:`kv_transfer_time` of each distinct prompt length.
+
+    Memoized per ``(llm, outer network, prompt length)`` in the simulator's
+    bounded prefill tables, so every plan of a search, whatever its
+    split, shares one transfer price per prompt length.
+    """
+    tables = simulator._PREFILLS
+    hw = ("kv_transfer", llm, system.networks[-1])
+    table = tables.table(hw)
+    out: dict[int, float] = {}
+    for n in prompt_lens:
+        tr = table.get(n)
+        if tr is None:
+            tr = tables.store(hw, table, n, kv_transfer_time(llm, system, n))
+        out[n] = tr
+    return out
 
 
 def check_plan(
@@ -151,7 +173,8 @@ def simulate_disagg(
     decode_system = system.with_num_procs(dec.num_procs)
     arrivals, prompts, outputs = (a.tolist() for a in workload.sample())
     n = workload.num_requests
-    transfer = {m: kv_transfer_time(llm, system, m) for m in set(prompts)}
+    prefill = prefill_kernels.prefill_many(prompts)
+    transfer = kv_transfer_times(llm, system, prefill)
 
     # ---- prefill cluster: d_pre FCFS replicas --------------------------------
     free = [0.0] * pre.data_par
@@ -164,7 +187,7 @@ def simulate_disagg(
         waiting = sum(1 for s in free if s > arrivals[i])
         pre_max_queue = max(pre_max_queue, waiting)
         wait = start - arrivals[i]  # exact >= 0: start >= arrival
-        pf = prefill_kernels.prefill(prompts[i])
+        pf = prefill[prompts[i]]
         done = start + pf
         free[slot] = done
         tr = transfer[prompts[i]]

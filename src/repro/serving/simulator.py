@@ -36,15 +36,15 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from ..core.flops import layer_fw_time
+from ..engine.batch import prefill_columns
 from ..hardware.system import System
 from ..llm.blocks import build_block
 from ..llm.config import LLMConfig
-from ..inference.decode import profile_decode_block
+from ..inference.decode import DecodeBatchTerms, decode_batch_terms
 from ..inference.model import InferenceStrategy
 from .workload import SLOSpec, ServeWorkload
 
@@ -63,6 +63,9 @@ __all__ = [
 # simulator and serving/bounds.py — sharing the exact float pipeline is what
 # keeps the SLO bounds sound).
 # ---------------------------------------------------------------------------
+
+
+_V = TypeVar("_V")
 
 
 class _KernelTables:
@@ -90,7 +93,7 @@ class _KernelTables:
                 table = self._tables.setdefault(hw, {})
         return table
 
-    def store(self, hw: tuple, table: dict, key: object, value: float) -> float:
+    def store(self, hw: tuple, table: dict, key: object, value: _V) -> _V:
         with self._lock:
             if len(self._order) >= self.limit:
                 old_hw, old_table, old_key = self._order.popleft()
@@ -107,9 +110,13 @@ class _KernelTables:
             return sum(len(t) for t in self._tables.values())
 
 
-# Entry limits of the two kernels' tables (the prefill limit covers both the
-# per-(t, prompt) block costs and the per-(t, p, prompt) prefill times).
+# Entry limits of the kernels' tables.  The prefill limit covers the
+# per-(t, prompt) block costs, the per-(t, p, prompt) prefill times and the
+# per-prompt KV transfer times of :mod:`repro.serving.disagg`; ``_STEPS``
+# holds one entry per ``(batch, context)`` and ``_STEP_TERMS`` one per
+# batch size: the step's context-independent terms.
 _STEPS = _KernelTables(65536)
+_STEP_TERMS = _KernelTables(4096)
 _PREFILLS = _KernelTables(4096)
 
 
@@ -123,15 +130,16 @@ class _Kernels:
     :meth:`System.with_num_procs`) share one table.
     """
 
-    __slots__ = ("llm", "processor", "hbm", "tp_net", "pp_net", "tensor_par",
-                 "pipeline_par", "block_key", "prefill_key", "step_key",
-                 "blocks", "prefills", "steps")
+    __slots__ = ("llm", "system", "processor", "hbm", "tp_net", "pp_net",
+                 "tensor_par", "pipeline_par", "block_key", "prefill_key",
+                 "step_key", "blocks", "prefills", "steps", "step_terms")
 
     def __init__(
         self, llm: LLMConfig, system: System, tensor_par: int, pipeline_par: int
     ) -> None:
         t, p = tensor_par, pipeline_par
         self.llm, self.tensor_par, self.pipeline_par = llm, t, p
+        self.system = system  # priced from; never part of a table key
         self.processor, self.hbm = system.processor, system.mem1
         self.tp_net = system.network_for_span(t) if t > 1 else None
         self.pp_net = (
@@ -145,61 +153,84 @@ class _Kernels:
         self.blocks = _PREFILLS.table(self.block_key)
         self.prefills = _PREFILLS.table(self.prefill_key)
         self.steps = _STEPS.table(self.step_key)
+        self.step_terms = _STEP_TERMS.table(self.step_key)
 
     def prefill(self, prompt_len: int) -> float:
         """One request's prefill latency: a batch-1 forward pass over the prompt."""
         total = self.prefills.get(prompt_len)
-        if total is not None:
-            return total
-        llm, t, p = self.llm, self.tensor_par, self.pipeline_par
-        total = self.blocks.get(prompt_len)
         if total is None:
-            block = build_block(
-                llm.with_seq(prompt_len), microbatch=1, tensor_par=t,
-                seq_par=False,
-            )
-            fw_block = sum(
-                layer_fw_time(self.processor, self.hbm, l).total
-                for l in block.layers
-            )
-            tp_block = (
-                sum(self.tp_net.collective_time(c.op, c.nbytes, t)
-                    for c in block.tp_comm_fw)
-                if self.tp_net
-                else 0.0
-            )
-            total = _PREFILLS.store(
-                self.block_key, self.blocks, prompt_len,
-                llm.num_blocks * (fw_block + tp_block),
+            total = self.prefill_many((prompt_len,))[prompt_len]
+        return total
+
+    def prefill_many(self, prompt_lens: Iterable[int]) -> dict[int, float]:
+        """:meth:`prefill` of each distinct prompt length.
+
+        Block costs missing from the table are priced together, one lane
+        per prompt length, in a single
+        :func:`~repro.engine.batch.prefill_columns` pass.  The answer is
+        returned rather than read back, since storing it may already have
+        evicted part of it from a full table.
+        """
+        llm, t, p = self.llm, self.tensor_par, self.pipeline_par
+        prefills, blocks = self.prefills, self.blocks
+        out: dict[int, float] = {}
+        block_cost: dict[int, float] = {}
+        cold: list[int] = []
+        for n in dict.fromkeys(prompt_lens):
+            total = prefills.get(n)
+            if total is not None:
+                out[n] = total
+                continue
+            cost = blocks.get(n)
+            if cost is None:
+                cold.append(n)
+            else:
+                block_cost[n] = cost
+        if cold:
+            fw, tp = prefill_columns(llm, self.system, cold, t)
+            for n, fw_block, tp_block in zip(cold, fw.tolist(), tp.tolist()):
+                block_cost[n] = _PREFILLS.store(
+                    self.block_key, blocks, n,
+                    llm.num_blocks * (fw_block + tp_block),
+                )
+        for n, total in block_cost.items():
+            if p > 1:
+                p2p_bytes = n * llm.hidden * llm.bytes_per_element
+                total += (p - 1) * self.pp_net.collective_time("p2p", p2p_bytes, 2)
+                _PREFILLS.store(self.prefill_key, prefills, n, total)
+            out[n] = total
+        return out
+
+    def _batch_terms(self, batch: int) -> tuple[DecodeBatchTerms, float, float]:
+        """A decode batch size's step terms, TP all-reduces and PP hops."""
+        llm, t, p = self.llm, self.tensor_par, self.pipeline_par
+        terms = decode_batch_terms(llm, batch=batch, tensor_par=t)
+        comm = hop = 0.0
+        if t > 1:
+            comm = terms.tp_comm_count * self.tp_net.collective_time(
+                "all_reduce", terms.tp_comm_bytes, t
             )
         if p > 1:
-            p2p_bytes = prompt_len * llm.hidden * llm.bytes_per_element
-            total += (p - 1) * self.pp_net.collective_time("p2p", p2p_bytes, 2)
-            _PREFILLS.store(self.prefill_key, self.prefills, prompt_len, total)
-        return total
+            hop_bytes = batch * llm.hidden * llm.bytes_per_element
+            hop = p * self.pp_net.collective_time("p2p", hop_bytes, 2)
+        return _STEP_TERMS.store(
+            self.step_key, self.step_terms, batch, (terms, comm, hop)
+        )
 
     def step(self, batch: int, context: int) -> float:
         """One decode iteration for ``batch`` sequences at ``context`` length."""
         step = self.steps.get((batch, context))
         if step is not None:
             return step
-        llm, t, p = self.llm, self.tensor_par, self.pipeline_par
-        prof = profile_decode_block(
-            llm, batch=batch, context=max(context, 1), tensor_par=t
-        )
-        compute = self.processor.compute_time("matrix", prof.flops)
-        vector = self.processor.compute_time("vector", prof.vector_flops)
-        memory = self.hbm.access_time(prof.traffic)
-        block = max(compute + vector, memory)
-        comm = 0.0
-        if t > 1:
-            comm = prof.tp_comm_count * self.tp_net.collective_time(
-                "all_reduce", prof.tp_comm_bytes, t
-            )
-        step = llm.num_blocks * (block + comm)
-        if p > 1:
-            hop_bytes = batch * llm.hidden * llm.bytes_per_element
-            step += p * self.pp_net.collective_time("p2p", hop_bytes, 2)
+        entry = self.step_terms.get(batch)
+        terms, comm, hop = entry if entry is not None else self._batch_terms(batch)
+        flops, vector_flops, _, traffic = terms.at(max(context, 1))
+        compute = self.processor.compute_time("matrix", flops)
+        vector = self.processor.compute_time("vector", vector_flops)
+        memory = self.hbm.access_time(traffic)
+        step = self.llm.num_blocks * (max(compute + vector, memory) + comm)
+        if self.pipeline_par > 1:
+            step += hop
         return _STEPS.store(self.step_key, self.steps, (batch, context), step)
 
 
@@ -298,8 +329,16 @@ class ServeStats:
         }
 
 
-def _percentile(values: np.ndarray, q: float) -> float:
-    return float(np.percentile(values, q)) if values.size else 0.0
+def _percentiles(values: np.ndarray) -> tuple[float, float, float]:
+    """The p50/p95/p99 of ``values`` from one ``np.percentile`` call.
+
+    Element-wise equal to one call per quantile (each quantile is
+    interpolated on its own over the same sorted array); all zero when
+    ``values`` is empty.
+    """
+    if not values.size:
+        return 0.0, 0.0, 0.0
+    return tuple(np.percentile(values, (50, 95, 99)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +553,7 @@ def simulate_serve(
     t, p, d = strategy.tensor_par, strategy.pipeline_par, strategy.data_par
     arrivals, prompts, outputs = (a.tolist() for a in workload.sample())
     kernels = _Kernels(llm, system, t, p)
+    kernels.prefill_many(prompts)  # every prompt length in one pass
     hbm_kv_budget = system.mem1.capacity - weights_bytes(llm, t, p)
     if system.mem2 is not None:
         offload_capacity = system.mem2.capacity
@@ -559,6 +599,8 @@ def _assemble_stats(
     ttft_arr = np.array(ttfts) if ttfts else np.empty(0)
     tpot_arr = np.array(tpots) if tpots else np.empty(0)
 
+    ttft_p50, ttft_p95, ttft_p99 = _percentiles(ttft_arr)
+    tpot_p50, tpot_p95, tpot_p99 = _percentiles(tpot_arr)
     duration = max((o.end_time for o in outcomes), default=0.0)
     duration = duration if duration > 0 else 1e-12
     completed = len(completed_ids)
@@ -575,12 +617,12 @@ def _assemble_stats(
         duration=duration,
         throughput_rps=completed / duration,
         tokens_per_second=total_tokens / duration,
-        ttft_p50=_percentile(ttft_arr, 50),
-        ttft_p95=_percentile(ttft_arr, 95),
-        ttft_p99=_percentile(ttft_arr, 99),
-        tpot_p50=_percentile(tpot_arr, 50),
-        tpot_p95=_percentile(tpot_arr, 95),
-        tpot_p99=_percentile(tpot_arr, 99),
+        ttft_p50=ttft_p50,
+        ttft_p95=ttft_p95,
+        ttft_p99=ttft_p99,
+        tpot_p50=tpot_p50,
+        tpot_p95=tpot_p95,
+        tpot_p99=tpot_p99,
         goodput_rps=good / duration,
         good_requests=good,
         mean_batch=sum(o.occupancy_time for o in outcomes) / duration,
