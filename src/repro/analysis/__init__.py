@@ -10,7 +10,6 @@ from .capacity import (
     minimum_hbm,
     minimum_system_size,
 )
-from .scaling_modes import ScalingModePoint, strong_scaling, weak_scaling
 from .sensitivity import Elasticity, sensitivity
 from .training_run import TrainingRunPlan, plan_training_run
 
@@ -22,7 +21,6 @@ __all__ = [
     "MeasuredRun",
     "Objective",
     "PhaseCell",
-    "ScalingModePoint",
     "TrainingRunPlan",
     "batch_sweep_fixed",
     "batch_sweep_searched",
@@ -37,6 +35,4 @@ __all__ = [
     "minimum_system_size",
     "plan_training_run",
     "sensitivity",
-    "strong_scaling",
-    "weak_scaling",
 ]

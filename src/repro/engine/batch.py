@@ -216,11 +216,12 @@ def _factorize(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     card = 1
     for col in cols:
         cmin = int(col.min())
-        shifted = col - cmin if cmin else col
-        k = int(shifted.max()) + 1
+        k = int(col.max()) - cmin + 1  # Python ints: no int64 wrap-around
         if k > 1 << 20:
             _, shifted = np.unique(col, return_inverse=True)
             k = int(shifted.max()) + 1
+        else:
+            shifted = col - cmin if cmin else col
         if card > (1 << 62) // k:
             _, code = np.unique(code, return_inverse=True)
             card = int(code.max()) + 1
@@ -231,6 +232,22 @@ def _factorize(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0])
     return rank[inverse], firsts[order]
+
+
+def _call_distinct(fn, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """``fn(*row)`` once per distinct row of ``cols``, gathered back per row.
+
+    Rows are keyed with :func:`_factorize`, float columns by their bit
+    patterns, so two rows share a call only when every argument is the
+    same float (``±0.0`` merely costs one extra call).  Each call receives
+    the Python scalars of the row's first occurrence — what a per-row loop
+    would pass — so a deterministic kernel yields the same float64 values
+    (one column, or one per element of a tuple result).
+    """
+    keys = [c.view(np.int64) if c.dtype == np.float64 else c for c in cols]
+    ids, firsts = _factorize(keys)
+    rows = zip(*(c[firsts].tolist() for c in cols))
+    return np.array([fn(*row) for row in rows], dtype=np.float64)[ids]
 
 
 class EvalBatch:
@@ -935,18 +952,55 @@ def batch_prune(eb: EvalBatch, threshold: float | None) -> EvalBatch:
 # ---------------------------------------------------------------------------
 
 
+def _tp_exposures(
+    eb: EvalBatch, g: np.ndarray, t: np.ndarray, tpo: np.ndarray
+) -> np.ndarray:
+    """:func:`tp_exposure`'s six floats per (profile group, t, tp_overlap) row.
+
+    The kernel is keyed on the group's :class:`TPTimes` read from
+    ``eb.gprof`` — the tuple the scalar path builds from its profile — and
+    runs once per distinct key.
+    """
+    return _call_distinct(
+        lambda t_i, tpo_i, *times: tp_exposure(
+            eb.system, t_i, TP_OVERLAP_NAMES[tpo_i], TPTimes(*times)
+        ),
+        [t, tpo] + [eb.gprof[name][g] for name in TPTimes._fields],
+    )
+
+
+def _optim_times(eb: EvalBatch, idx: np.ndarray) -> np.ndarray:
+    """:func:`optim_step_time` for training buckets ``idx``.
+
+    Arguments are :func:`~repro.engine.stages.stage_comm`'s expressions
+    evaluated lane-wise in the same operation order, so each kernel call
+    sees the scalar path's floats; one call per distinct triple.
+    """
+    b, gprof = eb.b, eb.gprof
+    g = b["group"][idx]
+    opt_bytes = b["opt_bytes"][idx]
+    traffic = 2.0 * opt_bytes + b["bp"][idx] * (
+        gprof["weight_grad_bytes"][g] + gprof["weight_bytes"][g]
+    ) / b["opt_shard"][idx]
+    use2 = (b["o_off"][idx] != 0) & (eb.system.mem2 is not None)
+    return _call_distinct(
+        partial(optim_step_time, eb.system), [opt_bytes, traffic, use2]
+    )
+
+
 def batch_comm(eb: EvalBatch) -> EvalBatch:
     """Price communication for every survivor, vectorized per component.
 
-    The cached comm kernels run once per *distinct argument tuple* among the
-    survivors: :func:`tp_exposure` per (group, tp_overlap) cell,
-    :func:`pp_p2p_time` per (bucket, pp_rs_ag) cell with ``p > 1``,
-    :func:`dp_collectives` and :func:`optim_step_time` per unique kernel
-    shape across the surviving buckets that need them.  Every kernel is
-    deterministic in its arguments, so deduplicating the per-candidate
-    calls changes no value; outputs are gathered onto survivor
-    lanes and all per-candidate arithmetic runs elementwise, mirroring
-    :func:`~repro.engine.stages.stage_comm` term for term.
+    Each cached comm kernel runs once per *distinct argument tuple* among
+    the survivors (:func:`_call_distinct`): :func:`tp_exposure` per
+    ``(t, tp_overlap, TPTimes)``, :func:`pp_p2p_time` per
+    ``(t, p, m, pp_rs_ag)`` with ``p > 1``, :func:`dp_collectives` per
+    ``(t, p, d, grad_bytes, sharding)`` and :func:`optim_step_time` per
+    ``(opt_bytes, traffic, tier)``.  Every kernel is deterministic in its
+    arguments and receives the scalar path's Python values, so
+    deduplicating the calls changes no value; outputs are gathered onto
+    survivor lanes and all per-candidate arithmetic runs elementwise,
+    mirroring :func:`~repro.engine.stages.stage_comm` term for term.
     """
     b, c, llm, system = eb.b, eb.cols, eb.llm, eb.system
     sidx = np.flatnonzero(eb.surv_v)
@@ -983,15 +1037,9 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
 
     # ---- per-block TP communication exposure (per group x overlap cell) -----
     cell_ids, cell_first = _factorize([gid_s, tpo_s])
-    tp_cells = np.empty((int(cell_first.shape[0]), 6), dtype=np.float64)
-    tp_prof = np.stack([eb.gprof[name] for name in TPTimes._fields], axis=1)
-    for ci, pos in enumerate(cell_first):
-        g = int(gid_s[pos])
-        tp_cells[ci] = tp_exposure(
-            system, int(b["t"][bid_s[pos]]), TP_OVERLAP_NAMES[int(tpo_s[pos])],
-            TPTimes(*tp_prof[g].tolist()),
-        )
-    tp6 = tp_cells[cell_ids]
+    tp6 = _tp_exposures(
+        eb, gid_s[cell_first], b["t"][bid_s[cell_first]], tpo_s[cell_first]
+    )[cell_ids]
     tp_fw_exp, tp_fw_tax = tp6[:, 0], tp6[:, 1]
     tp_bw_exp, tp_bw_tax = tp6[:, 2], tp6[:, 3]
     tp_rc_exp, tp_rc_tax = tp6[:, 4], tp6[:, 5]
@@ -1012,24 +1060,19 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
         0.0,
     )
 
-    # ---- pipeline point-to-point (per bucket x rs_ag cell, p > 1) ------------
+    # ---- pipeline point-to-point (per distinct (t, p, m, rs_ag), p > 1) -----
     p2p = np.zeros(n_s, dtype=np.float64)
     pmask = p_s > 1
     if np.any(pmask):
         sub = np.flatnonzero(pmask)
-        pcell_ids, pcell_first = _factorize([bid_s[sub], rs_ag_s[sub]])
-        pcell_vals = np.empty(int(pcell_first.shape[0]), dtype=np.float64)
-        for ci, pos in enumerate(pcell_first):
-            j = int(sub[pos])
-            bkt = int(bid_s[j])
-            full_act = (
-                int(b["m"][bkt]) * llm.seq_size * llm.hidden * llm.bytes_per_element
-            )
-            pcell_vals[ci] = pp_p2p_time(
-                system, int(b["t"][bkt]), int(b["p"][bkt]), full_act,
-                bool(rs_ag_s[j]),
-            )
-        p2p[sub] = pcell_vals[pcell_ids]
+        p2p[sub] = _call_distinct(
+            lambda t, p, m, rs_ag: pp_p2p_time(
+                system, t, p,
+                m * llm.seq_size * llm.hidden * llm.bytes_per_element,
+                bool(rs_ag),
+            ),
+            [b["t"][bid_s[sub]], p_s[sub], b["m"][bid_s[sub]], rs_ag_s[sub]],
+        )
     crossings = v_s * np.where(tr_s, 2, 1)
     pp_total = np.where(pmask, (M_s * crossings) * p2p, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1046,50 +1089,24 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
 
     # ---- data-parallel gradient communication (per surviving bucket) ---------
     dmask = tr_s & (d_s > 1)
-    dp_rs_b = np.zeros(eb.n_buckets, dtype=np.float64)
-    dp_ag_b = np.zeros(eb.n_buckets, dtype=np.float64)
-    dp_tot_b = np.zeros(eb.n_buckets, dtype=np.float64)
-    dp_pu_b = np.zeros(eb.n_buckets, dtype=np.float64)
-    dp_buckets = surv_b & (b["training"] != 0) & (b["d"] > 1)
-    dpb = np.flatnonzero(dp_buckets)
+    dp_b = np.zeros((eb.n_buckets, 4), dtype=np.float64)
+    dpb = np.flatnonzero(surv_b & (b["training"] != 0) & (b["d"] > 1))
     if dpb.size:
-        # Many buckets share one (t, p, d, grad_bytes, osh) collective shape;
-        # the kernel is deterministic in its arguments, so calling it once
-        # per distinct shape and scattering changes no value.
+
+        def dp_kernel(t, p, d, grad_bytes, sharded):
+            rs, ag, tot = dp_collectives(system, t, p, d, grad_bytes, sharded)
+            dp_net = system.network_for_span(min(system.num_procs, t * p * d))
+            return rs, ag, tot, dp_net.processor_usage
+
         grad_bytes_b = (
             b["bp"][dpb] * eb.gprof["weight_grad_bytes"][b["group"][dpb]]
         )
-        dmemo: dict = {}
-        dvals = np.empty((dpb.shape[0], 4), dtype=np.float64)
-        for j, key in enumerate(
-            zip(
-                b["t"][dpb].tolist(),
-                b["p"][dpb].tolist(),
-                b["d"][dpb].tolist(),
-                grad_bytes_b.tolist(),
-                (b["osh"][dpb] != 0).tolist(),
-            )
-        ):
-            val = dmemo.get(key)
-            if val is None:
-                t_i, p_i, d_i = key[0], key[1], key[2]
-                rs, ag, tot = dp_collectives(
-                    system, t_i, p_i, d_i, key[3], key[4]
-                )
-                dp_net = system.network_for_span(
-                    min(system.num_procs, t_i * p_i * d_i)
-                )
-                val = (rs, ag, tot, dp_net.processor_usage)
-                dmemo[key] = val
-            dvals[j] = val
-        dp_rs_b[dpb] = dvals[:, 0]
-        dp_ag_b[dpb] = dvals[:, 1]
-        dp_tot_b[dpb] = dvals[:, 2]
-        dp_pu_b[dpb] = dvals[:, 3]
-    rs_s = dp_rs_b[bid_s]
-    ag_s = dp_ag_b[bid_s]
-    tot_s = dp_tot_b[bid_s]
-    pu_s = dp_pu_b[bid_s]
+        dp_b[dpb] = _call_distinct(
+            dp_kernel,
+            [b["t"][dpb], b["p"][dpb], b["d"][dpb], grad_bytes_b,
+             b["osh"][dpb] != 0],
+        )
+    rs_s, ag_s, tot_s, pu_s = dp_b[bid_s].T
     blocks = bp_s * v_s
     blocks_f = blocks.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1114,29 +1131,7 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
     opt_time_b = np.zeros(eb.n_buckets, dtype=np.float64)
     trb = np.flatnonzero(surv_b & (b["training"] != 0))
     if trb.size:
-        # Same dedup as batch_lower_bounds: one kernel call per distinct
-        # (opt_bytes, traffic, tier) triple, identical op order lane-wise.
-        g_b = b["group"][trb]
-        opt_bytes_b = b["opt_bytes"][trb]
-        traffic_b = 2.0 * opt_bytes_b + b["bp"][trb] * (
-            eb.gprof["weight_grad_bytes"][g_b] + eb.gprof["weight_bytes"][g_b]
-        ) / b["opt_shard"][trb]
-        use2_b = (
-            (b["o_off"][trb] != 0)
-            if system.mem2 is not None
-            else np.zeros(trb.shape[0], dtype=bool)
-        )
-        omemo: dict = {}
-        ovals = np.empty(trb.shape[0], dtype=np.float64)
-        for j, key in enumerate(
-            zip(opt_bytes_b.tolist(), traffic_b.tolist(), use2_b.tolist())
-        ):
-            val = omemo.get(key)
-            if val is None:
-                val = optim_step_time(system, key[0], key[1], key[2])
-                omemo[key] = val
-            ovals[j] = val
-        opt_time_b[trb] = ovals
+        opt_time_b[trb] = _optim_times(eb, trb)
     optim_time = np.where(tr_s, opt_time_b[bid_s], 0.0)
 
     # ---- offload traffic, bandwidth requirement, exposure --------------------
@@ -1295,21 +1290,6 @@ class AdaptivePlan:
 # amortize per-tile fixed costs, small enough that a late floor tightening
 # still skips work.
 _TILE_BUCKETS_MAX = 1024
-
-
-def _strict_thresholds(
-    eb: EvalBatch, bucket_ids: np.ndarray, floor: float
-) -> np.ndarray:
-    """Per-bucket strict batch-time ceilings for a rate ``floor``.
-
-    One :func:`strict_prune_threshold_for_rate` call per distinct batch
-    size among ``bucket_ids`` (a search space usually has exactly one).
-    """
-    bvals = eb.b["batch"][bucket_ids].astype(np.float64)
-    out = np.empty(bvals.shape[0], dtype=np.float64)
-    for val in np.unique(bvals):
-        out[bvals == val] = strict_prune_threshold_for_rate(float(val), floor)
-    return out
 
 
 def batch_adaptive(

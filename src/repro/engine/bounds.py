@@ -5,19 +5,22 @@ cannot possibly beat the current top-k.  This module computes an analytic
 **lower bound** on a candidate's batch time using only what the feasibility
 fast path already produced — the block profile (whose per-layer times are
 themselves roofline maxima of FLOPs/throughput and bytes/bandwidth) and the
-memory plan — so a search can discard hopeless candidates *before* the
-comm/assembly stages run.
+memory plan — plus the cached TP-exposure kernel, which reads nothing
+else.  A search can thus discard hopeless candidates *before* the
+PP/DP/offload comm and assembly work runs.
 
 The bound is provably ``<= TimeBreakdown.batch_time`` **in float
-arithmetic**, not just in exact math: each component either reproduces the
-assembled field's expression bit-for-bit (forward/backward/recompute compute,
-optimizer step) or replaces it with a smaller float (pipeline bubble without
-exposed TP communication), and components are summed left-to-right in the
-same order as ``batch_time`` sums its fields.  Since IEEE-754
-round-to-nearest addition and positive multiplication are monotone, every
-partial sum of the bound is <= the corresponding partial sum of the true
-batch time, and the remaining ``batch_time`` fields are all non-negative.
-``docs/PERFORMANCE.md`` walks through the derivation.
+arithmetic**, not just in exact math: its first six components reproduce
+the assembled fields' expressions bit-for-bit (forward/backward/recompute
+compute, optimizer step, pipeline bubble, exposed TP communication), the
+seventh (the TP part of the overlap tax) is a float no larger than
+``overlap_tax``, and components are summed left-to-right in the same order
+as ``batch_time`` sums its fields.  Since IEEE-754 round-to-nearest
+addition and positive multiplication are monotone, the bound's partial sum
+equals the true one through ``tp_comm_exposed``, the true sum only grows
+over the non-negative PP/DP/offload terms, and adding the smaller tax to
+the smaller partial sum keeps it smaller.  ``docs/PERFORMANCE.md`` walks
+through the derivation.
 
 That inequality is what makes pruning *exact*: a candidate is skipped only
 when even its lower bound is too slow to be retained by the search, so
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .context import EvalContext
-from .stages import optim_step_time
+from .stages import TPTimes, optim_step_time, tp_exposure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .batch import EvalBatch
@@ -49,21 +52,28 @@ def roofline_lower_bound(ctx: EvalContext) -> float:
     * backward and recompute compute — equal to ``bw_pass``/``fw_recompute``;
     * the optimizer step — equal to ``optim_step`` (the same cached
       :func:`~repro.engine.stages.optim_step_time` the comm stage calls);
-    * a pipeline-bubble underestimate ``(p-1) * (t_f + t_b) / v`` built from
-      compute times alone (the true bubble adds exposed TP communication and
-      overlap tax to each per-microbatch stage time).
+    * the pipeline bubble ``(p-1) * (t_f + t_b) / v`` with the per-microbatch
+      stage times including TP exposure and tax — equal to ``pp_bubble``;
+    * exposed TP communication — equal to ``tp_comm_exposed``;
+    * the TP part of the overlap tax — at most ``overlap_tax``, which adds
+      the (non-negative) DP tax.
 
-    Exposed TP/PP/DP communication, offload stalls and overlap tax are
-    bounded below by zero.  Everything read here is constant across a memory
-    bucket, so batched evaluation computes the bound once per bucket.
+    The TP figures come from the cached
+    :func:`~repro.engine.stages.tp_exposure` for the candidate's own
+    ``tp_overlap``, the call ``stage_comm`` makes.  Exposed PP/DP
+    communication and offload stalls are bounded below by zero.
 
     Requires a context that completed the fast path feasibly (``prof`` and
     ``mem`` set, ``error`` None).
     """
     prof, mem = ctx.prof, ctx.mem
     M, bpstage, v, p = ctx.M, ctx.bpstage, ctx.v, ctx.p
+    training = ctx.training
+    fw_exp, fw_tax, bw_exp, bw_tax, rc_exp, rc_tax = tp_exposure(
+        ctx.system, ctx.t, ctx.strategy.tp_overlap, TPTimes.of(prof)
+    )
     lb = M * bpstage * prof.fw_time
-    if ctx.training:
+    if training:
         lb = lb + M * bpstage * prof.bw_time
         lb = lb + M * bpstage * prof.recompute_time
         traffic = (
@@ -77,31 +87,47 @@ def roofline_lower_bound(ctx: EvalContext) -> float:
         )
         lb = lb + optim_step_time(ctx.system, mem.opt_bytes, traffic, use_mem2)
     if p > 1:
-        t_f = bpstage * prof.fw_time
+        t_f = bpstage * (prof.fw_time + fw_exp + fw_tax)
         t_b = (
-            bpstage * (prof.bw_time + prof.recompute_time)
-            if ctx.training
+            bpstage
+            * (
+                prof.bw_time
+                + prof.recompute_time
+                + bw_exp
+                + bw_tax
+                + rc_exp
+                + rc_tax
+            )
+            if training
             else 0.0
         )
         lb = lb + (p - 1) * ((t_f + t_b) / v)
-    return lb
+    lb = lb + M * bpstage * (fw_exp + (bw_exp + rc_exp if training else 0.0))
+    return lb + M * bpstage * (fw_tax + (bw_tax + rc_tax if training else 0.0))
 
 
 def batch_lower_bounds(eb: "EvalBatch") -> np.ndarray:
-    """Per-memory-bucket :func:`roofline_lower_bound`, vectorized.
+    """Per-memory-bucket lower bounds, vectorized.
 
     Returns one float64 lower bound per bucket of a columnar
     :class:`~repro.engine.batch.EvalBatch` that has completed
-    ``batch_memory``.  Every term mirrors the scalar bound's expression
-    structure and summation order, so feasible buckets get bit-identical
-    bounds; entries of capacity-rejected buckets are meaningless (the
-    caller masks them out) and their optimizer-step kernel is *not*
-    invoked — :func:`optim_step_time` is invoked once per *distinct*
-    feasible ``(opt_bytes, traffic, tier)`` triple.  Many buckets share one
-    optimizer shape, and the kernel is deterministic in its arguments, so
-    deduplicating the calls changes no bound value.
+    ``batch_memory``.  Buckets are not keyed on ``tp_overlap``, so a
+    bucket's candidates may differ in the TP terms: its bound is the
+    minimum of :func:`roofline_lower_bound` over the overlap modes present
+    among its candidates.  That is bit-equal to the minimum of those
+    candidates' scalar bounds, since every term mirrors the scalar
+    expression structure and summation order.  Capacity-rejected buckets
+    get ``+inf`` and invoke no kernel.
+
+    :func:`tp_exposure` runs once per distinct (group, mode) key and
+    :func:`optim_step_time` once per distinct ``(opt_bytes, traffic, tier)``;
+    both are cached, so the comm stage then hits the same entries.
     """
+    # Imported here: repro.engine.batch imports this module at load time.
+    from .batch import TP_OVERLAP_NAMES, _factorize, _optim_times, _tp_exposures
+
     b = eb.b
+    n_b = eb.n_buckets
 
     def gp(field: str) -> np.ndarray:
         return eb.gprof[field][b["group"]]
@@ -111,42 +137,42 @@ def batch_lower_bounds(eb: "EvalBatch") -> np.ndarray:
     fw = gp("fw_time")
     bw = gp("bw_time")
     rc = gp("recompute_time")
-    lb = Mb * fw
-    lb = lb + np.where(tr, Mb * bw, 0.0)
-    lb = lb + np.where(tr, Mb * rc, 0.0)
-    opt_t = np.zeros(eb.n_buckets, dtype=np.float64)
+    base = Mb * fw
+    base = base + np.where(tr, Mb * bw, 0.0)
+    base = base + np.where(tr, Mb * rc, 0.0)
+    opt_t = np.zeros(n_b, dtype=np.float64)
     idx = np.flatnonzero(b["ok"] & tr)
     if idx.size:
-        g = b["group"][idx]
-        wg = eb.gprof["weight_grad_bytes"][g]
-        w = eb.gprof["weight_bytes"][g]
-        opt_bytes = b["opt_bytes"][idx]
-        # Same expression structure and operation order as the scalar
-        # bound's per-bucket arithmetic, lane-wise — values bit-identical.
-        traffic = 2.0 * opt_bytes + b["bp"][idx] * (wg + w) / b["opt_shard"][idx]
-        use2 = (
-            (b["o_off"][idx] != 0)
-            if eb.system.mem2 is not None
-            else np.zeros(idx.shape[0], dtype=bool)
+        opt_t[idx] = _optim_times(eb, idx)
+    base = base + opt_t
+
+    # Overlap modes present per feasible bucket (a bucket is feasible or
+    # rejected as a whole, so these are its feasible candidates' modes).
+    fv = eb.feasible_v
+    present = np.zeros((n_b, len(TP_OVERLAP_NAMES)), dtype=bool)
+    present[eb.bid[fv], eb.cols["tpo"][eb.vidx[fv]]] = True
+    lb = np.full(n_b, np.inf)
+    for mode in np.flatnonzero(present.any(axis=0)):
+        rows = np.flatnonzero(present[:, mode])
+        g = b["group"][rows]
+        gi, gfirst = _factorize([g])
+        tp = _tp_exposures(
+            eb, g[gfirst], b["t"][rows[gfirst]], np.full(gfirst.shape[0], mode)
+        )[gi]
+        fw_exp, fw_tax, bw_exp, bw_tax, rc_exp, rc_tax = tp.T
+        r_tr, r_Mb, bp, p = tr[rows], Mb[rows], b["bp"][rows], b["p"][rows]
+        t_f = bp * (fw[rows] + fw_exp + fw_tax)
+        t_b = np.where(
+            r_tr,
+            bp * (bw[rows] + rc[rows] + bw_exp + bw_tax + rc_exp + rc_tax),
+            0.0,
         )
-        keys = np.empty((idx.shape[0], 3), dtype=np.float64)
-        keys[:, 0] = opt_bytes
-        keys[:, 1] = traffic
-        keys[:, 2] = use2
-        uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-        vals = np.fromiter(
-            (
-                optim_step_time(eb.system, float(u[0]), float(u[1]), bool(u[2]))
-                for u in uniq
-            ),
-            dtype=np.float64,
-            count=uniq.shape[0],
+        m_lb = base[rows] + np.where(
+            p > 1, (p - 1) * ((t_f + t_b) / b["v"][rows]), 0.0
         )
-        opt_t[idx] = vals[inv.ravel()]
-    lb = lb + opt_t
-    t_f = b["bp"] * fw
-    t_b = np.where(tr, b["bp"] * (bw + rc), 0.0)
-    lb = lb + np.where(b["p"] > 1, (b["p"] - 1) * ((t_f + t_b) / b["v"]), 0.0)
+        m_lb = m_lb + r_Mb * (fw_exp + np.where(r_tr, bw_exp + rc_exp, 0.0))
+        m_lb = m_lb + r_Mb * (fw_tax + np.where(r_tr, bw_tax + rc_tax, 0.0))
+        lb[rows] = np.minimum(lb[rows], m_lb)
     return lb
 
 

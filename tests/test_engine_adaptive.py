@@ -2,9 +2,10 @@
 
 The load-bearing invariants of the adaptive search layer:
 
-* ``batch_lower_bounds`` is **bit-identical** to the scalar
-  ``roofline_lower_bound`` for every feasible memory bucket (property-based
-  over random candidate mixes — this is what makes tiled skipping sound);
+* ``batch_lower_bounds`` is **bit-identical** to the minimum of the scalar
+  ``roofline_lower_bound`` over each feasible memory bucket's candidates
+  (property-based over random candidate mixes whose buckets hold every
+  ``tp_overlap`` mode — this is what makes tiled skipping sound);
 * the tiled best-bound-first path produces bit-identical survivors and an
   identical top-k retention for *any* tile size — tiling is a speed hint,
   never a correctness input;
@@ -14,6 +15,7 @@ The load-bearing invariants of the adaptive search layer:
   and the coordinator's gossip.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,11 +50,22 @@ _random_strategy = st.builds(
     pp_interleaving=st.sampled_from([1, 2]),
     seq_par=st.booleans(),
     tp_redo_sp=st.booleans(),
-    tp_overlap=st.sampled_from(["none", "ring"]),
     dp_overlap=st.booleans(),
     optimizer_sharding=st.booleans(),
     recompute=st.sampled_from(["none", "attn_only", "full"]),
     training=st.booleans(),
+)
+
+# Memory buckets are not keyed on tp_overlap, so in a real space every
+# bucket holds each enumerated mode; emit every strategy under all three.
+_mixed_mode_strategies = st.lists(
+    _random_strategy, min_size=1, max_size=10
+).map(
+    lambda ss: [
+        dataclasses.replace(s, tp_overlap=mode)
+        for s in ss
+        for mode in ("none", "pipe", "ring")
+    ]
 )
 
 
@@ -143,28 +156,30 @@ def test_adaptive_plan_ignores_nonfinite_floor(floor):
 # -- property: vectorized bounds == scalar bounds ----------------------------
 
 
-@given(strategies=st.lists(_random_strategy, min_size=1, max_size=30))
+@given(strategies=_mixed_mode_strategies)
 @settings(max_examples=25, deadline=None)
 def test_batch_lower_bounds_bit_identical_to_scalar(strategies):
-    """Every feasible bucket's vectorized bound equals the scalar bound."""
+    """Each feasible bucket's bound is the minimum of its scalar bounds."""
     clear_caches()
     eb = _build_batch(strategies)
     engine_batch.batch_validate(eb)
     engine_batch.batch_profile(eb)
     engine_batch.batch_memory(eb)
     bounds = batch_lower_bounds(eb)
-    checked = 0
+    per_bucket: dict[int, list[float]] = {}
     for j in range(int(eb.vidx.shape[0])):
         bkt = int(eb.bid[j])
         if not bool(eb.b["ok"][bkt]):
             continue
         want = _scalar_bound(TINY_TEST, SYS64, strategies[int(eb.vidx[j])])
         assert want is not None
+        assert bounds[bkt] <= want
+        per_bucket.setdefault(bkt, []).append(want)
+    for bkt, wants in per_bucket.items():
         # Bit-identical, not approximately equal: pruning soundness rests
-        # on the vectorized bound reproducing the scalar float exactly.
-        assert bounds[bkt] == want
-        checked += 1
-    assert checked or not any(
+        # on the vectorized bound reproducing the scalar floats exactly.
+        assert bounds[bkt] == min(wants)
+    assert per_bucket or not any(
         _scalar_bound(TINY_TEST, SYS64, s) is not None for s in strategies
     )
 
@@ -173,7 +188,7 @@ def test_batch_lower_bounds_bit_identical_to_scalar(strategies):
 
 
 @given(
-    strategies=st.lists(_random_strategy, min_size=1, max_size=30),
+    strategies=_mixed_mode_strategies,
     tile=st.integers(min_value=1, max_value=40),
     k=st.sampled_from([1, 3, 10]),
 )

@@ -86,7 +86,7 @@ def fast_path_bound(llm, system, strategy) -> float | None:
     v=st.sampled_from([1, 2]),
     recompute=st.sampled_from(["none", "attn_only", "full"]),
     seq_par=st.booleans(),
-    tp_overlap=st.sampled_from(["none", "ring"]),
+    tp_overlap=st.sampled_from(["none", "pipe", "ring"]),
     dp_overlap=st.booleans(),
     sharding=st.booleans(),
     big_mem=st.booleans(),
@@ -97,7 +97,13 @@ def test_bound_never_exceeds_batch_time(
     shape, tpd, m, v, recompute, seq_par, tp_overlap, dp_overlap, sharding,
     big_mem, training,
 ):
-    """The pruning invariant: lower bound <= batch time, in float arithmetic."""
+    """The pruning invariant: lower bound <= batch time, in float arithmetic.
+
+    It is also tight through exposed TP communication: the bound reaches
+    ``batch_time``'s partial sum ``fw_pass ... tp_comm_exposed`` (summed in
+    field order), which it reproduces term for term, so a TP term that fell
+    back to zero would fail here.
+    """
     llm = make_llm(shape)
     system = BIG if big_mem else SMALL
     t, p, d = tpd
@@ -122,6 +128,16 @@ def test_bound_never_exceeds_batch_time(
     full = evaluate(llm, system, strategy)
     assert full.feasible
     assert bound <= full.batch_time
+    tb = full.time
+    through_tp = (
+        tb.fw_pass
+        + tb.bw_pass
+        + tb.fw_recompute
+        + tb.optim_step
+        + tb.pp_bubble
+        + tb.tp_comm_exposed
+    )
+    assert bound >= through_tp
 
 
 def test_bound_sound_across_gpt3_space():

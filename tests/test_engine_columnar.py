@@ -31,6 +31,7 @@ from repro.engine import batch as engine_batch
 from repro.engine.bounds import batch_lower_bounds
 from repro.execution import ExecutionStrategy, StrategyError
 from repro.hardware import a100_system, ddr5_offload
+from repro.io import system_from_spec
 from repro.llm import GPT3_175B, TINY_TEST
 from repro.obs import (
     M_COLUMNAR_BATCHES,
@@ -416,6 +417,25 @@ def test_clear_caches_resets_comm_cache_counters():
     assert hits + misses > 0
     clear_caches()
     assert comm_cache_stats() == (0, 0)
+
+
+def test_columnar_calls_each_comm_kernel_once_per_distinct_tuple():
+    """An unpruned columnar batch on a cleared cache never hits a comm cache.
+
+    Every kernel runs once per distinct argument tuple, so a real space
+    (thousands of survivors sharing a few hundred kernel shapes) records
+    misses only.
+    """
+    system = system_from_spec("a100:1024")
+    cols = search_columns.candidate_columns(
+        GPT3_175B, system, 4096, SearchOptions()
+    )
+    clear_caches()
+    eb = engine_batch.EvalBatch.from_columns(GPT3_175B, system, cols)
+    engine_batch.run_batch(eb)
+    hits, misses = comm_cache_stats()
+    assert eb.n_s > 10 * misses > 0
+    assert hits == 0
 
 
 # -- stats plumbing and System hash -----------------------------------------
