@@ -3,13 +3,13 @@
 Acceptance demo for the distributed search fabric: the GPT-3 175B /
 a100:4096 / batch-4096 joint sweep (the same ~100k-candidate space the
 pruning, bounds and columnar benchmarks share), sharded across a 4-worker
-local cluster — real subprocesses, real loopback HTTP, lease-based work
-stealing — must
+local cluster — real worker processes forked from the coordinator, real
+loopback HTTP, lease-based work stealing — must
 
 * return a top-k **bit-identical** to the single-process columnar search
   (``benchmarks/test_engine_columnar.py``'s answer), and
 * complete its sweep window (first lease grant -> last chunk merged, the
-  steady-state cost of a long-lived cluster; worker process boot is paid
+  steady-state cost of a long-lived cluster; worker start-up is paid
   once and excluded) faster than the single-process columnar wall-clock.
 
 The sweep window is read from the ``fabric.done`` flight-recorder event —

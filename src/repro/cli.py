@@ -9,8 +9,9 @@ Subcommands mirror the reference tool's workflows:
 * ``sweep``  — optimal performance vs. system size (paper §5.2 / Fig. 7).
 * ``budget`` — budgeted optimal-system search (paper §7 / Table 3).
 * ``fabric`` — shard one search across a work-stealing worker cluster
-               (coordinator + N subprocesses, or ``--join URL`` to add
-               a worker to a remote coordinator; ``docs/FABRIC.md``).
+               (coordinator + N workers forked from it, or ``--join URL``
+               to add a worker to a remote coordinator;
+               ``docs/FABRIC.md``).
 * ``serve-search`` — SLO-constrained serving co-design: search colocated
                and disaggregated prefill/decode deployments under
                percentile latency targets (``docs/SERVING.md``).  Not to
@@ -1025,7 +1026,8 @@ def main(argv: list[str] | None = None) -> int:
     fab.add_argument("--options", default="all")
     fab.add_argument("--top", type=int, default=10)
     fab.add_argument("--workers", type=int, default=4,
-                     help="local worker processes to spawn (default 4)")
+                     help="local worker processes, forked from the coordinator "
+                     "(default 4)")
     fab.add_argument("--host", default="127.0.0.1")
     fab.add_argument("--port", type=int, default=0,
                      help="coordinator TCP port (0 picks a free one)")

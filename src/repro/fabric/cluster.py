@@ -1,25 +1,32 @@
 """Run a complete fabric cluster on one machine: coordinator + N workers.
 
 :func:`run_fabric` is the one-call form behind ``repro fabric --workers N``:
-it boots a :class:`~repro.fabric.server.FabricHTTPServer` on a loopback
-port, spawns ``N`` worker subprocesses (each runs
-``python -m repro fabric --join <url>``, i.e. exactly what an external
-node would run against a remote coordinator), waits for the merged result,
-and tears everything down.  Workers that die are survivable by
-construction — their leases expire and the survivors steal the chunks —
-so teardown only has to reap whatever is still alive.
+it builds a :class:`~repro.fabric.server.FabricHTTPServer` on a loopback
+port, forks ``N`` worker processes from the coordinator (each runs the
+:class:`~repro.fabric.worker.FabricWorker` loop over real HTTP, i.e.
+exactly what an external ``repro fabric --join <url>`` node runs against
+a remote coordinator, minus a second interpreter boot), waits for the
+merged result, and tears everything down.  Workers that die are
+survivable by construction — their leases expire and the survivors steal
+the chunks — so teardown only has to reap whatever is still alive.
 
-For tests that want the protocol without process-spawn latency,
-``spawn="thread"`` runs each :class:`~repro.fabric.worker.FabricWorker`
-loop in a daemon thread over real HTTP to the same server.
+The fork happens while the coordinator is still single-threaded: after
+the server socket listens and the space is enumerated, before the
+evaluation service's dispatch thread and the ``serve_forever`` thread
+start.  Where ``fork`` is unavailable, or the calling process already
+runs threads of its own, the same worker body runs under ``spawn``.
+
+For tests that want the protocol without process start-up,
+``spawn="thread"`` runs each worker loop in a daemon thread over real
+HTTP to the same server.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
-import subprocess
-import sys
+import socket
 import threading
 from time import perf_counter
 
@@ -30,6 +37,7 @@ from .worker import FabricWorker
 logger = logging.getLogger(__name__)
 
 __all__ = ["run_fabric"]
+
 
 
 def run_fabric(
@@ -54,11 +62,13 @@ def run_fabric(
 ) -> SearchResult:
     """Shard one search across a local cluster; return the merged result.
 
-    ``spawn="process"`` (default) launches each worker as a fresh
-    ``python -m repro fabric --join`` subprocess; ``spawn="thread"`` runs
-    the worker loops in-process (same wire protocol, no boot cost).
-    ``worker_env`` adds environment variables to spawned workers — the
-    fault-drill hooks (``REPRO_FABRIC_CRASH_AT_LEASE``) ride in this way.
+    ``spawn="process"`` (default) forks each worker from this process
+    (``spawn`` start method where fork is unavailable or the caller runs
+    threads); ``spawn="thread"``
+    runs the worker loops in-process (same wire protocol, no start-up
+    cost).  ``worker_env`` is applied to each worker process's
+    environment — the fault-drill hooks (``REPRO_FABRIC_CRASH_AT_LEASE``)
+    ride in this way.
 
     The result carries ``stats`` (worker-merged engine counters) and the
     coordinator's sweep window is exposed on the returned result as
@@ -82,26 +92,29 @@ def run_fabric(
     )
     url = f"http://{host}:{server.port}"
     serve_thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05},
+        target=server.serve_forever, kwargs={"poll_interval": 0.005},
         daemon=True, name="fabric-coordinator",
     )
-    serve_thread.start()
-    procs: list[subprocess.Popen] = []
+    procs: list[multiprocessing.Process] = []
     threads: list[threading.Thread] = []
     t_boot = perf_counter()
     try:
         if spawn == "process":
-            env = {**os.environ, **(worker_env or {})}
-            env["PYTHONPATH"] = _pythonpath(env)
+            # The server listens, but it neither serves nor dispatches
+            # until serve_forever runs below, so no thread of ours exists.
+            method = _start_method()
+            ctx = multiprocessing.get_context(method)
+            listener = server.socket if method == "fork" else None
             for i in range(workers):
-                procs.append(subprocess.Popen(
-                    [sys.executable, "-m", "repro", "fabric",
-                     "--join", url, "--name", f"local-{i}"],
-                    env=env,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
-                ))
-        else:
+                proc = ctx.Process(
+                    target=_local_worker,
+                    args=(url, f"local-{i}", worker_env or {}, listener),
+                    name=f"fabric-worker-{i}", daemon=True,
+                )
+                proc.start()
+                procs.append(proc)
+        serve_thread.start()
+        if spawn == "thread":
             def _loop(i: int) -> None:
                 try:
                     FabricWorker(url, name=f"thread-{i}").run()
@@ -123,28 +136,43 @@ def run_fabric(
         return result
     finally:
         for proc in procs:
-            if proc.poll() is None:
+            if proc.is_alive():
                 proc.terminate()
         for proc in procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=5.0)
+            if proc.is_alive():
                 proc.kill()
+                proc.join()
         for t in threads:
             t.join(timeout=5.0)
-        server.shutdown()
+        if serve_thread.is_alive():
+            server.shutdown()
         server.server_close()
         server.service.stop(drain=False)
 
 
-def _pythonpath(env: dict[str, str]) -> str:
-    """Ensure spawned workers can import ``repro`` from a src/ checkout."""
-    import repro
+def _start_method() -> str:
+    """``fork`` from a single-threaded process, else ``spawn``.
 
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    current = env.get("PYTHONPATH")
-    if not current:
-        return src
-    if src in current.split(os.pathsep):
-        return current
-    return src + os.pathsep + current
+    A forked child skips the interpreter boot and imports.  It is safe only
+    while no other thread can hold a lock at the fork, so a caller that
+    already runs threads, or a platform without fork, gets children that
+    boot their own interpreter.
+    """
+    if ("fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1):
+        return "fork"
+    return "spawn"
+
+
+def _local_worker(url: str, name: str, env: dict[str, str],
+                  listener: socket.socket | None) -> None:
+    """Body of one local worker process: what ``repro fabric --join`` runs.
+
+    ``listener`` is the coordinator's listening socket, inherited by fork;
+    the worker only ever connects to it, so its copy is closed first.
+    """
+    if listener is not None:
+        listener.close()
+    os.environ.update(env)
+    FabricWorker(url, name=name).run()

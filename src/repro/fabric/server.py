@@ -106,6 +106,14 @@ class FabricHTTPServer(ServiceHTTPServer):
         super().__init__(address, service, handler=_FabricHandler)
         self.coordinator = coordinator
 
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        # The service's dispatch thread starts with serving, not when the
+        # server is built, so run_fabric can fork its local workers in
+        # between from a process that has no thread yet.
+        if not self.service.batcher.running:
+            self.service.start()
+        super().serve_forever(poll_interval)
+
 
 def make_fabric_server(
     llm,
@@ -126,8 +134,10 @@ def make_fabric_server(
 ) -> FabricHTTPServer:
     """Assemble coordinator + evaluation service + HTTP server (not serving).
 
-    The evaluation service shares the coordinator's :class:`MetricsRegistry`
-    and events journal, so one ``/metrics`` scrape covers both roles.
+    The server listens but starts no thread: the evaluation service starts
+    when :meth:`FabricHTTPServer.serve_forever` does.  The service shares
+    the coordinator's :class:`MetricsRegistry` and events journal, so one
+    ``/metrics`` scrape covers both roles.
     """
     from .coordinator import DEFAULT_LEASE_TIMEOUT
 
@@ -147,5 +157,4 @@ def make_fabric_server(
         tracer=tracer,
     )
     service = EvaluationService(metrics=metrics, events=events)
-    service.start()
     return FabricHTTPServer((host, port), service, coordinator)

@@ -46,6 +46,13 @@ M_COLUMNAR_CANDIDATES = "engine.columnar.candidates"
 # into the parent registry with the engine counters.
 M_CHUNK_SECONDS = "search.chunk.seconds"
 
+# -- service-side serving metric names ----------------------------------------
+# Bumped by the evaluation service's ``POST /serve``; defined here, not in
+# ``repro.serving.stats`` (which re-exports them), so the service imports
+# them without loading the serving package.
+M_SERVE_REQUESTS = "serving.requests"
+M_SERVE_SECONDS = "serving.seconds"
+
 
 def stage_metric(stage: str) -> str:
     """Histogram name recording wall seconds spent in ``stage``."""

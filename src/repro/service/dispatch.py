@@ -128,6 +128,10 @@ class MicroBatcher:
         self._thread.start()
         return self
 
+    @property
+    def running(self) -> bool:
+        return self._thread is not None
+
     def stop(self, *, drain: bool = True) -> None:
         """Stop the dispatch thread; with ``drain`` finish queued work first.
 

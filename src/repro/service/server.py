@@ -57,7 +57,7 @@ from ..obs import (
     Tracer,
     render_prometheus,
 )
-from ..serving.stats import M_SERVE_REQUESTS, M_SERVE_SECONDS
+from ..obs.stats import M_SERVE_REQUESTS, M_SERVE_SECONDS
 from .cache import (
     M_CACHE_HIT_DISK,
     M_CACHE_HIT_MEMORY,

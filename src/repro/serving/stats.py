@@ -13,6 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+# The service-side serving metrics live with the engine's metric names, so
+# the evaluation service imports them without loading this package.
+from ..obs.stats import M_SERVE_REQUESTS, M_SERVE_SECONDS
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..obs.metrics import MetricsRegistry
 
@@ -22,10 +26,6 @@ M_SERVE_SIMULATED = "serving.simulated"
 M_SERVE_PRUNED = "serving.slo_pruned"
 M_SERVE_VIOLATED = "serving.slo_violated"
 M_SERVE_INFEASIBLE = "serving.infeasible"
-
-# -- service-side serving metrics ---------------------------------------------
-M_SERVE_REQUESTS = "serving.requests"
-M_SERVE_SECONDS = "serving.seconds"
 
 # -- inference deployment search ----------------------------------------------
 M_DEPLOY_CANDIDATES = "deploy.candidates"

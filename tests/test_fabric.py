@@ -11,8 +11,13 @@ torn-journal flight recording.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +34,7 @@ from repro.fabric import (
     run_fabric,
 )
 from repro.fabric.chunkeval import evaluate_chunk
+from repro.fabric.cluster import _start_method
 from repro.hardware import a100_system
 from repro.llm import LLMConfig
 from repro.obs import EventJournal, read_events, validate_events
@@ -500,6 +506,130 @@ def test_run_fabric_thread_cluster_end_to_end(tmp_path):
     worker_spans = [e for e in tracer.events()
                     if e.get("cat") == "search.chunk"]
     assert worker_spans, "no worker chunk spans stitched into the trace"
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's repro."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+
+
+def test_run_fabric_process_cluster_is_bit_identical():
+    """Forked local workers return exactly the single-process answer."""
+    ref = reference()
+    result = run_fabric(LLM, SYS, BATCH, small_options(), workers=2,
+                        top_k=5, spawn="process", timeout=120)
+    assert result.top == ref.top
+    assert result.num_evaluated == ref.num_evaluated
+    assert result.num_feasible == ref.num_feasible
+    assert result.stats is not None and result.stats.workers == 2
+
+
+def test_run_fabric_spawns_workers_when_the_caller_runs_threads():
+    """A caller's live thread could hold a lock across a fork, so the local
+    workers boot their own interpreters instead; the answer is the same."""
+    ref = reference()
+    release = threading.Event()
+    bystander = threading.Thread(target=release.wait, daemon=True)
+    bystander.start()
+    try:
+        assert _start_method() == "spawn"
+        result = run_fabric(LLM, SYS, BATCH, small_options(), workers=2,
+                            top_k=5, spawn="process", timeout=120)
+    finally:
+        release.set()
+        bystander.join(timeout=5)
+    assert not bystander.is_alive()
+    assert result.top == ref.top
+    assert result.num_evaluated == ref.num_evaluated
+
+
+def test_run_fabric_process_crash_drill_stays_bit_identical(tmp_path):
+    """Every forked worker dies holding its second lease; leases expire,
+    and the coordinator's fallback still merges the exact answer."""
+    ref = reference()
+    events_path = tmp_path / "events.jsonl"
+    with EventJournal(events_path, source="fabric") as events:
+        result = run_fabric(
+            LLM, SYS, BATCH, small_options(), workers=2, top_k=5,
+            spawn="process", lease_timeout=0.5, events=events, timeout=120,
+            worker_env={"REPRO_FABRIC_CRASH_AT_LEASE": "2"},
+        )
+    assert result.top == ref.top
+    assert result.num_evaluated == ref.num_evaluated
+    assert not result.truncated
+    kinds = [e["kind"] for e in read_events(events_path)]
+    assert kinds.count("worker.dead") == 2
+    assert "chunk.serial_fallback" in kinds
+
+
+def test_run_fabric_forks_from_a_single_threaded_process():
+    """Every fork run_fabric makes happens before any thread starts."""
+    code = textwrap.dedent("""
+        import os, threading
+        from repro.fabric import run_fabric
+        from repro.hardware import a100_system
+        from repro.llm import LLMConfig
+        from repro.search import SearchOptions
+
+        counts = []
+        os.register_at_fork(
+            before=lambda: counts.append(threading.active_count()))
+        llm = LLMConfig(name="fabric-llm", hidden=2048, attn_heads=16,
+                        seq_size=1024, num_blocks=16)
+        options = SearchOptions(
+            recompute=("none", "full"), tp_overlap=("none",),
+            dp_overlap=(False,), optimizer_sharding=(False, True),
+            fused_activations=(False,), max_microbatch=2,
+            interleaving_values=(1, 2))
+        result = run_fabric(llm, a100_system(8), 16, options, workers=2,
+                            top_k=5, spawn="process", timeout=120)
+        assert result.top, "empty result"
+        print(counts)
+    """)
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[1, 1]"
+
+
+def test_cli_fabric_events_journal_has_one_start_and_one_done(tmp_path, capsys):
+    """Forked workers write nothing to the coordinator's journal, and the
+    CLI prints the table ``repro search`` prints."""
+    from repro.cli import main
+
+    argv = ["tiny-test", "a100:8", "--batch", "16", "--top", "3"]
+    assert main(["search", *argv]) == 0
+    searched = capsys.readouterr().out.splitlines()
+    events_path = tmp_path / "events.jsonl"
+    assert main(["fabric", *argv, "--workers", "2",
+                 "--events", str(events_path)]) == 0
+    fabric = capsys.readouterr().out.splitlines()
+    table = searched.index(next(ln for ln in searched if ln.startswith("config")))
+    assert fabric[-len(searched) + table:] == searched[table:]
+
+    recorded = list(read_events(events_path))
+    assert validate_events(recorded) == []
+    kinds = [e["kind"] for e in recorded]
+    assert kinds.count("fabric.start") == 1
+    assert kinds.count("fabric.done") == 1
+    joins = [e for e in recorded if e["kind"] == "worker.join"]
+    assert len(joins) == 2
+    assert os.getpid() not in {e["worker_pid"] for e in joins}
+
+
+def test_import_fabric_leaves_serving_unloaded():
+    proc = _fresh_python(
+        "import sys, repro.fabric; print('repro.serving' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_fabric_rejects_bad_arguments():
