@@ -127,6 +127,7 @@ from .stages import (  # noqa: E402
 _M_VALIDATE = stage_metric("validate")
 _M_PROFILE = stage_metric("profile")
 _M_MEMORY = stage_metric("memory")
+_M_BOUND = stage_metric("bound")
 _M_COMM = stage_metric("comm")
 _M_ASSEMBLE = stage_metric("assemble")
 
@@ -203,35 +204,78 @@ def _factorize(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(ids, firsts)``: per-row group id in ``[0, G)`` numbered by
     first occurrence, and for each id the row index of its first member.
-    Columns are packed into one int64 code per row — small non-negative
-    value ranges are used directly as digits (no ``np.unique`` pass), wide
-    ranges fall back to rank coding, and the running code is re-compacted
-    whenever the next digit could overflow 63 bits.
+    Columns are packed into one int64 code per row — constant columns are
+    skipped, small non-negative value ranges are used directly as digits
+    (no ``np.unique`` pass), wide ranges fall back to rank coding, and the
+    running code is re-compacted whenever the next digit could overflow 63
+    bits.  Rows are then grouped by a stable sort of the code — a 16-bit
+    radix sort while the code's cardinality fits one or two 16-bit digits —
+    so each code's first member is its smallest row index; ranking those
+    first rows numbers the codes by first occurrence.
     """
     n = int(cols[0].shape[0])
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    code = np.zeros(n, dtype=np.int64)
+    code = None
     card = 1
     for col in cols:
         cmin = int(col.min())
         k = int(col.max()) - cmin + 1  # Python ints: no int64 wrap-around
+        if k == 1:
+            continue
         if k > 1 << 20:
-            _, shifted = np.unique(col, return_inverse=True)
-            k = int(shifted.max()) + 1
+            _, col = np.unique(col, return_inverse=True)
+            col = col.ravel()
+            k = int(col.max()) + 1
+            cmin = 0
+        if code is None:
+            code = col - cmin if cmin else col.astype(np.int64)
         else:
-            shifted = col - cmin if cmin else col
-        if card > (1 << 62) // k:
-            _, code = np.unique(code, return_inverse=True)
-            card = int(code.max()) + 1
-        code = code * k + shifted
+            if card > (1 << 62) // k:
+                _, code = np.unique(code, return_inverse=True)
+                code = code.ravel()
+                card = int(code.max()) + 1
+            # In place; an int64 wrap-around in ``+= col`` is undone by
+            # ``-= cmin``, as the digit itself lies in [0, k).
+            code *= k
+            code += col
+            if cmin:
+                code -= cmin
         card *= k
-    _, firsts, inverse = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(firsts, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    return rank[inverse], firsts[order]
+    if code is None:
+        return np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    perm = _stable_argsort(code, card)
+    sorted_code = code[perm]
+    head = np.empty(n, dtype=bool)  # sorted position starts a new code
+    head[0] = True
+    np.not_equal(sorted_code[1:], sorted_code[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    code_first = perm[starts]  # each code's first row, in code order
+    is_first = np.zeros(n, dtype=bool)
+    is_first[code_first] = True
+    firsts = np.flatnonzero(is_first)
+    rank = np.empty(n, dtype=np.int64)
+    rank[firsts] = np.arange(firsts.shape[0], dtype=np.int64)
+    ids = np.empty(n, dtype=np.int64)
+    ids[perm] = np.repeat(rank[code_first], np.diff(starts, append=n))
+    return ids, firsts
+
+
+def _stable_argsort(code: np.ndarray, card: int) -> np.ndarray:
+    """Stable argsort of non-negative ``code`` values below ``card``.
+
+    NumPy's stable sort is a radix sort for 16-bit keys, so codes of up to
+    two 16-bit digits sort as one or two least-significant-digit passes;
+    wider codes take NumPy's int64 stable sort.
+    """
+    if card <= 1 << 16:
+        return np.argsort(code.astype(np.uint16), kind="stable")
+    if card <= 1 << 32:
+        perm = np.argsort(code.astype(np.uint16), kind="stable")
+        high = (code[perm] >> 16).astype(np.uint16)
+        return perm[np.argsort(high, kind="stable")]
+    return np.argsort(code, kind="stable")
 
 
 def _call_distinct(fn, cols: Sequence[np.ndarray]) -> np.ndarray:
@@ -343,37 +387,52 @@ def batch_validate(eb: EvalBatch) -> EvalBatch:
     llm, system, c = eb.llm, eb.system, eb.cols
     t, p, d = c["t"], c["p"], c["d"]
     batch, m, v = c["batch"], c["m"], c["v"]
-    safe_t = np.maximum(t, 1)
-    safe_p = np.maximum(p, 1)
-    safe_d = np.maximum(d, 1)
-    safe_m = np.maximum(m, 1)
-    local = batch // safe_d
-    bpstage = (llm.num_blocks + safe_p - 1) // safe_p
+    n_procs = system.num_procs
+    local, batch_rem = np.divmod(batch, np.maximum(d, 1))
+    M, local_rem = np.divmod(local, np.maximum(m, 1))
 
-    ok = (t >= 1) & (p >= 1) & (d >= 1)
-    # Individually bounding each factor by the system size first keeps the
-    # int64 product from overflowing (any factor beyond num_procs already
-    # fails the product check in exact arithmetic).
-    ok &= (t <= system.num_procs) & (p <= system.num_procs) & (d <= system.num_procs)
-    ok &= t * p * d == system.num_procs
-    ok &= t <= llm.attn_heads
-    ok &= (llm.attn_heads % safe_t == 0) & (llm.hidden % safe_t == 0)
-    ok &= llm.feedforward % safe_t == 0
-    ok &= p <= llm.num_blocks
-    ok &= (d <= batch) & (batch % safe_d == 0)
-    ok &= (m >= 1) & (local % safe_m == 0)
+    # Checks on t or p alone are priced once per value, in tables indexed
+    # by the value clipped to [0, hi]: hi is the largest value present,
+    # capped at max(num_procs, blocks) + 1.  A clipped value's entry holds
+    # for it too: t, p < 1 and > num_procs fail either way, p <= 0 has
+    # bpstage = blocks (divisor 1) and every p > blocks has bpstage 1.
+    top = max(n_procs, llm.num_blocks) + 1
+
+    def table_index(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hi = min(max(int(x.max()), 0), top) if x.size else 0
+        return np.clip(x, 0, hi), np.arange(hi + 1, dtype=np.int64)
+
+    ti, tv = table_index(t)
+    safe_tv = np.maximum(tv, 1)
+    t_ok = (tv >= 1) & (tv <= n_procs) & (tv <= llm.attn_heads)
+    t_ok &= (llm.attn_heads % safe_tv == 0) & (llm.hidden % safe_tv == 0)
+    t_ok &= llm.feedforward % safe_tv == 0
+    # Floor square root via float sqrt with a +/-1 integer correction.
+    r = np.sqrt(safe_tv.astype(np.float64)).astype(np.int64)
+    r = np.where((r + 1) * (r + 1) <= safe_tv, r + 1, r)
+    r = np.where(r * r > safe_tv, r - 1, r)
+    t_2d_ok = (tv <= 1) | (r * r == tv)
+    t_sp_ok = llm.seq_size % safe_tv == 0
+    pi, pv = table_index(p)
+    safe_pv = np.maximum(pv, 1)
+    p_ok = (pv >= 1) & (pv <= n_procs) & (pv <= llm.num_blocks)
+    bpstage = ((llm.num_blocks + safe_pv - 1) // safe_pv)[pi]
+
+    ok = t_ok[ti] & p_ok[pi]
+    ok &= (d >= 1) & (d <= n_procs)
+    # Every factor is bounded by the system size above, so a product that
+    # overflows int64 belongs to a row that already failed.
+    ok &= t * p * d == n_procs
+    ok &= (d <= batch) & (batch_rem == 0)
+    ok &= (m >= 1) & (local_rem == 0)
     ok &= (v >= 1) & (v <= bpstage)
     ok &= ~((v > 1) & (p == 1))
     ok &= (c["rc"] >= 0) & (c["tpo"] >= 0) & (c["tpm"] >= 0)
     sp = c["sp"] != 0
     is2d = c["tpm"] == 1
     ok &= ~(is2d & sp)
-    # Floor square root via float sqrt with a +/-1 integer correction.
-    r = np.sqrt(safe_t.astype(np.float64)).astype(np.int64)
-    r = np.where((r + 1) * (r + 1) <= safe_t, r + 1, r)
-    r = np.where(r * r > safe_t, r - 1, r)
-    ok &= ~(is2d & (t > 1) & (r * r != t))
-    ok &= ~(sp & (llm.seq_size % safe_t != 0))
+    ok &= ~is2d | t_2d_ok[ti]
+    ok &= ~sp | t_sp_ok[ti]
     ok &= ~((c["redo"] != 0) & ~sp)
     ok &= ~((c["rs_ag"] != 0) & ~sp)
     offloading = (c["w_off"] | c["a_off"] | c["o_off"]) != 0
@@ -383,7 +442,7 @@ def batch_validate(eb: EvalBatch) -> EvalBatch:
     ok &= ~(~training & (c["rc"] != 0))
 
     eb.valid = ok
-    eb.M = local // safe_m
+    eb.M = M
     eb.bpstage = bpstage
     eb.n_invalid = int(eb.n - np.count_nonzero(ok))
     return eb
@@ -765,6 +824,18 @@ def profile_columns(
     return {name: np.asarray(cols[name], dtype=np.float64) for name in _PROF_FIELDS}
 
 
+def _valid_col(eb: EvalBatch, name: str) -> np.ndarray:
+    """Column ``name`` over the valid candidates (no copy when all are)."""
+    col = eb.cols[name]
+    return col if eb.n_valid == eb.n else col[eb.vidx]
+
+
+def _input_rows(eb: EvalBatch, sel: np.ndarray) -> np.ndarray:
+    """``eb.vidx[sel]``: the input rows of valid-candidate positions or mask
+    ``sel`` (``sel`` itself when every candidate is valid)."""
+    return sel if eb.n_valid == eb.n else eb.vidx[sel]
+
+
 def batch_profile(eb: EvalBatch) -> EvalBatch:
     """Factorize valid candidates into profile groups; profile them columnar.
 
@@ -775,12 +846,10 @@ def batch_profile(eb: EvalBatch) -> EvalBatch:
     columns bit-identically to :func:`~repro.engine.profile.profile_block`
     without building a block or profile object per group.
     """
-    c = eb.cols
     vidx = np.flatnonzero(eb.valid)
     eb.vidx = vidx
-    nv = int(vidx.shape[0])
-    eb.n_valid = nv
-    gcols = [c[name][vidx] for name in _GROUP_KEYS]
+    eb.n_valid = int(vidx.shape[0])
+    gcols = [_valid_col(eb, name) for name in _GROUP_KEYS]
     gid, gfirst = _factorize(gcols)
     eb.gid = gid
     eb.n_groups = int(gfirst.shape[0])
@@ -792,11 +861,13 @@ def batch_profile(eb: EvalBatch) -> EvalBatch:
 
     # Scalar stream order: validate-rejects first (input order), then groups
     # in first-seen order with members in input order within each group.
-    order_v = np.argsort(gid, kind="stable")
+    # Group ids that fit 16 bits sort as one radix pass.
+    narrow = gid.astype(np.uint16) if eb.n_groups <= 1 << 16 else gid
+    order_v = np.argsort(narrow, kind="stable")
     eb.order_v = order_v
     eb.stream_order = np.concatenate(
-        [np.flatnonzero(~eb.valid), vidx[order_v]]
-    ).astype(np.int64)
+        [np.flatnonzero(~eb.valid), _input_rows(eb, order_v)]
+    ).astype(np.int64, copy=False)
     eb.stream_rank = np.empty(eb.n, dtype=np.int64)
     eb.stream_rank[eb.stream_order] = np.arange(eb.n, dtype=np.int64)
     return eb
@@ -817,10 +888,10 @@ def batch_memory(eb: EvalBatch) -> EvalBatch:
     so plan floats — and the derived capacity verdicts — are bit-identical
     to the scalar plans.
     """
-    c, vidx, gid = eb.cols, eb.vidx, eb.gid
+    c, gid = eb.cols, eb.gid
     system = eb.system
     bcols = [gid] + [
-        c[name][vidx]
+        _valid_col(eb, name)
         for name in (
             "p", "d", "batch", "v", "f1b", "osh",
             "w_off", "a_off", "o_off", "training",
@@ -830,7 +901,7 @@ def batch_memory(eb: EvalBatch) -> EvalBatch:
     eb.bid = bid
     n_b = int(bfirst.shape[0])
     eb.n_buckets = n_b
-    rep = vidx[bfirst] if n_b else np.empty(0, dtype=np.int64)
+    rep = _input_rows(eb, bfirst)
     eb.b_rep = rep
 
     b: dict[str, np.ndarray] = {"group": gid[bfirst] if n_b else np.empty(0, np.int64)}
@@ -1005,7 +1076,7 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
     b, c, llm, system = eb.b, eb.cols, eb.llm, eb.system
     sidx = np.flatnonzero(eb.surv_v)
     eb.sidx = sidx
-    inp_s = eb.vidx[sidx] if sidx.size else np.empty(0, dtype=np.int64)
+    inp_s = _input_rows(eb, sidx)
     eb.inp_s = inp_s
     n_s = int(sidx.shape[0])
     eb.n_s = n_s
@@ -1319,7 +1390,10 @@ def batch_adaptive(
     timed = metrics is not None
     t_comm = 0.0
     t_asm = 0.0
+    t0 = perf_counter() if timed else 0.0
     eb.bounds = batch_lower_bounds(eb)
+    if timed:
+        metrics.observe(_M_BOUND, perf_counter() - t0)
     eb.n_bound_evals = eb.n_feasible_buckets
     bounds = eb.bounds
     b = eb.b
@@ -1488,8 +1562,8 @@ def run_batch(
         t1 = perf_counter()
         mx.observe(_M_MEMORY, t1 - t0)
     if adaptive is not None:
-        # Bounds stay untimed (like the scalar bound evals); the tiled
-        # comm/assemble loop observes its aggregate durations internally.
+        # The bound and the tiled comm/assemble loop observe their
+        # aggregate durations internally.
         batch_adaptive(eb, adaptive, metrics=mx)
     else:
         batch_prune(eb, None)

@@ -124,7 +124,13 @@ def batch_lower_bounds(eb: "EvalBatch") -> np.ndarray:
     both are cached, so the comm stage then hits the same entries.
     """
     # Imported here: repro.engine.batch imports this module at load time.
-    from .batch import TP_OVERLAP_NAMES, _factorize, _optim_times, _tp_exposures
+    from .batch import (
+        TP_OVERLAP_NAMES,
+        _factorize,
+        _input_rows,
+        _optim_times,
+        _tp_exposures,
+    )
 
     b = eb.b
     n_b = eb.n_buckets
@@ -150,7 +156,7 @@ def batch_lower_bounds(eb: "EvalBatch") -> np.ndarray:
     # rejected as a whole, so these are its feasible candidates' modes).
     fv = eb.feasible_v
     present = np.zeros((n_b, len(TP_OVERLAP_NAMES)), dtype=bool)
-    present[eb.bid[fv], eb.cols["tpo"][eb.vidx[fv]]] = True
+    present[eb.bid[fv], eb.cols["tpo"][_input_rows(eb, fv)]] = True
     lb = np.full(n_b, np.inf)
     for mode in np.flatnonzero(present.any(axis=0)):
         rows = np.flatnonzero(present[:, mode])

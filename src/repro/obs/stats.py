@@ -20,8 +20,9 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .metrics import MetricsRegistry
 
-# The five pipeline stages, in execution order (mirrors repro.engine.PIPELINE).
-STAGE_NAMES = ("validate", "profile", "memory", "comm", "assemble")
+# The pipeline stages, in execution order: repro.engine.PIPELINE's five plus
+# the columnar search's lower bound, timed only when a top-k prunes.
+STAGE_NAMES = ("validate", "profile", "memory", "bound", "comm", "assemble")
 
 # -- engine metric names ------------------------------------------------------
 M_CANDIDATES = "engine.candidates"

@@ -227,3 +227,19 @@ def test_adaptive_any_tiling_bit_identical(strategies, tile, k):
 
     # The retention the search applies is identical.
     assert _top_retention(full, k) == _top_retention(adap, k)
+
+
+@pytest.mark.parametrize("keep_rates", [False, True])
+def test_search_times_the_bound_stage_only_when_it_runs(keep_rates):
+    """An adaptive search reports its bound time; full pricing has none."""
+    from repro.search import search
+
+    res = search(TINY_TEST, SYS64, 64, workers=0, top_k=3,
+                 keep_rates=keep_rates, collect_stats=True)
+    stages = res.stats.engine.stage_seconds
+    assert list(stages)[:4] == ["validate", "profile", "memory", "bound"]
+    if keep_rates:
+        assert stages["bound"] == 0.0
+    else:
+        assert stages["bound"] > 0.0
+        assert res.stats.engine.bound_evals > 0

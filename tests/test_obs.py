@@ -354,7 +354,7 @@ def test_search_trace_covers_stages_and_chunks(tmp_path):
     path = tracer.write(tmp_path / "sweep.json")
     assert validate_trace_file(path) == []
     names = {e["name"] for e in tracer.events()}
-    assert set(STAGE_NAMES) <= names  # all five pipeline stages
+    assert set(STAGE_NAMES) <= names  # every pipeline stage, the bound too
     assert "enumerate" in names
     assert any(n.startswith("chunk[") for n in names)
 
