@@ -314,7 +314,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"({result.num_feasible} feasible, "
         f"{result.feasible_fraction * 100:.1f}%) in {elapsed:.1f} s"
     )
-    if result.stats is not None:
+    if args.stats and result.stats is not None:
         print(result.stats.summary())
     if result.best is None:
         print("no feasible configuration")
@@ -478,9 +478,14 @@ def _cmd_inference(args: argparse.Namespace) -> int:
         batch=args.batch,
         pipelined_requests=not args.latency_mode,
     )
-    result = calculate_inference(
-        llm, system, strategy, prompt_len=args.prompt, generate_len=args.generate
-    )
+    try:
+        result = calculate_inference(
+            llm, system, strategy, prompt_len=args.prompt,
+            generate_len=args.generate,
+        )
+    except ValueError as err:
+        print(f"error: {err}")
+        return 1
     print(result.summary())
     return 0 if result.feasible else 1
 
@@ -528,12 +533,16 @@ def _cmd_deployments(args: argparse.Namespace) -> int:
 
     llm = _parse_llm(args.llm)
     system = _parse_system(args.system)
-    front = search_deployments(
-        llm,
-        system,
-        prompt_len=args.prompt,
-        generate_len=args.generate,
-    )
+    try:
+        front = search_deployments(
+            llm,
+            system,
+            prompt_len=args.prompt,
+            generate_len=args.generate,
+        )
+    except ValueError as err:
+        print(f"error: {err}")
+        return 1
     if not front:
         print("no feasible deployment (model does not fit this pool)")
         return 1

@@ -710,12 +710,13 @@ def _roofline_cols(
 
 
 def prefill_columns(
-    llm: LLMConfig, system: System, seq: Sequence[int], tensor_par: int
+    llm: LLMConfig, system: System, seq: Sequence[int], tensor_par: int,
+    microbatch: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-lane ``(fw_block, tp_fw_comm)`` of a batch-1 forward pass.
+    """Per-lane ``(fw_block, tp_fw_comm)`` of a prompt's forward pass.
 
-    Lane ``i`` is one block of ``llm.with_seq(seq[i])`` at ``m=1`` with
-    sequence parallelism, fusion and redo off and 1-D tensor parallelism:
+    Lane ``i`` is one block of ``llm.with_seq(seq[i])`` at ``m=microbatch``
+    with sequence parallelism, fusion and redo off and 1-D tensor parallelism:
     the block :func:`profile_columns` builds for that key, priced with the
     same layer columns, roofline and collective schedule.  Unlike
     :func:`profile_columns`' ``fw_time`` (a running sum, as the engine's
@@ -726,8 +727,8 @@ def prefill_columns(
     block.tp_comm_fw)`` over the scalar block.
 
     Raises:
-        ValueError: if ``tensor_par`` does not divide the model shape or a
-            length is not positive.
+        ValueError: if ``tensor_par`` does not divide the model shape, or a
+            length or ``microbatch`` is not positive.
     """
     h, f, a, t = llm.hidden, llm.feedforward, llm.attn_heads, tensor_par
     if t <= 0 or a % t or h % t or f % t:
@@ -735,16 +736,16 @@ def prefill_columns(
             f"tensor_par={t} must divide attn_heads={a}, hidden={h}, feedforward={f}"
         )
     seq = np.asarray(seq, dtype=np.int64)
-    if np.any(seq <= 0):
-        raise ValueError("sequence lengths must be positive")
+    if np.any(seq <= 0) or microbatch <= 0:
+        raise ValueError("sequence lengths and microbatch must be positive")
     n = int(seq.shape[0])
-    one = np.ones(n, dtype=np.int64)
+    m = np.full(n, microbatch, dtype=np.int64)
     off = np.zeros(n, dtype=bool)
     t = np.full(n, tensor_par, dtype=np.int64)
     tpm = np.full(n, _TP_MODE_CODES["1d"], dtype=np.int64)
-    layers, _ = _block_layer_cols(llm, one, t, off, off, tpm, seq)
+    layers, _ = _block_layer_cols(llm, m, t, off, off, tpm, seq)
     total, _ = _roofline_cols(system, layers, n, ("fw",))
-    tp_fw, _ = _tp_comm_cols(llm, system, one, t, off, off, tpm, seq)
+    tp_fw, _ = _tp_comm_cols(llm, system, m, t, off, off, tpm, seq)
     return _builtin_sum(total[0]), tp_fw
 
 

@@ -18,34 +18,13 @@ from ..llm.config import LLMConfig
 
 
 @dataclass(frozen=True)
-class DecodeBlockProfile:
-    """Per-step, per-block figures for a decode iteration on one processor.
-
-    All values are per transformer block for a whole decode batch of
-    ``batch`` sequences at context length ``context``, already sharded over
-    the tensor-parallel degree.
-    """
-
-    flops: float  # matrix-engine FLOPs per step
-    weight_read_bytes: float  # streamed weights per step
-    cache_read_bytes: float  # KV cache read per step
-    cache_write_bytes: float  # new K/V entries appended per step
-    activation_bytes: float  # transient activations moved per step
-    traffic: float  # total tier-1 memory traffic: the four above, summed
-    vector_flops: float  # element-wise work per step
-    tp_comm_bytes: float  # per all-reduce payload
-    tp_comm_count: int  # all-reduces per block per step
-
-
-@dataclass(frozen=True)
 class DecodeBatchTerms:
     """The context-independent figures of a decode step at one batch size.
 
     A step's figures are these plus the per-context part :meth:`at` adds,
-    in the order the one-expression formulas would round them, so
-    :func:`profile_decode_block` and the serving step kernel (which keeps
-    one of these per batch size and calls :meth:`at` per context) share
-    every decode formula.
+    in the order the one-expression formulas would round them.  The
+    serving step kernel keeps one of these per batch size and calls
+    :meth:`at` per context, so every decode formula exists once.
     """
 
     hidden: int
@@ -133,39 +112,4 @@ def decode_batch_terms(
         activation_bytes=batch * (6 * h + 2 * f) * e / t,  # transient tensors
         tp_comm_bytes=batch * h * e,
         tp_comm_count=2 if t > 1 else 0,
-    )
-
-
-def profile_decode_block(
-    llm: LLMConfig,
-    *,
-    batch: int,
-    context: int,
-    tensor_par: int = 1,
-) -> DecodeBlockProfile:
-    """Analytical profile of one decode step through one transformer block.
-
-    Args:
-        llm: model hyperparameters.
-        batch: sequences decoded concurrently.
-        context: current context length (tokens attended over).
-        tensor_par: tensor-parallel degree.
-
-    Raises:
-        ValueError: on non-positive batch/context or non-dividing ``t``.
-    """
-    if batch < 1 or context < 1:
-        raise ValueError("batch and context must be >= 1")
-    terms = decode_batch_terms(llm, batch=batch, tensor_par=tensor_par)
-    flops, vector_flops, cache_read, traffic = terms.at(context)
-    return DecodeBlockProfile(
-        flops=flops,
-        weight_read_bytes=terms.weight_read_bytes,
-        cache_read_bytes=cache_read,
-        cache_write_bytes=terms.cache_write_bytes,
-        activation_bytes=terms.activation_bytes,
-        traffic=traffic,
-        vector_flops=vector_flops,
-        tp_comm_bytes=terms.tp_comm_bytes,
-        tp_comm_count=terms.tp_comm_count,
     )

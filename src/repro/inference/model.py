@@ -1,24 +1,22 @@
 """Analytical inference (serving) model.
 
-Mirrors the training model's structure: one block is profiled and reused for
-all blocks.  A request is served in two phases — *prefill* (the prompt moves
-through the model as a full sequence, compute-bound, identical to a training
-forward pass) and *decode* (one token per step over a growing KV cache,
+A request is served in two phases: *prefill* (the prompt moves through the
+model as a full sequence, compute-bound, identical to a training forward
+pass) and *decode* (one token per step over a growing KV cache,
 memory-bound).  With pipeline parallelism, independent request batches are
 interleaved across stages, so throughput scales with ``p`` while per-token
-latency does not.
+latency does not.  Both phases and the memory footprint are priced by the
+serving simulator's kernels (:mod:`repro.serving.simulator`), so this model
+and the simulator give one answer.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..core.flops import layer_fw_time
 from ..hardware.system import System
-from ..llm.blocks import build_block
 from ..llm.config import LLMConfig
-from .decode import kv_cache_bytes, profile_decode_block
+from .decode import decode_batch_terms
 from .results import InferenceResult
 
 
@@ -82,61 +80,23 @@ def calculate_inference(
     if prompt_len < 1 or generate_len < 0:
         raise ValueError("prompt_len >= 1 and generate_len >= 0 required")
 
+    # Imported here: the serving package imports InferenceStrategy from
+    # this module.
+    from ..serving.simulator import _Kernels, kv_reserve_bytes, weights_bytes
+
     t, p, d = strategy.tensor_par, strategy.pipeline_par, strategy.data_par
     B = strategy.batch
-    L = llm.num_blocks
-    bpstage = math.ceil(L / p)
-    proc, hbm = system.processor, system.mem1
-    tp_net = system.network_for_span(t) if t > 1 else None
-    pp_net = system.network_for_span(min(system.num_procs, t * p)) if p > 1 else None
-
-    # ---- prefill: a training-style forward pass over the prompt ------------
-    prefill_cfg = llm.with_seq(prompt_len)
-    block = build_block(prefill_cfg, microbatch=B, tensor_par=t, seq_par=False)
-    fw_block = sum(layer_fw_time(proc, hbm, l).total for l in block.layers)
-    tp_block = (
-        sum(tp_net.collective_time(c.op, c.nbytes, t) for c in block.tp_comm_fw)
-        if tp_net
-        else 0.0
-    )
-    prefill = L * (fw_block + tp_block)
-    if pp_net is not None:
-        p2p_bytes = B * prompt_len * llm.hidden * llm.bytes_per_element
-        prefill += (p - 1) * pp_net.collective_time("p2p", p2p_bytes, 2)
-
-    # ---- decode: one token per step at mid-generation context --------------
-    context = prompt_len + max(generate_len, 1) // 2
-    dec = profile_decode_block(llm, batch=B, context=context, tensor_par=t)
-    compute = proc.compute_time("matrix", dec.flops)
-    vector = proc.compute_time("vector", dec.vector_flops)
-    memory = hbm.access_time(dec.traffic)
-    block_step = max(compute + vector, memory)
-    comm_step = (
-        dec.tp_comm_count * tp_net.collective_time("all_reduce", dec.tp_comm_bytes, t)
-        if tp_net
-        else 0.0
-    )
-    step = L * (block_step + comm_step)
-    if pp_net is not None:
-        hop_bytes = B * llm.hidden * llm.bytes_per_element
-        step += p * pp_net.collective_time("p2p", hop_bytes, 2)
-
-    generate_time = generate_len * step
     # Pipelined serving keeps p request batches in flight: one batch-step
     # completes per stage-time.
     effective_batches = p if (strategy.pipelined_requests and p > 1) else 1
-    tokens_per_second = (
-        B * effective_batches * d / step if step > 0 and generate_len > 0 else 0.0
+
+    weights = weights_bytes(llm, t, p)
+    cache = float(
+        kv_reserve_bytes(llm, prompt_len + generate_len, t, p) * B
+        * effective_batches
     )
-
-    # ---- memory -------------------------------------------------------------
-    weights = bpstage * block.weight_bytes()
-    cache = (
-        kv_cache_bytes(llm, B, prompt_len + generate_len, t) * bpstage / L
-    ) * effective_batches
-    transient = dec.activation_bytes * 2
+    transient = 2 * decode_batch_terms(llm, batch=B, tensor_par=t).activation_bytes
     total = weights + cache + transient
-
     if total > system.mem1.capacity:
         return InferenceResult.infeasible(
             llm.name,
@@ -149,6 +109,9 @@ def calculate_inference(
             f"{system.mem1.capacity / 2**30:.1f} GiB",
         )
 
+    kernels = _Kernels(llm, system, t, p)
+    # Decode is priced at mid-generation context.
+    step = kernels.step(B, prompt_len + max(generate_len, 1) // 2)
     return InferenceResult(
         llm_name=llm.name,
         system_name=system.name,
@@ -156,10 +119,13 @@ def calculate_inference(
         batch=B,
         prompt_len=prompt_len,
         generate_len=generate_len,
-        prefill_time=prefill,
+        prefill_time=kernels.prefill_batch(prompt_len, B),
         decode_step_time=step,
-        generate_time=generate_time,
-        tokens_per_second=tokens_per_second,
+        generate_time=generate_len * step,
+        tokens_per_second=(
+            B * effective_batches * d / step if step > 0 and generate_len > 0
+            else 0.0
+        ),
         weights_bytes=weights,
         kv_cache_bytes=cache,
         mem_used=total,

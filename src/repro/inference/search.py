@@ -8,12 +8,12 @@ workloads buy latency, batch workloads buy tokens per second per GPU).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 from ..analysis.pareto import Objective, pareto_front
-from ..execution.strategy import divisors
+from ..execution.strategy import factorizations
 from ..hardware.system import System
 from ..llm.config import LLMConfig
 from .model import InferenceStrategy, calculate_inference
@@ -35,6 +35,26 @@ class DeploymentPoint:
         return self.result.tokens_per_second / self.strategy.num_procs
 
 
+def shardings(
+    llm: LLMConfig, num_procs: int, max_tensor_par: int
+) -> list[InferenceStrategy]:
+    """Valid (t, p, d) shardings of ``num_procs`` for this model, at batch 1.
+
+    The one deployment enumeration: :func:`candidate_deployments` crosses
+    it with batch sizes and serve-search builds its plans from it.
+    """
+    out = []
+    for t, p, d in factorizations(num_procs):
+        if t > min(max_tensor_par, llm.attn_heads) or llm.attn_heads % t:
+            continue
+        if llm.hidden % t or llm.feedforward % t:
+            continue
+        if p > llm.num_blocks:
+            continue
+        out.append(InferenceStrategy(tensor_par=t, pipeline_par=p, data_par=d))
+    return out
+
+
 def candidate_deployments(
     llm: LLMConfig,
     system: System,
@@ -43,21 +63,9 @@ def candidate_deployments(
     max_tensor_par: int = 64,
 ):
     """Yield every (t, p, d, batch) deployment for the processor pool."""
-    n = system.num_procs
-    for t in divisors(n):
-        if t > min(max_tensor_par, llm.attn_heads) or llm.attn_heads % t:
-            continue
-        if llm.hidden % t or llm.feedforward % t:
-            continue
-        rest = n // t
-        for p in divisors(rest):
-            if p > llm.num_blocks:
-                continue
-            d = rest // p
-            for batch in batches:
-                yield InferenceStrategy(
-                    tensor_par=t, pipeline_par=p, data_par=d, batch=batch
-                )
+    for strategy in shardings(llm, system.num_procs, max_tensor_par):
+        for batch in batches:
+            yield replace(strategy, batch=batch)
 
 
 def search_deployments(

@@ -25,10 +25,9 @@ import os
 from dataclasses import dataclass
 from time import perf_counter
 
-from ..execution.strategy import factorizations
 from ..hardware.system import System
 from ..llm.config import LLMConfig
-from ..inference.model import InferenceStrategy
+from ..inference.search import shardings
 from ..obs import (
     EventJournal,
     MetricsRegistry,
@@ -94,22 +93,6 @@ class ServeSearchResult:
         return self.top[0] if self.top else None
 
 
-def _strategies_for(
-    llm: LLMConfig, num_procs: int, max_tensor_par: int
-) -> list[InferenceStrategy]:
-    """Valid (t, p, d) shardings of ``num_procs`` for this model."""
-    out = []
-    for t, p, d in factorizations(num_procs):
-        if t > min(max_tensor_par, llm.attn_heads) or llm.attn_heads % t:
-            continue
-        if llm.hidden % t or llm.feedforward % t:
-            continue
-        if p > llm.num_blocks:
-            continue
-        out.append(InferenceStrategy(tensor_par=t, pipeline_par=p, data_par=d))
-    return out
-
-
 def candidate_plans(
     llm: LLMConfig,
     system: System,
@@ -124,7 +107,7 @@ def candidate_plans(
     opts = options or ServeSearchOptions()
     n = system.num_procs
     plans = [
-        ServePlan(decode=s) for s in _strategies_for(llm, n, opts.max_tensor_par)
+        ServePlan(decode=s) for s in shardings(llm, n, opts.max_tensor_par)
     ]
     if opts.disagg and n >= 2:
         seen_splits: set[int] = set()
@@ -133,8 +116,8 @@ def candidate_plans(
             if n_pre < 1 or n_pre >= n or n_pre in seen_splits:
                 continue
             seen_splits.add(n_pre)
-            pre_side = _strategies_for(llm, n_pre, opts.max_tensor_par)
-            dec_side = _strategies_for(llm, n - n_pre, opts.max_tensor_par)
+            pre_side = shardings(llm, n_pre, opts.max_tensor_par)
+            dec_side = shardings(llm, n - n_pre, opts.max_tensor_par)
             plans.extend(
                 ServePlan(decode=dec, prefill=pre)
                 for pre in pre_side

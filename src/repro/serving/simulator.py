@@ -60,8 +60,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Analytical kernels, memoized per deployment hardware (shared by the
-# simulator and serving/bounds.py — sharing the exact float pipeline is what
-# keeps the SLO bounds sound).
+# simulator, serving/bounds.py and inference/model.py — sharing the exact
+# float pipeline is what keeps the SLO bounds sound).
 # ---------------------------------------------------------------------------
 
 
@@ -171,7 +171,7 @@ class _Kernels:
         returned rather than read back, since storing it may already have
         evicted part of it from a full table.
         """
-        llm, t, p = self.llm, self.tensor_par, self.pipeline_par
+        p = self.pipeline_par
         prefills, blocks = self.prefills, self.blocks
         out: dict[int, float] = {}
         block_cost: dict[int, float] = {}
@@ -187,19 +187,38 @@ class _Kernels:
             else:
                 block_cost[n] = cost
         if cold:
-            fw, tp = prefill_columns(llm, self.system, cold, t)
-            for n, fw_block, tp_block in zip(cold, fw.tolist(), tp.tolist()):
-                block_cost[n] = _PREFILLS.store(
-                    self.block_key, blocks, n,
-                    llm.num_blocks * (fw_block + tp_block),
-                )
+            for n, cost in zip(cold, self._block_costs(cold, 1)):
+                block_cost[n] = _PREFILLS.store(self.block_key, blocks, n, cost)
         for n, total in block_cost.items():
             if p > 1:
-                p2p_bytes = n * llm.hidden * llm.bytes_per_element
-                total += (p - 1) * self.pp_net.collective_time("p2p", p2p_bytes, 2)
+                total += self._prefill_hops(n)
                 _PREFILLS.store(self.prefill_key, prefills, n, total)
             out[n] = total
         return out
+
+    def prefill_batch(self, prompt_len: int, batch: int) -> float:
+        """Prefill latency of ``batch`` prompts of ``prompt_len`` tokens at once.
+
+        One forward pass at microbatch ``batch``; not kept in the tables,
+        which hold batch-1 prices only.
+        """
+        (total,) = self._block_costs((prompt_len,), batch)
+        if self.pipeline_par > 1:
+            total += self._prefill_hops(batch * prompt_len)
+        return total
+
+    def _block_costs(self, prompt_lens: Sequence[int], batch: int) -> list[float]:
+        """All blocks' forward and TP forward-communication time per prompt length."""
+        fw, tp = prefill_columns(
+            self.llm, self.system, prompt_lens, self.tensor_par, batch
+        )
+        blocks = self.llm.num_blocks
+        return [blocks * (f + c) for f, c in zip(fw.tolist(), tp.tolist())]
+
+    def _prefill_hops(self, tokens: int) -> float:
+        """The ``p - 1`` activation hops of ``tokens`` prompt tokens."""
+        nbytes = tokens * self.llm.hidden * self.llm.bytes_per_element
+        return (self.pipeline_par - 1) * self.pp_net.collective_time("p2p", nbytes, 2)
 
     def _batch_terms(self, batch: int) -> tuple[DecodeBatchTerms, float, float]:
         """A decode batch size's step terms, TP all-reduces and PP hops."""

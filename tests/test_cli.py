@@ -81,6 +81,20 @@ def test_search_subcommand(capsys):
     assert "config" in out
 
 
+@pytest.mark.parametrize("stats", [False, True])
+def test_search_checkpoint_prints_engine_summary_only_with_stats(
+    stats, tmp_path, capsys
+):
+    argv = ["search", "tiny-test", "a100:8", "--batch", "16", "--top", "2",
+            "--checkpoint", str(tmp_path / "ck")]
+    rc = main(argv + (["--stats"] if stats else []))
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "evaluated 5856 configurations" in out
+    assert ("fully evaluated" in out) is stats
+    assert ("profile groups" in out) is stats
+
+
 def test_sweep_subcommand(capsys):
     rc = main(
         ["sweep", "megatron-22b", "a100:8", "--batch", "32",
@@ -160,6 +174,31 @@ def test_inference_infeasible_returns_nonzero(capsys):
     )
     assert rc == 1
     assert "INFEASIBLE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--prompt", "0"], "prompt_len >= 1"),
+    (["--generate", "-1"], "generate_len >= 0"),
+    (["--tp", "3"], "t*p*d = 6 != system size 16"),
+], ids=["prompt-0", "generate-negative", "tp-3"])
+def test_inference_bad_input_is_an_error_not_a_traceback(flags, message, capsys):
+    rc = main(["inference", "gpt3-175b", "a100:16", "--tp", "8", "--pp", "2"]
+              + flags)
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("error: ") and message in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--prompt", "0"], "prompt_len >= 1"),
+    (["--generate", "-1"], "generate_len >= 0"),
+], ids=["prompt-0", "generate-negative"])
+def test_deployments_bad_input_is_an_error_not_a_traceback(flags, message,
+                                                           capsys):
+    rc = main(["deployments", "gpt3-175b", "a100:16"] + flags)
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("error: ") and message in out
 
 
 def test_plan_subcommand(capsys):

@@ -6,8 +6,8 @@ from repro.hardware import a100_system, h100_system
 from repro.inference import (
     InferenceStrategy,
     calculate_inference,
+    decode_batch_terms,
     kv_cache_bytes,
-    profile_decode_block,
 )
 from repro.llm import GPT3_175B, LLMConfig
 from repro.units import GiB
@@ -47,23 +47,24 @@ def test_kv_cache_validates():
 # ---- decode block profile ------------------------------------------------------
 
 def test_decode_profile_weight_stream_matches_block_weights():
-    prof = profile_decode_block(LLM, batch=1, context=512, tensor_par=1)
+    terms = decode_batch_terms(LLM, batch=1, tensor_par=1)
     h, f = LLM.hidden, LLM.feedforward
     expect = (4 * h * h + 2 * h * f) * 2  # all projection matrices, fp16
-    assert prof.weight_read_bytes == pytest.approx(expect)
+    assert terms.weight_read_bytes == pytest.approx(expect)
 
 
 def test_decode_cache_read_grows_with_context():
-    short = profile_decode_block(LLM, batch=1, context=128)
-    long = profile_decode_block(LLM, batch=1, context=1024)
-    assert long.cache_read_bytes == pytest.approx(8 * short.cache_read_bytes)
-    assert long.flops > short.flops
+    terms = decode_batch_terms(LLM, batch=1)
+    short_flops, _, short_read, _ = terms.at(128)
+    long_flops, _, long_read, _ = terms.at(1024)
+    assert long_read == pytest.approx(8 * short_read)
+    assert long_flops > short_flops
 
 
 def test_decode_profile_sharded_by_tp():
-    full = profile_decode_block(LLM, batch=2, context=256, tensor_par=1)
-    shard = profile_decode_block(LLM, batch=2, context=256, tensor_par=4)
-    assert shard.flops == pytest.approx(full.flops / 4)
+    full = decode_batch_terms(LLM, batch=2, tensor_par=1)
+    shard = decode_batch_terms(LLM, batch=2, tensor_par=4)
+    assert shard.at(256)[0] == pytest.approx(full.at(256)[0] / 4)
     assert shard.weight_read_bytes == pytest.approx(full.weight_read_bytes / 4)
     assert full.tp_comm_count == 0
     assert shard.tp_comm_count == 2
@@ -71,9 +72,9 @@ def test_decode_profile_sharded_by_tp():
 
 def test_decode_profile_validates():
     with pytest.raises(ValueError):
-        profile_decode_block(LLM, batch=0, context=10)
+        decode_batch_terms(LLM, batch=0)
     with pytest.raises(ValueError):
-        profile_decode_block(LLM, batch=1, context=10, tensor_par=3)
+        decode_batch_terms(LLM, batch=1, tensor_par=3)
 
 
 # ---- serving model ----------------------------------------------------------

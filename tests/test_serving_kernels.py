@@ -8,8 +8,8 @@ deployment in one columnar pass
 the kernels they replaced, kept verbatim as test-only oracles:
 ``reference_profile_decode_block`` (the one-expression decode formulas),
 ``reference_step`` (the per-miss ``_Kernels.step`` body on top of it) and
-``reference_prefill`` (a ``build_block`` forward pass summed layer by layer
-with the builtin ``sum()``).  Hypothesis asserts ``==`` against them over
+``reference_prefill`` (a ``build_block`` forward pass at the request batch,
+summed layer by layer with the builtin ``sum()``).  Hypothesis asserts ``==`` against them over
 random model shapes, tensor/pipeline degrees, batches, contexts (0
 included) and prompt lengths, on systems whose TP and PP groups sit on
 different networks.
@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 from repro.core.flops import layer_fw_time
 from repro.engine import batch as engine_batch
 from repro.hardware.system import a100_system, h100_system
-from repro.inference.decode import profile_decode_block
+from repro.inference.decode import decode_batch_terms
 from repro.io import llm_from_spec, system_from_spec
 from repro.llm.blocks import build_block
 from repro.llm.config import LLMConfig
@@ -207,11 +207,11 @@ def reference_step(llm, system, t, p, batch, context):
     return step
 
 
-def reference_block_sums(llm, system, t, prompt_len, total=sum):
+def reference_block_sums(llm, system, t, prompt_len, total=sum, batch=1):
     """``(fw_block, tp_block)`` of the scalar prefill, summed with ``total``."""
     tp_net, _ = _networks(system, t, 1)
     block = build_block(
-        llm.with_seq(prompt_len), microbatch=1, tensor_par=t, seq_par=False,
+        llm.with_seq(prompt_len), microbatch=batch, tensor_par=t, seq_par=False,
     )
     fw_block = total(
         layer_fw_time(system.processor, system.mem1, l).total
@@ -226,12 +226,14 @@ def reference_block_sums(llm, system, t, prompt_len, total=sum):
     return fw_block, tp_block
 
 
-def reference_prefill(llm, system, t, p, prompt_len):
+def reference_prefill(llm, system, t, p, prompt_len, batch=1):
     _, pp_net = _networks(system, t, p)
-    fw_block, tp_block = reference_block_sums(llm, system, t, prompt_len)
+    fw_block, tp_block = reference_block_sums(
+        llm, system, t, prompt_len, batch=batch
+    )
     total = llm.num_blocks * (fw_block + tp_block)
     if p > 1:
-        p2p_bytes = prompt_len * llm.hidden * llm.bytes_per_element
+        p2p_bytes = batch * prompt_len * llm.hidden * llm.bytes_per_element
         total += (p - 1) * pp_net.collective_time("p2p", p2p_bytes, 2)
     return total
 
@@ -287,14 +289,20 @@ def test_step_matches_reference(dep, keys):
 @settings(max_examples=100, deadline=None)
 @given(dep=deployments(), batch=st.integers(1, 256),
        context=st.integers(1, 8192))
-def test_profile_decode_block_matches_reference(dep, batch, context):
+def test_decode_batch_terms_match_reference(dep, batch, context):
     llm, _, t, _ = dep
-    got = profile_decode_block(llm, batch=batch, context=context, tensor_par=t)
-    want = reference_profile_decode_block(
-        llm, batch=batch, context=context, tensor_par=t
+    terms = decode_batch_terms(llm, batch=batch, tensor_par=t)
+    flops, vector_flops, cache_read, traffic = terms.at(context)
+    got = dict(
+        flops=flops, weight_read_bytes=terms.weight_read_bytes,
+        cache_read_bytes=cache_read, cache_write_bytes=terms.cache_write_bytes,
+        activation_bytes=terms.activation_bytes, traffic=traffic,
+        vector_flops=vector_flops, tp_comm_bytes=terms.tp_comm_bytes,
+        tp_comm_count=terms.tp_comm_count,
     )
-    for f in dataclasses.fields(got):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got == vars(reference_profile_decode_block(
+        llm, batch=batch, context=context, tensor_par=t
+    ))
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,6 +318,20 @@ def test_prefill_matches_reference(dep, lengths):
     with fresh_tables():
         kernels = _Kernels(llm, system, t, p)
         assert {n: kernels.prefill(n) for n in lengths} == want  # one by one
+
+
+@settings(max_examples=60, deadline=None)
+@given(dep=deployments(), batch=st.integers(1, 64),
+       prompt_len=st.integers(1, 4096))
+def test_prefill_batch_matches_reference(dep, batch, prompt_len):
+    """A batch-``batch`` prefill: one forward pass at that microbatch."""
+    llm, system, t, p = dep
+    want = reference_prefill(llm, system, t, p, prompt_len, batch)
+    with fresh_tables():
+        kernels = _Kernels(llm, system, t, p)
+        assert kernels.prefill_batch(prompt_len, batch) == want
+        if batch == 1:
+            assert kernels.prefill(prompt_len) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,7 +398,9 @@ def test_prefill_columns_replay_either_sum_form(compensated, t):
 
     want = [reference_block_sums(LLAMA, H100_16, t, n, total) for n in LENGTHS]
     with sum_form(compensated), fresh_tables():
-        fw, tp = engine_batch.prefill_columns(LLAMA, H100_16, np.array(LENGTHS), t)
+        fw, tp = engine_batch.prefill_columns(
+            LLAMA, H100_16, np.array(LENGTHS), t, 1
+        )
         assert list(zip(fw.tolist(), tp.tolist())) == want
         kernels = _Kernels(LLAMA, H100_16, t, 1)
         assert kernels.prefill_many(LENGTHS) == {
