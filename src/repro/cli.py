@@ -65,7 +65,7 @@ def _parse_system(spec: str) -> System:
     try:
         return system_from_spec(spec)
     except ValueError as err:
-        raise SystemExit(str(err))
+        raise SystemExit(f"error: {err}")
 
 
 def _positive_int(text: str) -> int:

@@ -1,10 +1,15 @@
 """The fabric coordinator: lease-based work stealing over search chunks.
 
-The coordinator owns one sweep.  It plans the chunk layout
-(:func:`~repro.fabric.plan.plan_chunks`), journals completed chunks through
-:class:`~repro.search.checkpoint.CheckpointJournal` (same format, same
-resume semantics as ``search(checkpoint=...)``), and hands chunks to
-workers over a **pull** protocol:
+The coordinator owns one sweep's leases; everything else about the sweep
+is the search pipeline's own code.  The chunk layout and the checkpoint
+journal come from :func:`~repro.search.faults.open_chunk_journal` (same
+format, same resume semantics as ``search(checkpoint=...)``), chunks are
+evaluated by ``execution_search._evaluate_chunk`` on the task tuple
+``search()`` builds, results travel in the journal's record encoding,
+winners fold through :class:`~repro.search.merge.TopKMerge`, and the
+:class:`~repro.search.execution_search.SearchResult` is assembled by
+``search()``'s own ``_search_result``.  Chunks are handed to workers over
+a **pull** protocol:
 
 * ``POST /fabric/register`` — a worker announces itself and receives the
   problem (LLM/system specs, options, chunk step, the content-addressed
@@ -15,11 +20,12 @@ workers over a **pull** protocol:
   the next pending chunk under a wall-clock lease, tells callers to
   ``wait`` while the worker barrier or outstanding leases hold, and
   answers ``done`` when every chunk is merged.
-* ``POST /chunk/result`` — a worker posts a finished chunk payload
-  (:func:`~repro.fabric.chunkeval.evaluate_chunk`'s wire form).  Results
-  are idempotent: a stale duplicate (the lease already expired and another
-  worker re-ran the chunk) is acknowledged and discarded — the engine is
-  deterministic, so both copies are byte-equal anyway.
+* ``POST /chunk/result`` — a worker posts a finished chunk: the journal
+  record of ``execution_search._chunk_payload`` plus ``events`` and
+  ``elapsed_s``.  Results are idempotent: a stale duplicate (the lease
+  already expired and another worker re-ran the chunk) is acknowledged
+  and discarded — the engine is deterministic, so both copies are
+  byte-equal anyway.
 
 **Lease state machine** (see ``docs/FABRIC.md``): a chunk is ``pending`` →
 ``leased`` → ``done``; an expired lease returns the chunk to ``pending``
@@ -37,9 +43,9 @@ waiting so a fully dead cluster still degrades to the serial fallback.
 
 The merged answer is bit-identical to single-process ``search()`` — the
 per-chunk columnar slices are bit-identical by the engine's batch-
-composition contract, and :class:`~repro.fabric.merge.TopKMerge` ranks on
-the total order ``(-rate, global index)``, making the fold associative and
-commutative (the bit-identity argument is laid out in ``docs/FABRIC.md``).
+composition contract, and the merge ranks on the total order ``(-rate,
+global index)``, making the fold associative and commutative (the
+bit-identity argument is laid out in ``docs/FABRIC.md``).
 """
 
 from __future__ import annotations
@@ -52,30 +58,23 @@ from typing import Any
 
 import numpy as np
 
-from ..execution.strategy import ExecutionStrategy
 from ..hardware.system import System
 from ..io.specs import system_to_dict
 from ..llm.config import LLMConfig
-from ..obs import (
-    EventJournal,
-    MetricsRegistry,
-    PruneStats,
-    SweepStats,
-    Tracer,
-    escape_label_value,
+from ..obs import EventJournal, MetricsRegistry, Tracer, escape_label_value
+from ..search.columns import candidate_columns
+from ..search.execution_search import (
+    SearchOptions,
+    SearchResult,
+    _chunk_from_payload,
+    _chunk_payload,
+    _chunk_task,
+    _evaluate_chunk,
+    _search_result,
 )
-from ..search.checkpoint import CheckpointJournal
-from ..search.execution_search import SearchOptions, SearchResult
-from ..search.faults import RetryPolicy
-from .chunkeval import evaluate_chunk
-from .merge import TopKMerge
-from .plan import (
-    ChunkSpec,
-    enumerate_space,
-    fabric_run_key,
-    options_to_dict,
-    plan_chunks,
-)
+from ..search.faults import ChunkRun, RetryPolicy, chunk_step, open_chunk_journal
+from ..search.merge import TopKMerge
+from .plan import fabric_run_key, options_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -107,7 +106,6 @@ class FabricError(RuntimeError):
 
 @dataclass
 class _Lease:
-    chunk: ChunkSpec
     worker: str
     granted: float
     deadline: float
@@ -126,12 +124,17 @@ class _Worker:
 
 @dataclass
 class _ChunkState:
-    spec: ChunkSpec
+    index: int
+    start: int
+    stop: int
     attempts: int = 0
     last_worker: str | None = None
     done: bool = False
     skipped: bool = False
     fallback: bool = False
+
+    def to_dict(self) -> dict[str, int]:
+        return {"index": self.index, "start": self.start, "stop": self.stop}
 
 
 class FabricCoordinator:
@@ -180,54 +183,37 @@ class FabricCoordinator:
         self.key = fabric_run_key(llm, system, batch, self.options,
                                   top_k=self.top_k)
 
-        self._cols, self.total = enumerate_space(
-            llm, system, batch, self.options
+        self._cols = candidate_columns(llm, system, batch, self.options)
+        self.total = int(self._cols["t"].shape[0])
+        self.journal, bounds, restored = open_chunk_journal(
+            self.total, chunk_step(self.total, self.expected_workers),
+            checkpoint=checkpoint, key=self.key, resume=resume,
+            decode=_chunk_from_payload, tracer=tracer, events=events,
         )
-
-        step = None
-        self.journal = None
-        if checkpoint is not None:
-            self.journal = CheckpointJournal.open(
-                checkpoint, self.key, resume=resume,
-                meta={
-                    "step": None,
-                    "num_candidates": self.total,
-                    "trace_id": tracer.trace_id if tracer is not None else None,
-                },
-                events=events,
-            )
-            # The journal's chunk layout wins on resume — chunk ids must
-            # mean the same [start, stop) ranges the original run recorded.
-            step = self.journal.meta.get("step") or None
-            if tracer is not None and self.journal.meta.get("trace_id"):
-                tracer.trace_id = str(self.journal.meta["trace_id"])
-
-        chunks = plan_chunks(self.total, self.expected_workers, step=step)
-        if self.journal is not None:
-            self.journal.meta["step"] = chunks[0].size if chunks else self.total
-            self.journal.flush()
+        self.step = bounds[0][1] - bounds[0][0]
 
         self._lock = threading.Lock()
-        self._chunks = {c.index: _ChunkState(spec=c) for c in chunks}
-        self._pending: list[int] = [c.index for c in chunks]
+        self._chunks = {n: _ChunkState(n, lo, hi)
+                        for n, (lo, hi) in enumerate(bounds)}
+        self._pending: list[int] = [n for n in self._chunks
+                                    if n not in restored]
         self._leases: dict[int, _Lease] = {}
         self._workers: dict[str, _Worker] = {}
         self._merge = TopKMerge(self.top_k)
-        self._snapshots: list[dict] = []
-        self._num_evaluated = 0
-        self._num_feasible = 0
+        self._results: dict[int, tuple] = {}
         self._retries = 0
-        self._resumed = 0
+        self._resumed = len(restored)
         self._done_event = threading.Event()
         self._t_start = perf_counter()
         self._t_first_grant: float | None = None
         self._t_done: float | None = None
 
-        if self.journal is not None and resume:
-            self._adopt_journal()
+        for n, result in restored.items():
+            self._absorb(n, result, worker=None)
+            self._chunks[n].done = True
         self._emit(
             "fabric.start", key=self.key[:16], candidates=self.total,
-            chunks=len(chunks), step=chunks[0].size if chunks else 0,
+            chunks=len(bounds), step=self.step,
             expected_workers=self.expected_workers, resumed=self._resumed,
         )
         self._maybe_finish_locked()
@@ -238,35 +224,13 @@ class FabricCoordinator:
         if self.events is not None:
             self.events.emit(kind, **fields)
 
-    def _adopt_journal(self) -> None:
-        """Fold already-journaled chunk payloads into the merge state."""
-        for rid, payload in self.journal.records().items():
-            state = self._chunks.get(int(rid))
-            if state is None or not isinstance(payload, dict):
-                continue
-            self._absorb(state, payload, worker=None)
-            state.done = True
-            if int(rid) in self._pending:
-                self._pending.remove(int(rid))
-            self._resumed += 1
-            self._emit("chunk.resumed", chunk=int(rid),
-                       start=state.spec.start, stop=state.spec.stop)
-
-    def _absorb(self, state: _ChunkState, payload: dict,
-                *, worker: str | None) -> None:
-        """Merge one chunk payload into the top-k, counters and journal."""
-        self._num_evaluated += int(payload.get("n", 0))
-        self._num_feasible += int(payload.get("feasible", 0))
-        self._merge.extend(
-            (float(rate), int(gidx), strat_dict)
-            for rate, gidx, strat_dict in payload.get("top") or []
-        )
-        snapshot = payload.get("snapshot")
-        if snapshot:
-            self._snapshots.append(snapshot)
-        if self.tracer is not None and payload.get("events"):
+    def _absorb(self, index: int, result: tuple, *, worker: str | None) -> None:
+        """Merge one chunk result into the top-k and stitch its trace spans."""
+        self._results[index] = result
+        self._merge.extend(result[3])
+        if self.tracer is not None and result[-1]:
             label = f"worker {worker}" if worker else "worker"
-            self.tracer.add_events(payload["events"], label=label)
+            self.tracer.add_events(result[-1], label=label)
 
     def _gossip_floor_locked(self) -> float:
         """The cluster's current k-th-best rate, clamped safe for the wire.
@@ -311,52 +275,49 @@ class FabricCoordinator:
 
     def _fallback_locked(self, state: _ChunkState) -> None:
         """Retries exhausted: evaluate inline, or skip the chunk's range."""
-        spec = state.spec
         if self.policy.serial_fallback:
             self.metrics.inc(M_F_CHUNKS_FALLBACK)
-            self._emit("chunk.serial_fallback", chunk=spec.index,
-                       start=spec.start, stop=spec.stop)
+            self._emit("chunk.serial_fallback", chunk=state.index,
+                       start=state.start, stop=state.stop)
             logger.warning(
                 "chunk %d failed %d leases; evaluating inline",
-                spec.index, state.attempts,
+                state.index, state.attempts,
             )
-            payload = evaluate_chunk(
-                self.llm, self.system, spec.start, spec.stop, self.top_k,
-                cols=self._cols,
-                chunk_index=spec.index, instrument=self.instrument,
-                trace_id=self.tracer.trace_id if self.tracer else None,
+            t0 = perf_counter()
+            result = _evaluate_chunk(_chunk_task(
+                self.llm, self.system, self._cols, state.index, state.start,
+                state.stop, self.top_k,
                 floor_rate=self._gossip_floor_locked(),
-            )
+                instrument=self.instrument,
+                trace_id=self.tracer.trace_id if self.tracer else None,
+            ))
             state.fallback = True
-            self._complete_locked(state, payload, worker=None)
+            self._complete_locked(state, result, worker=None,
+                                  elapsed=perf_counter() - t0)
         else:
             state.skipped = True
             state.done = True
             self.metrics.inc(M_F_CHUNKS_SKIPPED)
-            self._emit("chunk.skipped", chunk=spec.index,
-                       start=spec.start, stop=spec.stop)
+            self._emit("chunk.skipped", chunk=state.index,
+                       start=state.start, stop=state.stop)
             logger.error(
                 "chunk %d failed %d leases; range [%d, %d) skipped",
-                spec.index, state.attempts, spec.start, spec.stop,
+                state.index, state.attempts, state.start, state.stop,
             )
             self._maybe_finish_locked()
 
-    def _complete_locked(self, state: _ChunkState, payload: dict,
-                         *, worker: str | None) -> None:
-        self._absorb(state, payload, worker=worker)
+    def _complete_locked(self, state: _ChunkState, result: tuple, *,
+                         worker: str | None, elapsed: float | None) -> None:
+        self._absorb(state.index, result, worker=worker)
         state.done = True
         self.metrics.inc(M_F_CHUNKS_DONE)
-        if payload.get("elapsed_s") is not None:
-            self.metrics.observe(M_F_CHUNK_SECONDS, float(payload["elapsed_s"]))
+        if elapsed is not None:
+            self.metrics.observe(M_F_CHUNK_SECONDS, elapsed)
         if self.journal is not None:
-            record = {k: payload.get(k) for k in
-                      ("n", "feasible", "top", "snapshot")}
-            self.journal.record(str(state.spec.index), record)
+            self.journal.record(str(state.index), _chunk_payload(result))
         self._emit(
-            "merge.chunk", chunk=state.spec.index, worker=worker,
-            feasible=int(payload.get("feasible", 0)),
-            n=int(payload.get("n", 0)),
-            retained=len(self._merge),
+            "merge.chunk", chunk=state.index, worker=worker,
+            feasible=result[1], n=result[0], retained=len(self._merge),
         )
         self._maybe_finish_locked()
 
@@ -372,7 +333,8 @@ class FabricCoordinator:
         self._t_done = perf_counter()
         self._emit(
             "fabric.done", key=self.key[:16],
-            evaluated=self._num_evaluated, feasible=self._num_feasible,
+            evaluated=sum(r[0] for r in self._results.values()),
+            feasible=sum(r[1] for r in self._results.values()),
             sweep_s=self.sweep_seconds,
         )
         self._done_event.set()
@@ -390,8 +352,6 @@ class FabricCoordinator:
             self.metrics.inc(M_F_WORKERS_JOINED)
             self._emit("worker.join", worker=worker_id, name=str(name),
                        worker_pid=pid)
-            step = next(iter(self._chunks.values())).spec.size \
-                if self._chunks else self.total
             return {
                 "worker_id": worker_id,
                 "fabric_version": FABRIC_VERSION,
@@ -406,7 +366,7 @@ class FabricCoordinator:
                     "options": options_to_dict(self.options),
                     "top_k": self.top_k,
                     "total": self.total,
-                    "step": step,
+                    "step": self.step,
                 },
             }
 
@@ -438,8 +398,8 @@ class FabricCoordinator:
                 if self._t_first_grant is None:
                     self._t_first_grant = now
                 self._leases[index] = _Lease(
-                    chunk=state.spec, worker=worker_id,
-                    granted=now, deadline=now + self.lease_timeout,
+                    worker=worker_id, granted=now,
+                    deadline=now + self.lease_timeout,
                 )
                 self.metrics.inc(M_F_LEASES_GRANTED)
                 stolen = (
@@ -457,13 +417,13 @@ class FabricCoordinator:
                 floor = self._gossip_floor_locked()
                 self._emit(
                     "lease.grant", chunk=index, worker=worker_id,
-                    start=state.spec.start, stop=state.spec.stop,
+                    start=state.start, stop=state.stop,
                     attempt=state.attempts, stolen=stolen,
                     floor_rate=floor,
                 )
                 return {
                     "status": "lease",
-                    "chunk": state.spec.to_dict(),
+                    "chunk": state.to_dict(),
                     "attempt": state.attempts,
                     "deadline_s": self.lease_timeout,
                     "floor_rate": floor,
@@ -482,8 +442,12 @@ class FabricCoordinator:
                 f"result for run {key[:12]}… does not belong to this "
                 f"fabric ({self.key[:12]}…)"
             )
-        if not isinstance(payload, dict) or "n" not in payload:
-            raise FabricError("malformed chunk payload")
+        try:
+            result = _chunk_from_payload(payload)[:-1] + (payload.get("events"),)
+            elapsed = payload.get("elapsed_s")
+            elapsed = None if elapsed is None else float(elapsed)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise FabricError("malformed chunk payload") from None
         with self._lock:
             state = self._chunks.get(int(chunk_index))
             if state is None:
@@ -491,7 +455,7 @@ class FabricCoordinator:
             worker = self._workers.get(worker_id)
             if worker is not None:
                 worker.chunks += 1
-                worker.candidates += int(payload.get("n", 0))
+                worker.candidates += result[0]
                 # A result proves life even if a lease expired meanwhile.
                 worker.dead = False
             if state.done:
@@ -506,7 +470,8 @@ class FabricCoordinator:
                 # Expired but not yet re-granted: accept — the work is done.
                 if int(chunk_index) in self._pending:
                     self._pending.remove(int(chunk_index))
-            self._complete_locked(state, payload, worker=worker_id)
+            self._complete_locked(state, result, worker=worker_id,
+                                  elapsed=elapsed)
             return {"status": "ok", "done": self._done_event.is_set()}
 
     # -- results & introspection ---------------------------------------------
@@ -556,48 +521,30 @@ class FabricCoordinator:
     def result(self, timeout: float | None = None) -> SearchResult:
         """The merged :class:`SearchResult`, bit-identical to ``search()``.
 
-        Waits for completion, then materializes the winners: each retained
-        ``(rate, gidx, strategy_dict)`` entry is rebuilt and re-evaluated
-        through the deterministic scalar engine — the same re-evaluation
-        ``search()`` performs, so the ``PerformanceResult`` objects
-        (not just the rates) match the single-process answer exactly.
+        Waits for completion, then assembles the result with ``search()``'s
+        own ``_search_result``: the winners are re-priced through the scalar
+        engine, so the ``PerformanceResult`` objects (not just the rates)
+        match the single-process answer exactly.  ``truncated`` means chunks were
+        skipped; their ranges are in ``stats.skipped``.
         """
         if not self.wait(timeout=timeout):
             raise TimeoutError("fabric sweep did not complete in time")
-        top: list[tuple[ExecutionStrategy, Any]] = []
-        from ..engine import evaluate
-
-        for _rate, _gidx, strat_dict in self._merge.entries():
-            strat = ExecutionStrategy.from_dict(dict(strat_dict))
-            top.append((strat, evaluate(self.llm, self.system, strat)))
-        registry = MetricsRegistry.from_snapshots(self._snapshots)
         skipped = tuple(
-            (s.spec.start, s.spec.stop)
-            for s in sorted(self._chunks.values(), key=lambda s: s.spec.index)
+            (s.start, s.stop) for _, s in sorted(self._chunks.items())
             if s.skipped
         )
-        stats = SweepStats(
-            engine=PruneStats.from_metrics(registry),
-            elapsed=perf_counter() - self._t_start,
+        run = ChunkRun(
+            results=[r for _, r in sorted(self._results.items())],
+            top=self._merge.entries(),
             workers=max(len(self._workers), 1),
-            num_evaluated=self._num_evaluated,
-            num_feasible=self._num_feasible,
+            tolerant=True,
             retries=self._retries,
+            resumed=self._resumed,
             skipped=skipped,
-            resumed_chunks=self._resumed,
-            truncated=False,
         )
-        best_strategy, best = (top[0][0], top[0][1]) if top else (None, None)
-        return SearchResult(
-            best=best,
-            best_strategy=best_strategy,
-            top=top,
-            num_evaluated=self._num_evaluated,
-            num_feasible=self._num_feasible,
-            sample_rates=np.empty(0),
-            stats=stats,
-            truncated=bool(skipped),
-        )
+        return _search_result(self.llm, self.system, run,
+                              started=self._t_start, with_stats=True,
+                              truncated=bool(skipped))
 
     def status(self) -> dict:
         with self._lock:

@@ -10,8 +10,9 @@ transport (same retry/backoff machinery the query CLI uses):
    verify the content key matches — a worker pointed at the wrong cluster
    refuses instead of polluting the merge;
 3. loop ``POST /chunk/lease`` → evaluate the ``[start, stop)`` slice with
-   :func:`~repro.fabric.chunkeval.evaluate_chunk` → ``POST /chunk/result``
-   until the coordinator answers ``done``.
+   the search's own chunk evaluator → ``POST /chunk/result`` (the chunk's
+   checkpoint-journal record plus ``events`` and ``elapsed_s``) until the
+   coordinator answers ``done``.
 
 Every chunk payload carries a metrics snapshot and trace spans stamped
 with the coordinator's ``trace_id``, so ``repro trace`` renders the whole
@@ -33,11 +34,13 @@ import logging
 import os
 import sys
 import time
+from time import perf_counter
 from typing import Any
 
 from ..io.specs import llm_from_spec, system_from_spec
+from ..search.columns import candidate_columns
+from ..search.execution_search import _chunk_payload, _chunk_task, _evaluate_chunk
 from ..service.client import ServiceClient
-from .chunkeval import evaluate_chunk
 from .plan import fabric_run_key, options_from_dict
 
 logger = logging.getLogger(__name__)
@@ -93,11 +96,10 @@ class FabricWorker:
                 f"{reply['key'][:12]}…, local enumeration gives {key[:12]}… "
                 "(engine or spec version skew between nodes?)"
             )
-        from .plan import enumerate_space
-
-        self._cols, total = enumerate_space(
+        self._cols = candidate_columns(
             self._llm, self._system, int(problem["batch"]), options
         )
+        total = int(self._cols["t"].shape[0])
         if total != int(problem["total"]):
             raise RuntimeError(
                 f"enumeration disagrees with coordinator: "
@@ -151,7 +153,7 @@ class FabricWorker:
                 continue
             chunk = reply["chunk"]
             self._fault_hooks(int(chunk["index"]))
-            payload = self.evaluate(
+            payload = self.chunk_payload(
                 chunk, floor_rate=float(reply.get("floor_rate") or 0.0)
             )
             self.client.post(
@@ -165,16 +167,23 @@ class FabricWorker:
             )
             self.chunks_done += 1
 
-    def evaluate(self, chunk: dict, *, floor_rate: float = 0.0) -> dict[str, Any]:
-        return evaluate_chunk(
-            self._llm, self._system,
+    def chunk_payload(self, chunk: dict, *,
+                      floor_rate: float = 0.0) -> dict[str, Any]:
+        """The ``/chunk/result`` payload of one leased chunk.
+
+        ``floor_rate`` is the coordinator's gossiped k-th-best rate; it
+        seeds the chunk's adaptive threshold, so buckets provably below the
+        cluster's top-k are skipped unpriced.
+        """
+        t0 = perf_counter()
+        result = _evaluate_chunk(_chunk_task(
+            self._llm, self._system, self._cols, int(chunk["index"]),
             int(chunk["start"]), int(chunk["stop"]), self._top_k,
-            cols=self._cols,
-            chunk_index=int(chunk["index"]),
-            instrument=self.instrument,
+            floor_rate=floor_rate, instrument=self.instrument,
             trace_id=self.trace_id,
-            floor_rate=floor_rate,
-        )
+        ))
+        return {**_chunk_payload(result), "events": result[-1],
+                "elapsed_s": perf_counter() - t0}
 
 
 def run_worker(

@@ -7,6 +7,7 @@ from three human-editable JSON documents.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -149,7 +150,9 @@ def system_from_spec(spec: str | dict) -> System:
 
     The shorthand is the CLI's ``<kind>:<n>[:<hbm_gib>[:<ddr_gib>]]`` form,
     e.g. ``a100:4096`` or ``h100:512:80:512``.  Raises :class:`ValueError`
-    on an unknown kind so HTTP callers get a 400, not a process exit.
+    on an unknown kind, a non-finite or non-positive HBM size, or a
+    non-finite or negative DDR size, so HTTP callers get a 400, not a
+    process exit.
     """
     if isinstance(spec, dict):
         return system_from_dict(spec)
@@ -183,5 +186,13 @@ def system_from_spec(spec: str | dict) -> System:
         ddr = float(parts[3]) if len(parts) > 3 else 0.0
     except ValueError:
         raise ValueError(f"malformed system spec {spec!r}") from None
+    if not (math.isfinite(hbm) and hbm > 0):
+        raise ValueError(
+            f"system spec {spec!r}: HBM must be finite and > 0 GiB, got {hbm}"
+        )
+    if not (math.isfinite(ddr) and ddr >= 0):
+        raise ValueError(
+            f"system spec {spec!r}: DDR must be finite and >= 0 GiB, got {ddr}"
+        )
     offload = ddr5_offload(ddr) if ddr > 0 else None
     return factory(n, hbm_gib=hbm, offload=offload)

@@ -52,7 +52,7 @@ from ..obs.stats import (
 )
 from .checkpoint import run_key
 from .columns import candidate_columns
-from .faults import FaultInjector, RetryPolicy, run_chunks
+from .faults import ChunkRun, FaultInjector, RetryPolicy, run_chunks
 
 
 @dataclass(frozen=True)
@@ -434,12 +434,41 @@ def _evaluate_chunk(
     return n, feasible, rates, top, snapshot, events
 
 
+def _chunk_task(
+    llm: LLMConfig,
+    system: System,
+    cols: dict[str, np.ndarray],
+    index: int,
+    lo: int,
+    hi: int,
+    top_k: int,
+    *,
+    keep_rates: bool = False,
+    constraint=None,
+    bound_prune: bool = True,
+    floor_rate: float = 0.0,
+    instrument: bool = False,
+    injector: FaultInjector | None = None,
+    trace_id: str | None = None,
+) -> tuple:
+    """The :func:`_evaluate_chunk` argument for chunk ``index``, rows ``[lo, hi)``.
+
+    ``cols`` holds the whole space's candidate columns; the chunk carries
+    only its slice.  ``search()``, fabric workers and the fabric's serial
+    fallback all build their chunks here.
+    """
+    rows = {name: arr[lo:hi] for name, arr in cols.items()}
+    return (llm, system, rows, lo, top_k, keep_rates, constraint, bound_prune,
+            floor_rate, instrument, index, injector, trace_id)
+
+
 def _chunk_payload(result: tuple) -> dict:
-    """A chunk result as a JSON-safe journal record.
+    """A chunk result as a JSON-safe record: the checkpoint journal's and
+    the fabric wire's one chunk encoding.
 
     Top-k entries store the rate, global index and strategy, not the full
     :class:`PerformanceResult` — the search re-evaluates the handful of
-    winners through the deterministic engine, keeping the journal small
+    winners through the deterministic engine, keeping the record small
     and schema-stable.
     """
     n, feasible, rates, top, snapshot, _events = result
@@ -453,7 +482,10 @@ def _chunk_payload(result: tuple) -> dict:
 
 
 def _chunk_from_payload(payload: dict) -> tuple:
-    """Reconstruct a chunk result tuple from its journal record."""
+    """Reconstruct a chunk result tuple from its record.
+
+    Records journaled before ``rates`` existed decode with ``rates=None``.
+    """
     rates = payload.get("rates")
     return (
         int(payload["n"]),
@@ -465,6 +497,61 @@ def _chunk_from_payload(payload: dict) -> tuple:
         ],
         payload.get("snapshot"),
         None,
+    )
+
+
+def _search_result(
+    llm: LLMConfig,
+    system: System,
+    run: ChunkRun,
+    *,
+    started: float,
+    with_stats: bool,
+    truncated: bool,
+) -> SearchResult:
+    """Assemble a :class:`SearchResult` from a chunked sweep's record.
+
+    Counts and ``sample_rates`` are summed over ``run.results`` in chunk
+    order, the ``run.top`` winners are re-priced through the scalar
+    :func:`~repro.engine.evaluate` (so every returned
+    :class:`PerformanceResult` is the oracle's) and, with ``with_stats``,
+    a :class:`~repro.obs.SweepStats` merges the chunks' metric snapshots.
+    ``truncated`` is the caller's meaning of a partial answer: a deadline
+    for ``search()``, skipped chunks for the fabric.
+    """
+    results = run.results
+    num_eval = sum(r[0] for r in results)
+    num_feasible = sum(r[1] for r in results)
+    top = [(strat, evaluate(llm, system, strat)) for _, _, strat in run.top]
+    rates = np.concatenate(
+        [np.empty(0)] + [r[2] for r in results if r[2] is not None]
+    )
+    best_strategy, best = top[0] if top else (None, None)
+    stats = None
+    if with_stats:
+        registry = MetricsRegistry.from_snapshots(
+            r[4] for r in results if r[4] is not None
+        )
+        stats = SweepStats(
+            engine=PruneStats.from_metrics(registry),
+            elapsed=perf_counter() - started,
+            workers=run.workers,
+            num_evaluated=num_eval,
+            num_feasible=num_feasible,
+            retries=run.retries,
+            skipped=run.skipped,
+            resumed_chunks=run.resumed,
+            truncated=run.truncated,
+        )
+    return SearchResult(
+        best=best,
+        best_strategy=best_strategy,
+        top=top,
+        num_evaluated=num_eval,
+        num_feasible=num_feasible,
+        sample_rates=rates,
+        stats=stats,
+        truncated=truncated,
     )
 
 
@@ -596,9 +683,11 @@ def search(
         )
 
     def task(n: int, lo: int, hi: int, trace_id: str | None) -> tuple:
-        rows = {name: arr[lo:hi] for name, arr in cols.items()}
-        return (llm, system, rows, lo, top_k, keep_rates, constraint,
-                do_prune, 0.0, instrument, n, fault_injector, trace_id)
+        return _chunk_task(
+            llm, system, cols, n, lo, hi, top_k, keep_rates=keep_rates,
+            constraint=constraint, bound_prune=do_prune,
+            instrument=instrument, injector=fault_injector, trace_id=trace_id,
+        )
 
     run = run_chunks(
         _evaluate_chunk, task, total, top_k=top_k, workers=workers,
@@ -609,44 +698,14 @@ def search(
         deadline=deadline, retry_policy=retry_policy,
         fault_injector=fault_injector,
     )
-    results = run.results
-    num_eval = sum(r[0] for r in results)
-    num_feasible = sum(r[1] for r in results)
-    top = [(strat, evaluate(llm, system, strat)) for _, _, strat in run.top]
-    rates = np.concatenate(
-        [np.empty(0)] + [r[2] for r in results if r[2] is not None]
+    result = _search_result(
+        llm, system, run, started=t_start,
+        with_stats=collect_stats or run.tolerant, truncated=run.truncated,
     )
-    best_strategy, best = top[0] if top else (None, None)
-
-    stats = None
-    if collect_stats or run.tolerant:
-        registry = MetricsRegistry.from_snapshots(
-            r[4] for r in results if r[4] is not None
-        )
-        stats = SweepStats(
-            engine=PruneStats.from_metrics(registry),
-            elapsed=perf_counter() - t_start,
-            workers=run.workers,
-            num_evaluated=num_eval,
-            num_feasible=num_feasible,
-            retries=run.retries,
-            skipped=run.skipped,
-            resumed_chunks=run.resumed,
-            truncated=run.truncated,
-        )
     if events is not None:
         events.emit(
             "search.done", seconds=perf_counter() - t_start,
-            evaluated=num_eval, feasible=num_feasible, retries=run.retries,
-            resumed=run.resumed, truncated=run.truncated,
+            evaluated=result.num_evaluated, feasible=result.num_feasible,
+            retries=run.retries, resumed=run.resumed, truncated=run.truncated,
         )
-    return SearchResult(
-        best=best,
-        best_strategy=best_strategy,
-        top=top,
-        num_evaluated=num_eval,
-        num_feasible=num_feasible,
-        sample_rates=rates,
-        stats=stats,
-        truncated=run.truncated,
-    )
+    return result

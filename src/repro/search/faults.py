@@ -29,16 +29,18 @@ tests and CI without flaky timing games.
 
 :func:`run_chunks` is the one chunk driver of the searches built on top
 (``search()`` and ``serve_search()``): it owns the chunk layout
-(:func:`chunk_step`), checkpoint resume and record, progress, dispatch
-through :func:`run_supervised`, skipped ranges, trace stitching and the
-``(-rate, global index)`` top-k merge.  Retries, fallback and skipping
-engage only when the caller asked for fault tolerance; otherwise the first
-failing chunk re-raises, at any worker count.
+(:func:`chunk_step`, :func:`chunk_bounds`), checkpoint resume and record
+(:func:`open_chunk_journal`), progress, dispatch through
+:func:`run_supervised`, skipped ranges, trace stitching and the
+``(-rate, global index)`` top-k merge (:class:`~repro.search.merge.TopKMerge`).
+Retries, fallback and skipping engage only when the caller asked for fault
+tolerance; otherwise the first failing chunk re-raises, at any worker
+count.  The fabric coordinator lays out, journals and merges its chunks
+with the same three pieces.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import os
@@ -50,6 +52,7 @@ from time import perf_counter
 from typing import Any, Callable, Mapping
 
 from .checkpoint import CheckpointJournal
+from .merge import TopKMerge
 
 logger = logging.getLogger(__name__)
 
@@ -456,12 +459,66 @@ def chunk_step(total: int, workers: int, step: int | None = None) -> int:
 
     ``ceil(total / (workers * CHUNKS_PER_WORKER))``, at least 1.  A given
     ``step`` wins: a resumed run must slice the space exactly as the
-    journaled run did.  This is the one layout rule of :func:`run_chunks`
-    and of the fabric's ``plan_chunks``.
+    journaled run did.
     """
     if step is None:
         step = math.ceil(total / (max(workers, 1) * CHUNKS_PER_WORKER))
     return max(int(step), 1)
+
+
+def chunk_bounds(total: int, step: int) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` ranges of ``step`` candidates covering ``[0, total)``.
+
+    Chunk ``n`` is ``bounds[n]``; an empty space is still one (empty)
+    chunk.  The one layout rule of :func:`run_chunks` and of the fabric.
+    """
+    return [(lo, min(lo + step, total)) for lo in range(0, max(total, 1), step)]
+
+
+def open_chunk_journal(
+    total: int,
+    step: int,
+    *,
+    checkpoint: str | os.PathLike | None,
+    key: str | None,
+    resume: bool,
+    decode: Callable[[Any], Any] | None,
+    tracer: Any | None = None,
+    events: Any | None = None,
+) -> tuple[CheckpointJournal | None, list[tuple[int, int]], dict[int, Any]]:
+    """Open a sweep's checkpoint journal; return it, the layout and what it holds.
+
+    Returns ``(journal, bounds, restored)``.  Without ``checkpoint`` there
+    is no journal, ``bounds`` is :func:`chunk_bounds` of ``step`` and
+    nothing is restored.  With it, the journal is opened under run key
+    ``key`` with meta ``step``, ``num_candidates`` and ``trace_id``.  On
+    resume the journal's ``step`` wins, so chunk ids keep meaning the
+    ranges the original run recorded; a ``tracer`` adopts the journal's
+    ``trace_id``, so the stitched trace spans both invocations; and every
+    journaled chunk is decoded into ``restored`` (chunk index → result),
+    each with a ``chunk.resumed`` event.
+    """
+    if checkpoint is None:
+        return None, chunk_bounds(total, step), {}
+    journal = CheckpointJournal.open(
+        checkpoint, key, resume=resume, events=events,
+        meta={
+            "step": step,
+            "num_candidates": total,
+            "trace_id": tracer.trace_id if tracer is not None else None,
+        },
+    )
+    step = int(journal.meta.get("step") or step)
+    if tracer is not None and journal.meta.get("trace_id"):
+        tracer.trace_id = str(journal.meta["trace_id"])
+    bounds = chunk_bounds(total, step)
+    restored: dict[int, Any] = {}
+    for n, (lo, hi) in enumerate(bounds):
+        if str(n) in journal:
+            restored[n] = decode(journal.get(str(n)))
+            if events is not None:
+                events.emit("chunk.resumed", chunk=n, start=lo, stop=hi)
+    return journal, bounds, restored
 
 
 @dataclass
@@ -520,16 +577,17 @@ def run_chunks(
       wins.  ``tracer``, ``events`` and ``progress`` never change the
       layout or the dispatch.
     * **Journal.**  With ``checkpoint`` (under run key ``key``) journaled
-      chunks are restored through ``decode`` instead of re-run, every
-      finished chunk is recorded through ``encode``, and a resumed tracer
-      adopts the journal's ``trace_id``.
+      chunks are restored through ``decode`` instead of re-run
+      (:func:`open_chunk_journal`), and every finished chunk is recorded
+      through ``encode``.
     * **Dispatch.**  :func:`run_supervised`, serial for ``workers <= 1``,
       else on a process pool.  Only a tolerant run retries, degrades,
       skips and honours ``deadline`` (seconds from ``started``); otherwise
       the first failing chunk re-raises.
     * **Merge.**  Worker trace events join ``tracer``; ``top`` is the best
-      ``top_k`` entries of every chunk on the ``(-rate, global index)``
-      total order of the fabric's ``TopKMerge``, so neither the layout nor
+      ``top_k`` entries of every chunk, folded through
+      :class:`~repro.search.merge.TopKMerge` on the ``(-rate, global
+      index)`` total order, so neither the layout nor
       the arrival order changes it (up to ties at a chunk's own k-th rate,
       which the chunk breaks by its evaluation order).
 
@@ -543,39 +601,18 @@ def run_chunks(
     step = chunk_step(total, workers) if workers > 1 or tolerant else max(total, 1)
     if progress is not None:
         progress.set_total(total)
-    journal = None
-    if checkpoint is not None:
-        journal = CheckpointJournal.open(
-            checkpoint, key, resume=resume, events=events,
-            meta={
-                "step": step,
-                "num_candidates": total,
-                "trace_id": tracer.trace_id if tracer is not None else None,
-            },
-        )
-        step = int(journal.meta.get("step") or step)
-        # A resumed run continues the original trace, so the stitched
-        # Chrome trace spans both invocations.
-        if tracer is not None and journal.meta.get("trace_id"):
-            tracer.trace_id = str(journal.meta["trace_id"])
+    journal, bounds, results = open_chunk_journal(
+        total, step, checkpoint=checkpoint, key=key, resume=resume,
+        decode=decode, tracer=tracer, events=events,
+    )
     trace_id = tracer.trace_id if tracer is not None else None
-    # An empty space is still one (empty) chunk.
-    bounds = [(lo, min(lo + step, total)) for lo in range(0, max(total, 1), step)]
     logger.debug("%s: %d candidates, %d workers, %d chunks (tolerant=%s)",
                  name, total, workers, len(bounds), tolerant)
     if events is not None:
         events.emit(f"{name}.start", **start_fields, workers=workers,
                     chunks=len(bounds), trace_id=trace_id)
-
-    results: dict[int, tuple] = {}
-    tasks: dict[int, Any] = {}
-    for n, (lo, hi) in enumerate(bounds):
-        if journal is not None and str(n) in journal:
-            results[n] = decode(journal.get(str(n)))
-            if events is not None:
-                events.emit("chunk.resumed", chunk=n)
-        else:
-            tasks[n] = task(n, lo, hi, trace_id)
+    tasks = {n: task(n, lo, hi, trace_id)
+             for n, (lo, hi) in enumerate(bounds) if n not in results}
     resumed = len(results)
     if progress is not None:
         for n in sorted(results):
@@ -601,10 +638,12 @@ def run_chunks(
         for r in ordered:
             if r[-1]:
                 tracer.add_events(r[-1])
-    entries = itertools.chain.from_iterable(r[-3] for r in ordered)
+    merge = TopKMerge(top_k)
+    for r in ordered:
+        merge.extend((e[0], e[1], e) for e in r[-3])
     return ChunkRun(
         results=ordered,
-        top=sorted(entries, key=lambda e: (-e[0], e[1]))[:top_k],
+        top=[e for _rate, _gidx, e in merge.entries()],
         workers=workers,
         tolerant=tolerant,
         retries=report.retries,

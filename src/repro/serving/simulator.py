@@ -73,11 +73,12 @@ class _KernelTables:
 
     A caller fetches its table once (per plan or replica loop) and reads it
     with ``dict.get`` on the hot path.  Misses go through :meth:`store`,
-    which holds ``limit`` on the total entries across every table by
-    evicting the oldest stored entry (FIFO) and unregistering a table once
-    it is empty.  Every mutation runs under one lock and readers only
-    ``get``, so tables are safe to share between threads (the HTTP service
-    simulates plans concurrently).
+    which registers the caller's table on its first entry and holds
+    ``limit`` on the total entries across every table by evicting the
+    oldest stored entry (FIFO) and unregistering a table once it is empty,
+    so no registered table is ever empty.  Every mutation runs under one
+    lock and readers only ``get``, so tables are safe to share between
+    threads (the HTTP service simulates plans concurrently).
     """
 
     def __init__(self, limit: int) -> None:
@@ -87,11 +88,10 @@ class _KernelTables:
         self._lock = threading.Lock()
 
     def table(self, hw: tuple) -> dict:
+        """The registered table of ``hw``, or a new one registered on its
+        first :meth:`store`."""
         table = self._tables.get(hw)
-        if table is None:
-            with self._lock:
-                table = self._tables.setdefault(hw, {})
-        return table
+        return {} if table is None else table
 
     def store(self, hw: tuple, table: dict, key: object, value: _V) -> _V:
         with self._lock:
@@ -102,6 +102,7 @@ class _KernelTables:
                     del self._tables[old_hw]
             table[key] = value
             self._order.append((hw, table, key))
+            self._tables.setdefault(hw, table)
         return value
 
     def entries(self) -> int:
@@ -151,7 +152,8 @@ class _Kernels:
         # Without pipeline hops a prefill is its block cost: one table.
         self.prefill_key = self.step_key if p > 1 else self.block_key
         self.blocks = _PREFILLS.table(self.block_key)
-        self.prefills = _PREFILLS.table(self.prefill_key)
+        self.prefills = (_PREFILLS.table(self.prefill_key) if p > 1
+                         else self.blocks)
         self.steps = _STEPS.table(self.step_key)
         self.step_terms = _STEP_TERMS.table(self.step_key)
 

@@ -144,6 +144,21 @@ def test_bad_system_spec_exits():
         main(["run", "gpt3-175b", "cray:64"])
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("a100:8:inf", "HBM must be finite"),
+    ("a100:8:nan", "HBM must be finite"),
+    ("a100:8:0", "HBM must be finite and > 0"),
+    ("h100:8:-80", "HBM must be finite and > 0"),
+    ("h100:8:80:-5", "DDR must be finite and >= 0"),
+    ("h100:8:80:inf", "DDR must be finite"),
+])
+def test_hostile_system_shorthand_is_an_error_exit(spec, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "tiny-test", spec, "--batch", "16"])
+    assert str(exc.value.code).startswith("error: ")
+    assert message in str(exc.value.code)
+
+
 def test_bad_options_preset_exits():
     with pytest.raises(SystemExit):
         main(["search", "gpt3-175b", "a100:16", "--options", "bogus"])

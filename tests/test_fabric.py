@@ -25,21 +25,26 @@ from repro.fabric import (
     FabricCoordinator,
     FabricError,
     FabricWorker,
-    enumerate_space,
     fabric_run_key,
     make_fabric_server,
     options_from_dict,
     options_to_dict,
-    plan_chunks,
     run_fabric,
 )
-from repro.fabric.chunkeval import evaluate_chunk
 from repro.fabric.cluster import _start_method
 from repro.hardware import a100_system
 from repro.llm import LLMConfig
 from repro.obs import EventJournal, read_events, validate_events
 from repro.search import RetryPolicy, SearchOptions, search
 from repro.search.checkpoint import CheckpointJournal
+from repro.search.columns import candidate_columns
+from repro.search.execution_search import (
+    _chunk_payload,
+    _chunk_task,
+    _evaluate_chunk,
+)
+from repro.search.faults import chunk_bounds, chunk_step
+from repro.search.merge import TopKMerge
 
 LLM = LLMConfig(name="fabric-llm", hidden=2048, attn_heads=16, seq_size=1024,
                 num_blocks=16)
@@ -69,6 +74,17 @@ def tops(result):
     return [(s.to_dict(), r.sample_rate) for s, r in result.top]
 
 
+def space():
+    return candidate_columns(LLM, SYS, BATCH, small_options())
+
+
+def evaluate_chunk(cols, chunk, top_k=5):
+    """What a worker posts for a leased ``{index, start, stop}`` chunk."""
+    return _chunk_payload(_evaluate_chunk(_chunk_task(
+        LLM, SYS, cols, chunk["index"], chunk["start"], chunk["stop"], top_k,
+    )))
+
+
 def drain(coord, worker_id, cols, *, limit=1000):
     """Pull-evaluate-submit until the coordinator says done."""
     finished = 0
@@ -80,10 +96,7 @@ def drain(coord, worker_id, cols, *, limit=1000):
             time.sleep(0.005)
             continue
         chunk = reply["chunk"]
-        payload = evaluate_chunk(
-            LLM, SYS, chunk["start"], chunk["stop"], coord.top_k,
-            cols=cols, chunk_index=chunk["index"],
-        )
+        payload = evaluate_chunk(cols, chunk, coord.top_k)
         coord.submit(worker_id, chunk["index"], payload, key=coord.key)
         finished += 1
     raise AssertionError("coordinator never reported done")
@@ -94,19 +107,19 @@ def drain(coord, worker_id, cols, *, limit=1000):
 # ---------------------------------------------------------------------------
 
 def test_plan_chunks_covers_the_space_exactly():
+    """The one layout rule of ``run_chunks`` and the coordinator."""
     for total, workers in [(0, 4), (1, 4), (55, 2), (100, 3), (4096, 16)]:
-        chunks = plan_chunks(total, workers)
-        assert [c.index for c in chunks] == list(range(len(chunks)))
-        covered = [i for c in chunks for i in range(c.start, c.stop)]
+        bounds = chunk_bounds(total, chunk_step(total, workers))
+        covered = [i for lo, hi in bounds for i in range(lo, hi)]
         assert covered == list(range(total))
-        if total:
-            # Granular enough to steal, coarse enough to amortize HTTP.
-            assert len(chunks) <= workers * 4 + 1
+        # Granular enough to steal, coarse enough to amortize HTTP.
+        assert len(bounds) <= workers * 4 + 1
+    assert chunk_bounds(0, 1) == [(0, 0)]  # an empty space is one chunk
 
 
 def test_plan_chunks_explicit_step_wins():
-    chunks = plan_chunks(10, 4, step=3)
-    assert [(c.start, c.stop) for c in chunks] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert chunk_bounds(10, chunk_step(10, 4, 3)) == [
+        (0, 3), (3, 6), (6, 9), (9, 10)]
 
 
 def test_options_survive_json_round_trip_with_identical_key():
@@ -137,17 +150,15 @@ def test_options_from_dict_rejects_unknown_mode_names():
 def test_chunk_evaluation_is_partition_independent():
     """Slice-and-merge over any chunking == the whole-space columnar top-k."""
     ref = reference(top_k=5)
-    cols, total = enumerate_space(LLM, SYS, BATCH, small_options())
-    from repro.fabric import TopKMerge
+    cols = space()
+    total = int(cols["t"].shape[0])
 
     for step in (7, 23, total):
         merge = TopKMerge(5)
         n = feasible = 0
-        for chunk in plan_chunks(total, 1, step=step):
+        for index, (lo, hi) in enumerate(chunk_bounds(total, step)):
             payload = evaluate_chunk(
-                LLM, SYS, chunk.start, chunk.stop, 5,
-                cols=cols, chunk_index=chunk.index,
-            )
+                cols, {"index": index, "start": lo, "stop": hi})
             n += payload["n"]
             feasible += payload["feasible"]
             merge.extend(
@@ -169,7 +180,7 @@ def test_two_workers_produce_bit_identical_answer():
                               expected_workers=2)
     a = coord.register("a")["worker_id"]
     b = coord.register("b")["worker_id"]
-    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols = space()
     done = []
     threads = [
         threading.Thread(target=lambda w: done.append(
@@ -204,8 +215,10 @@ def test_unknown_worker_and_wrong_key_are_protocol_errors():
     w = coord.register("w")["worker_id"]
     with pytest.raises(FabricError, match="does not belong"):
         coord.submit(w, 0, {"n": 1, "feasible": 1, "top": []}, key="f" * 64)
-    with pytest.raises(FabricError, match="malformed"):
-        coord.submit(w, 0, {"nope": True}, key=coord.key)
+    for bad in ({"nope": True}, ["n"],
+                {"n": 1, "feasible": 1, "top": [[1.0, 0, {"bogus": 1}]]}):
+        with pytest.raises(FabricError, match="malformed"):
+            coord.submit(w, 0, bad, key=coord.key)
     with pytest.raises(FabricError, match="no such chunk"):
         coord.submit(w, 10**6, {"n": 0, "feasible": 0, "top": []},
                      key=coord.key)
@@ -214,7 +227,7 @@ def test_unknown_worker_and_wrong_key_are_protocol_errors():
 def test_expired_lease_is_stolen_and_duplicate_result_goes_stale(tmp_path):
     events_path = tmp_path / "events.jsonl"
     ref = reference()
-    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols = space()
     with EventJournal(events_path, source="fabric") as events:
         coord = FabricCoordinator(
             LLM, SYS, BATCH, small_options(), top_k=5, expected_workers=2,
@@ -230,10 +243,7 @@ def test_expired_lease_is_stolen_and_duplicate_result_goes_stale(tmp_path):
         result = coord.result(timeout=10)
         assert tops(result) == tops(ref)
         # The wedged worker finally answers: acknowledged, discarded.
-        late = evaluate_chunk(
-            LLM, SYS, held["chunk"]["start"], held["chunk"]["stop"], 5,
-            cols=cols, chunk_index=held_index,
-        )
+        late = evaluate_chunk(cols, held["chunk"])
         reply = coord.submit(slow, held_index, late, key=coord.key)
         assert reply["status"] == "stale"
         # ...and the late result resurrected it in the worker table.
@@ -284,7 +294,7 @@ def test_skipped_chunks_truncate_the_result():
 def test_resume_folds_journaled_chunks_and_matches_uninterrupted(tmp_path):
     checkpoint = tmp_path / "fabric.jsonl"
     ref = reference()
-    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols = space()
 
     first = FabricCoordinator(LLM, SYS, BATCH, small_options(), top_k=5,
                               checkpoint=str(checkpoint))
@@ -293,10 +303,7 @@ def test_resume_folds_journaled_chunks_and_matches_uninterrupted(tmp_path):
     for _ in range(2):
         reply = first.lease(w)
         chunk = reply["chunk"]
-        payload = evaluate_chunk(
-            LLM, SYS, chunk["start"], chunk["stop"], 5,
-            cols=cols, chunk_index=chunk["index"],
-        )
+        payload = evaluate_chunk(cols, chunk)
         first.submit(w, chunk["index"], payload, key=first.key)
     journal = CheckpointJournal.load(checkpoint)
     assert len(journal) == 2
@@ -317,7 +324,7 @@ def test_resume_folds_journaled_chunks_and_matches_uninterrupted(tmp_path):
 def test_fully_journaled_run_finishes_without_workers(tmp_path):
     checkpoint = tmp_path / "fabric.jsonl"
     ref = reference()
-    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols = space()
     first = FabricCoordinator(LLM, SYS, BATCH, small_options(), top_k=5,
                               checkpoint=str(checkpoint))
     w = first.register("w")["worker_id"]
@@ -336,7 +343,7 @@ def test_torn_checkpoint_line_is_flight_recorded(tmp_path):
     checkpoint = tmp_path / "fabric.jsonl"
     coord = FabricCoordinator(LLM, SYS, BATCH, small_options(), top_k=5,
                               checkpoint=str(checkpoint))
-    cols, _ = enumerate_space(LLM, SYS, BATCH, small_options())
+    cols = space()
     w = coord.register("w")["worker_id"]
     drain(coord, w, cols)
 

@@ -1,13 +1,13 @@
-"""Property tests for the fabric's bounded top-k merge (satellite of the
-distributed-fabric PR).
+"""Property tests for the bounded top-k merge behind every chunked search.
 
 The whole bit-identity argument of ``docs/FABRIC.md`` rests on one claim:
-folding per-chunk top-k lists through :class:`repro.fabric.TopKMerge` is a
-pure function of the *set* of offered entries — independent of how the
-space was partitioned into chunks, which order chunk results arrived, and
-how the folds were associated.  Hypothesis drives that claim across
-arbitrary entry sets, partitions and permutations, and checks the result
-against two references:
+folding per-chunk top-k lists through
+:class:`repro.search.merge.TopKMerge` is a pure function of the *set* of
+offered entries — independent of how the space was partitioned into
+chunks, which order chunk results arrived, and how the folds were
+associated.  ``run_chunks`` and the fabric coordinator both fold through
+it.  Hypothesis drives that claim across arbitrary entry sets, partitions
+and permutations, and checks the result against two references:
 
 * the total-order reference ``sorted(entries, key=(-rate, gidx))[:k]`` —
   the retention rule ``_search_columnar`` implements with ``np.lexsort``;
@@ -23,7 +23,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fabric import TopKMerge
+from repro.search.merge import TopKMerge
 
 # Rates drawn from a small float pool *force* exact collisions, so the
 # unique-gidx tiebreak is exercised constantly rather than never.

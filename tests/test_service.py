@@ -477,6 +477,10 @@ def test_http_error_mapping(http_server):
     with pytest.raises(RequestFailed) as exc:
         client._request("GET", "/nope")
     assert exc.value.status == 404
+    for system in ("a100:8:inf", "a100:8:nan", "h100:8:80:-5"):
+        with pytest.raises(RequestFailed) as exc:
+            client.evaluate("gpt3-175b", system, STRATEGY)
+        assert exc.value.status == 400, system
 
 
 def test_http_oversized_body_closes_keepalive_connection(http_server):

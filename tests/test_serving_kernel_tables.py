@@ -132,3 +132,19 @@ def test_concurrent_runs_match_serial(monkeypatch, limits):
         assert got == want[k:] + want[:k]
     assert simulator._STEP_TERMS.entries() <= limits[0]
     assert simulator._PREFILLS.entries() <= limits[1]
+
+
+def test_no_registered_table_is_empty_after_deployment_sweeps(monkeypatch):
+    """A table is registered by its first entry, not by being asked for:
+    step-only and batch-prefill pricing leaves no empty prefill table."""
+    from repro.inference.search import search_deployments
+    from repro.llm.config import get_preset
+
+    _fresh_tables(monkeypatch)
+    llm = get_preset("megatron-1t")
+    for n in (64, 128, 256):
+        search_deployments(llm, h100_system(n))
+    for tables in (simulator._STEPS, simulator._STEP_TERMS,
+                   simulator._PREFILLS):
+        assert all(tables._tables.values())
+    assert simulator._STEPS._tables  # the sweeps did price steps
