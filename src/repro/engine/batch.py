@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from time import perf_counter
 from typing import Iterator, Sequence
@@ -168,6 +168,9 @@ _CODE_MAPS = {"tpm": _TP_MODE_CODES, "tpo": _TP_OVERLAP_CODES, "rc": _RECOMPUTE_
 
 # Candidate columns that key a profile group, in profile_key order.
 _GROUP_KEYS = ("m", "t", "sp", "fus", "redo", "rc", "tpm")
+# Candidate columns that refine a profile group into a memory bucket.
+_BUCKET_KEYS = ("p", "d", "batch", "v", "f1b", "osh",
+                "w_off", "a_off", "o_off", "training")
 
 # BlockProfile fields held as per-group float columns.
 _PROF_FIELDS = (
@@ -278,6 +281,71 @@ def _stable_argsort(code: np.ndarray, card: int) -> np.ndarray:
     return np.argsort(code, kind="stable")
 
 
+# Columns a product-form row takes from its prefix row; the others come
+# from its option row.
+PREFIX_NAMES = ("t", "p", "d", "batch", "m", "v", "tpm", "training")
+
+
+@dataclass(frozen=True)
+class ProductForm:
+    """Candidate rows ``[lo, hi)`` of a space as (prefix row, option row) pairs.
+
+    ``prefix`` holds the :data:`PREFIX_NAMES` columns, one row per distinct
+    prefix; ``options`` the remaining columns, one row per option
+    combination.  Prefix ``j`` owns the space's rows ``[start[j],
+    start[j + 1])``, which pair it with the ascending option rows of
+    ``lists[prefix_list[j]]`` in order.  ``prefix_idx``/``option_idx`` give
+    each row of ``[lo, hi)`` its pair, so column ``name`` of that range is
+    ``prefix[name][prefix_idx]`` or ``options[name][option_idx]``.  Prefix
+    rows are distinct, so no two prefixes share a memory bucket.
+    """
+
+    prefix: dict[str, np.ndarray]
+    options: dict[str, np.ndarray]
+    lists: tuple[np.ndarray, ...]
+    prefix_list: np.ndarray
+    start: np.ndarray
+    prefix_idx: np.ndarray
+    option_idx: np.ndarray
+    lo: int
+    hi: int
+
+    def rows(self, lo: int, hi: int) -> "ProductForm":
+        """The form of rows ``[lo, hi)`` of this range (clipped to it, as a
+        slice is); tables are shared."""
+        n = self.prefix_idx.shape[0]
+        lo = min(max(lo, 0), n)
+        hi = min(max(hi, lo), n)
+        return replace(
+            self,
+            prefix_idx=self.prefix_idx[lo:hi],
+            option_idx=self.option_idx[lo:hi],
+            lo=self.lo + lo,
+            hi=self.lo + hi,
+        )
+
+
+class ProductColumns(dict):
+    """Candidate columns (name -> int64 array) that keep their product form.
+
+    A plain ``dict`` of the :data:`COLUMN_NAMES` columns; ``product`` is the
+    :class:`ProductForm` of the same rows, which
+    :meth:`EvalBatch.from_columns` uses to key validity, profile groups
+    and memory buckets on the small tables instead of per row.
+    """
+
+    def __init__(self, cols: dict[str, np.ndarray], product: ProductForm):
+        super().__init__(cols)
+        self.product = product
+
+    def rows(self, lo: int, hi: int) -> "ProductColumns":
+        """Rows ``[lo, hi)``: sliced columns with their sliced form."""
+        return ProductColumns(
+            {name: arr[lo:hi] for name, arr in self.items()},
+            self.product.rows(lo, hi),
+        )
+
+
 def _call_distinct(fn, cols: Sequence[np.ndarray]) -> np.ndarray:
     """``fn(*row)`` once per distinct row of ``cols``, gathered back per row.
 
@@ -305,6 +373,10 @@ class EvalBatch:
     :meth:`from_strategies` (keeps the objects for exact infeasibility
     messages) or :meth:`from_columns` (pure-columnar callers, e.g. the
     search enumerator, which materialize strategies only on demand).
+
+    ``product`` is the rows' :class:`ProductForm` when the columns came
+    with one (:class:`ProductColumns`), else ``None``; it changes how the
+    stages key rows, never what they compute.
     """
 
     def __init__(
@@ -319,8 +391,11 @@ class EvalBatch:
         self.cols = cols
         self.strategies = strategies
         self.n = int(cols["t"].shape[0])
+        product = getattr(cols, "product", None)
+        self.product: ProductForm | None = product if self.n else None
         self.bounds: np.ndarray | None = None
         self._rejected_cache: dict[int, PerformanceResult] = {}
+        self._stream: dict[str, np.ndarray] = {}
 
     @classmethod
     def from_strategies(
@@ -336,7 +411,37 @@ class EvalBatch:
     def from_columns(
         cls, llm: LLMConfig, system: System, cols: dict[str, np.ndarray]
     ) -> "EvalBatch":
+        """A batch over ``cols``; a :class:`ProductColumns` brings its form."""
         return cls(llm, system, cols)
+
+    # Stream order — validate-rejects first (input order), then valid rows
+    # by (profile group, input row) — is built only when asked for: the
+    # search orders its survivors on their group ids instead.
+
+    @property
+    def order_v(self) -> np.ndarray:
+        """Valid-row positions in stream order."""
+        if "order_v" not in self._stream:
+            self._stream["order_v"] = group_order(self.gid, self.n_groups)
+        return self._stream["order_v"]
+
+    @property
+    def stream_order(self) -> np.ndarray:
+        """Input rows in stream order."""
+        if "order" not in self._stream:
+            self._stream["order"] = np.concatenate(
+                [np.flatnonzero(~self.valid), _input_rows(self, self.order_v)]
+            ).astype(np.int64, copy=False)
+        return self._stream["order"]
+
+    @property
+    def stream_rank(self) -> np.ndarray:
+        """Each input row's position in stream order."""
+        if "rank" not in self._stream:
+            rank = np.empty(self.n, dtype=np.int64)
+            rank[self.stream_order] = np.arange(self.n, dtype=np.int64)
+            self._stream["rank"] = rank
+        return self._stream["rank"]
 
     def strategy_at(self, i: int) -> ExecutionStrategy:
         """Materialize candidate ``i`` as an :class:`ExecutionStrategy`."""
@@ -376,15 +481,15 @@ class EvalBatch:
 # ---------------------------------------------------------------------------
 
 
-def batch_validate(eb: EvalBatch) -> EvalBatch:
-    """Vectorized :meth:`ExecutionStrategy.validate` plus scalar derivation.
+def _prefix_checks(
+    llm: LLMConfig, system: System, c: dict[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The validate checks that read only :data:`PREFIX_NAMES` columns.
 
-    Produces ``eb.valid`` (the conjunction of every scalar validate check)
-    and the derived ``M`` / ``bpstage`` integer columns.  Lanes that fail
-    any check keep flowing with safe (clamped) divisors; their derived
-    values are garbage but masked out of every later stage.
+    Returns ``(ok, M, bpstage, sp_ok)`` per lane: ``sp_ok`` says whether
+    the lane's ``t`` and TP mode admit sequence parallelism, the one check
+    that also needs an option column.
     """
-    llm, system, c = eb.llm, eb.system, eb.cols
     t, p, d = c["t"], c["p"], c["d"]
     batch, m, v = c["batch"], c["m"], c["v"]
     n_procs = system.num_procs
@@ -427,24 +532,79 @@ def batch_validate(eb: EvalBatch) -> EvalBatch:
     ok &= (m >= 1) & (local_rem == 0)
     ok &= (v >= 1) & (v <= bpstage)
     ok &= ~((v > 1) & (p == 1))
-    ok &= (c["rc"] >= 0) & (c["tpo"] >= 0) & (c["tpm"] >= 0)
-    sp = c["sp"] != 0
+    ok &= c["tpm"] >= 0
     is2d = c["tpm"] == 1
-    ok &= ~(is2d & sp)
     ok &= ~is2d | t_2d_ok[ti]
-    ok &= ~sp | t_sp_ok[ti]
+    return ok, M, bpstage, ~is2d & t_sp_ok[ti]
+
+
+def _option_checks(system: System, c: dict[str, np.ndarray]) -> np.ndarray:
+    """The validate checks that read only option columns."""
+    ok = (c["rc"] >= 0) & (c["tpo"] >= 0)
+    sp = c["sp"] != 0
     ok &= ~((c["redo"] != 0) & ~sp)
     ok &= ~((c["rs_ag"] != 0) & ~sp)
-    offloading = (c["w_off"] | c["a_off"] | c["o_off"]) != 0
     if not system.has_offload:
-        ok &= ~offloading
-    training = c["training"] != 0
-    ok &= ~(~training & (c["rc"] != 0))
+        ok &= (c["w_off"] | c["a_off"] | c["o_off"]) == 0
+    return ok
 
+
+def _cross_ok(sp_ok, training, sp: np.ndarray, rc: np.ndarray) -> np.ndarray:
+    """The checks pairing a prefix with an option: seq-par needs ``sp_ok``
+    (``t | seq``, 1-D TP) and recompute needs training."""
+    return ((sp == 0) | sp_ok) & (training | (rc == 0))
+
+
+def batch_validate(eb: EvalBatch) -> EvalBatch:
+    """Vectorized :meth:`ExecutionStrategy.validate` plus scalar derivation.
+
+    Produces ``eb.valid`` (the conjunction of every scalar validate check)
+    and the derived ``M`` / ``bpstage`` integer columns.  Lanes that fail
+    any check keep flowing with safe (clamped) divisors; their derived
+    values are garbage but masked out of every later stage.
+
+    With a :class:`ProductForm` the prefix checks run on the prefix table,
+    the option checks on the option table and the cross checks on a
+    (prefix verdict class x option) table, so each row's verdict, ``M``
+    and ``bpstage`` are gathers.
+    """
+    if eb.product is not None:
+        return _validate_product(eb)
+    c = eb.cols
+    ok, M, bpstage, sp_ok = _prefix_checks(eb.llm, eb.system, c)
+    ok &= _option_checks(eb.system, c)
+    ok &= _cross_ok(sp_ok, c["training"] != 0, c["sp"], c["rc"])
     eb.valid = ok
     eb.M = M
     eb.bpstage = bpstage
     eb.n_invalid = int(eb.n - np.count_nonzero(ok))
+    return eb
+
+
+# Prefix verdict classes of a product form: 0 fails a prefix check; else
+# 1 + 2 * sp_ok + training.
+_N_VCLASS = 5
+
+
+def _validate_product(eb: EvalBatch) -> EvalBatch:
+    """:func:`batch_validate` on the prefix and option tables."""
+    pf = eb.product
+    ok_p, M_p, bp_p, sp_ok = _prefix_checks(eb.llm, eb.system, pf.prefix)
+    tr_p = pf.prefix["training"] != 0
+    vclass = np.where(ok_p, 1 + 2 * sp_ok + tr_p, 0)
+    o = pf.options
+    ok_o = _option_checks(eb.system, o)
+    n_o = ok_o.shape[0]
+    okt = np.zeros((_N_VCLASS, n_o), dtype=bool)
+    for cls in range(1, _N_VCLASS):
+        s_ok, tr = bool((cls - 1) // 2), bool((cls - 1) % 2)
+        okt[cls] = ok_o & _cross_ok(s_ok, tr, o["sp"], o["rc"])
+    pidx, oidx = pf.prefix_idx, pf.option_idx
+    eb.valid = okt.ravel()[(vclass * n_o)[pidx] + oidx]
+    eb.M = M_p[pidx]
+    eb.bpstage = bp_p[pidx]
+    eb.n_invalid = int(eb.n - np.count_nonzero(eb.valid))
+    eb._vclass, eb._okt = vclass, okt
     return eb
 
 
@@ -837,6 +997,148 @@ def _input_rows(eb: EvalBatch, sel: np.ndarray) -> np.ndarray:
     return sel if eb.n_valid == eb.n else eb.vidx[sel]
 
 
+def group_order(gid: np.ndarray, n_groups: int) -> np.ndarray:
+    """Positions of ``gid`` sorted by group id, ties in position order.
+
+    Over rows in input order this is the scalar stream order: groups in
+    first-seen order, members in input order.  Group ids that fit 16 bits
+    sort as one radix pass.
+    """
+    narrow = gid.astype(np.uint16) if n_groups <= 1 << 16 else gid
+    return np.argsort(narrow, kind="stable")
+
+
+@dataclass
+class _Layout:
+    """A product-form batch's rows as prefix blocks sharing option classes.
+
+    Block ``b`` holds the batch's rows of prefix ``prefs[b]``.  Blocks of
+    one class have the same valid option rows in the same order
+    (``vopts[cls[b]]``): a whole block's class is its option list and
+    prefix verdict class; a block cut by the range's edge is a class of its
+    own.  ``vbase[b]`` counts the valid rows before block ``b``.
+    """
+
+    prefs: np.ndarray
+    cls: np.ndarray
+    vopts: list[np.ndarray]
+    vbase: np.ndarray
+    pidx_v: np.ndarray  # prefix row of each valid row
+    oidx_v: np.ndarray  # option row of each valid row
+
+    def per_prefix(self, values: np.ndarray) -> np.ndarray:
+        """Per-block ``values`` as a table indexed by prefix row."""
+        out = np.zeros(int(self.prefs[-1]) + 1, dtype=np.int64)
+        out[self.prefs] = values
+        return out
+
+
+def _layout(eb: EvalBatch) -> _Layout:
+    """The block layout of a validated product-form batch."""
+    pf = eb.product
+    p0, p1 = int(pf.prefix_idx[0]), int(pf.prefix_idx[-1])
+    prefs = np.arange(p0, p1 + 1)
+    key = pf.prefix_list[prefs] * _N_VCLASS + eb._vclass[prefs]
+    start = pf.start
+    if pf.lo > start[p0]:
+        key[0] = -1
+    if pf.hi < start[p1 + 1]:
+        key[-1] = -2
+    _, first_block, cls = np.unique(key, return_index=True, return_inverse=True)
+    vopts = []
+    for b, k in zip(first_block.tolist(), key[first_block].tolist()):
+        p = p0 + b
+        if k < 0:
+            lo = max(int(start[p]), pf.lo) - pf.lo
+            opts = pf.option_idx[lo:min(int(start[p + 1]), pf.hi) - pf.lo]
+        else:
+            opts = pf.lists[int(pf.prefix_list[p])]
+        vopts.append(opts[eb._okt[eb._vclass[p], opts]])
+    nv = np.array([v.shape[0] for v in vopts], dtype=np.int64)[cls]
+    if eb.n_valid == eb.n:
+        pidx_v, oidx_v = pf.prefix_idx, pf.option_idx
+    else:
+        pidx_v, oidx_v = pf.prefix_idx[eb.vidx], pf.option_idx[eb.vidx]
+    return _Layout(prefs, cls.ravel(), vopts, np.cumsum(nv) - nv,
+                   pidx_v, oidx_v)
+
+
+def _first_seen(lay: _Layout, ids: np.ndarray):
+    """Per class, first-seen numbering of ``ids[vopts]`` over its rows.
+
+    Returns ``(local, firsts, counts)``: ``local`` a (class x option row)
+    table of each valid option's number within its class, ``firsts`` a
+    (class x max count) table of each number's first position among the
+    class's valid rows, ``counts`` the numbers per class.
+    """
+    parts = [_factorize([ids[v]]) for v in lay.vopts]
+    counts = np.array([f.shape[0] for _, f in parts], dtype=np.int64)
+    local = np.zeros((len(parts), ids.shape[0]), dtype=np.int64)
+    firsts = np.zeros((len(parts), int(counts.max(initial=0))), dtype=np.int64)
+    for c, (v, (num, first)) in enumerate(zip(lay.vopts, parts)):
+        local[c, v] = num
+        firsts[c, :first.shape[0]] = first
+    return local, firsts, counts
+
+
+def _product_groups(eb: EvalBatch, lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Profile-group ``(gid, gfirst)`` of a product-form batch.
+
+    A group is a (prefix part, option part) pair of its key: ``(m, t,
+    tpm)`` and ``(sp, fus, redo, rc)``.  A pair is first seen in the first block of its
+    prefix part whose class holds its option part, which is the first
+    block of some (prefix part, class) pair: so the groups' first rows are
+    read off those blocks, at the class's first positions of each option
+    part, and numbered in row order.
+    """
+    pr, op = eb.product.prefix, eb.product.options
+    pg, _ = _factorize([pr[name][lay.prefs] for name in _GROUP_KEYS
+                        if name in pr])
+    og, og_first = _factorize([op[name] for name in _GROUP_KEYS
+                               if name in op])
+    n_og = og_first.shape[0]
+    _, firsts, counts = _first_seen(lay, og)
+    # Each class's option parts in first-seen order.
+    parts = np.zeros_like(firsts)
+    for c, v in enumerate(lay.vopts):
+        parts[c, :counts[c]] = og[v[firsts[c, :counts[c]]]]
+    _, lead = _factorize([pg, lay.cls])
+    lc = lay.cls[lead]
+    present = np.arange(firsts.shape[1]) < counts[lc][:, None]
+    # Row-major over lead blocks: already in row order.
+    keys = (pg[lead][:, None] * n_og + parts[lc])[present]
+    pos = (lay.vbase[lead][:, None] + firsts[lc])[present]
+    _, kfirst = _factorize([keys])
+    gmap = np.zeros((int(pg.max()) + 1) * n_og, dtype=np.int64)
+    gmap[keys[kfirst]] = np.arange(kfirst.shape[0], dtype=np.int64)
+    table = gmap.reshape(-1, n_og)[:, og].ravel()
+    gid = table[lay.per_prefix(pg * og.shape[0])[lay.pidx_v] + lay.oidx_v]
+    return gid, pos[kfirst]
+
+
+def _product_buckets(eb: EvalBatch, lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Memory-bucket ``(bid, bfirst)`` of a product-form batch.
+
+    Every :data:`PREFIX_NAMES` column is part of the group or bucket key
+    and prefix rows are distinct, so a bucket never spans two blocks: buckets are numbered
+    block by block, ``boff[block] + local[class, option]`` with ``local``
+    the first-seen numbering of the option part among the class's valid
+    rows.
+    """
+    op = eb.product.options
+    bo, _ = _factorize([op[name] for name in _GROUP_KEYS + _BUCKET_KEYS
+                        if name in op])
+    local, firsts, counts = _first_seen(lay, bo)
+    nb = counts[lay.cls]
+    boff = np.cumsum(nb) - nb
+    n_o = bo.shape[0]
+    bid = lay.per_prefix(boff)[lay.pidx_v]
+    bid += local.ravel()[lay.per_prefix(lay.cls * n_o)[lay.pidx_v] + lay.oidx_v]
+    block = np.repeat(np.arange(nb.shape[0]), nb)
+    at = np.arange(block.shape[0], dtype=np.int64) - boff[block]
+    return bid, lay.vbase[block] + firsts[lay.cls[block], at]
+
+
 def batch_profile(eb: EvalBatch) -> EvalBatch:
     """Factorize valid candidates into profile groups; profile them columnar.
 
@@ -845,32 +1147,27 @@ def batch_profile(eb: EvalBatch) -> EvalBatch:
     results come out in.  :func:`profile_columns` then prices every group's
     block in one vectorized pass, filling the per-group ``eb.gprof``
     columns bit-identically to :func:`~repro.engine.profile.profile_block`
-    without building a block or profile object per group.
+    without building a block or profile object per group.  A product-form
+    batch reads its group ids off the prefix and option tables
+    (:func:`_product_groups`); any other batch factorizes its rows.
     """
     vidx = np.flatnonzero(eb.valid)
     eb.vidx = vidx
     eb.n_valid = int(vidx.shape[0])
-    gcols = [_valid_col(eb, name) for name in _GROUP_KEYS]
-    gid, gfirst = _factorize(gcols)
-    eb.gid = gid
+    eb._stream = {}
+    if eb.product is not None:
+        eb._layout = _layout(eb)
+        gid, gfirst = _product_groups(eb, eb._layout)
+    else:
+        gid, gfirst = _factorize([_valid_col(eb, name) for name in _GROUP_KEYS])
+    eb.gid, eb.gfirst = gid, gfirst
     eb.n_groups = int(gfirst.shape[0])
-    key = {name: col[gfirst] for name, col in zip(_GROUP_KEYS, gcols)}
+    rows = _input_rows(eb, gfirst)
+    key = {name: eb.cols[name][rows] for name in _GROUP_KEYS}
     eb.gprof = profile_columns(
         eb.llm, eb.system, key["m"], key["t"], key["sp"] != 0,
         key["fus"] != 0, key["redo"] != 0, key["rc"], key["tpm"],
     )
-
-    # Scalar stream order: validate-rejects first (input order), then groups
-    # in first-seen order with members in input order within each group.
-    # Group ids that fit 16 bits sort as one radix pass.
-    narrow = gid.astype(np.uint16) if eb.n_groups <= 1 << 16 else gid
-    order_v = np.argsort(narrow, kind="stable")
-    eb.order_v = order_v
-    eb.stream_order = np.concatenate(
-        [np.flatnonzero(~eb.valid), _input_rows(eb, order_v)]
-    ).astype(np.int64, copy=False)
-    eb.stream_rank = np.empty(eb.n, dtype=np.int64)
-    eb.stream_rank[eb.stream_order] = np.arange(eb.n, dtype=np.int64)
     return eb
 
 
@@ -884,22 +1181,21 @@ def batch_memory(eb: EvalBatch) -> EvalBatch:
 
     Buckets refine profile groups by the memory-relevant fields (p, d,
     batch, v, 1F1B, sharding, the offload switches, training), numbered in
-    first-seen order.  Every plan quantity is computed once per bucket with
+    first-seen order: read off the product form's tables when the batch
+    has one (:func:`_product_buckets`), else by factorizing the rows.  Every plan quantity is computed once per bucket with
     the exact expression structure of :func:`~repro.engine.stages.stage_memory`,
     so plan floats — and the derived capacity verdicts — are bit-identical
     to the scalar plans.
     """
     c, gid = eb.cols, eb.gid
     system = eb.system
-    bcols = [gid] + [
-        _valid_col(eb, name)
-        for name in (
-            "p", "d", "batch", "v", "f1b", "osh",
-            "w_off", "a_off", "o_off", "training",
+    if eb.product is not None:
+        bid, bfirst = _product_buckets(eb, eb._layout)
+    else:
+        bid, bfirst = _factorize(
+            [gid] + [_valid_col(eb, name) for name in _BUCKET_KEYS]
         )
-    ]
-    bid, bfirst = _factorize(bcols)
-    eb.bid = bid
+    eb.bid, eb.bfirst = bid, bfirst
     n_b = int(bfirst.shape[0])
     eb.n_buckets = n_b
     rep = _input_rows(eb, bfirst)
@@ -1646,21 +1942,29 @@ def _invalid_result(eb: EvalBatch, i: int) -> PerformanceResult:
     )
 
 
-def survivor_results(eb: EvalBatch) -> list[PerformanceResult]:
-    """Build one PerformanceResult per survivor, in survivor order.
+def survivor_results(
+    eb: EvalBatch, positions: Sequence[int] | np.ndarray | None = None
+) -> list[PerformanceResult]:
+    """Build one PerformanceResult per survivor position, in the given order.
 
-    Entry ``k`` belongs to input row ``eb.inp_s[k]`` and has rate
-    ``eb.rate_s[k]``.  Per-bucket components (strategy name, memory
-    breakdown) are shared across a bucket's survivors; non-offload
-    survivors share one zero OffloadStats.
+    ``positions`` index the survivor columns (default: every survivor, in
+    survivor order); the result for position ``k`` belongs to input row
+    ``eb.inp_s[k]`` and has rate ``eb.rate_s[k]``.  Only the requested
+    positions are read, so a search's winners cost a handful of lookups.
+    Per-bucket components (strategy name, memory breakdown) are shared
+    across a bucket's survivors; non-offload survivors share one zero
+    OffloadStats.
     """
     asm, b = eb.asm, eb.b
-    n_s = eb.n_s
-    if n_s == 0:
+    if positions is None:
+        pos = np.arange(eb.n_s)
+    else:
+        pos = np.asarray(positions, dtype=np.intp).ravel()
+    if pos.shape[0] == 0:
         return []
     llm_name, system_name = eb.llm.name, eb.system.name
     cols = [
-        asm[f].tolist()
+        asm[f][pos].tolist()
         for f in (
             "fw_pass", "bw_pass", "fw_recompute", "optim_step", "pp_bubble",
             "tp_comm_exposed", "pp_comm_exposed", "dp_comm_exposed",
@@ -1668,28 +1972,29 @@ def survivor_results(eb: EvalBatch) -> list[PerformanceResult]:
             "dp_comm_total", "offload_total",
         )
     ]
-    mfu_l = asm["mfu"].tolist()
-    bid_l = eb.bid_s.tolist()
-    req_bw_l = eb.cm["required_bw"].tolist()
-    batch_l = b["batch"].tolist()
-    tier2_l = b["tier2_used"].tolist()
-    names: dict[int, str] = {}
-    mem1s: dict[int, MemoryBreakdown] = {}
+    mfu_l = asm["mfu"][pos].tolist()
+    bid_l = eb.bid_s[pos].tolist()
+    req_bw_l = eb.cm["required_bw"][pos].tolist()
+    # Per bucket: (strategy name, memory breakdown, tier-2 bytes, batch).
+    shared: dict[int, tuple[str, MemoryBreakdown, float, int]] = {}
     results: list[PerformanceResult] = []
-    for k in range(n_s):
+    for k in range(pos.shape[0]):
         bkt = bid_l[k]
-        name = names.get(bkt)
-        if name is None:
-            name = _bucket_name(eb, bkt)
-            names[bkt] = name
-            mem1s[bkt] = MemoryBreakdown(
-                weight=float(b["weight_res"][bkt]),
-                activation=float(b["act_res"][bkt]),
-                weight_grad=float(b["grad_res"][bkt]),
-                activation_grad=float(b["act_grad_res"][bkt]),
-                optimizer=float(b["opt_res"][bkt]),
+        hit = shared.get(bkt)
+        if hit is None:
+            hit = shared[bkt] = (
+                _bucket_name(eb, bkt),
+                MemoryBreakdown(
+                    weight=float(b["weight_res"][bkt]),
+                    activation=float(b["act_res"][bkt]),
+                    weight_grad=float(b["grad_res"][bkt]),
+                    activation_grad=float(b["act_grad_res"][bkt]),
+                    optimizer=float(b["opt_res"][bkt]),
+                ),
+                float(b["tier2_used"][bkt]),
+                int(b["batch"][bkt]),
             )
-        tier2 = tier2_l[bkt]
+        name, mem1, tier2, batch = hit
         req_bw = req_bw_l[k]
         offload = (
             OffloadStats(used_bytes=tier2, required_bandwidth=req_bw)
@@ -1701,9 +2006,9 @@ def survivor_results(eb: EvalBatch) -> list[PerformanceResult]:
                 llm_name=llm_name,
                 system_name=system_name,
                 strategy_name=name,
-                batch=batch_l[bkt],
+                batch=batch,
                 time=TimeBreakdown(*(col[k] for col in cols)),
-                mem1=mem1s[bkt],
+                mem1=mem1,
                 offload=offload,
                 mfu=mfu_l[k],
             )
@@ -1751,6 +2056,9 @@ __all__ = [
     "AdaptivePlan",
     "EvalBatch",
     "NUMPY_MIN_VERSION",
+    "PREFIX_NAMES",
+    "ProductColumns",
+    "ProductForm",
     "RECOMPUTE_NAMES",
     "TP_MODE_NAMES",
     "TP_OVERLAP_NAMES",
@@ -1763,6 +2071,7 @@ __all__ = [
     "batch_validate",
     "check_numpy_version",
     "columns_from_strategies",
+    "group_order",
     "iter_results",
     "run_batch",
     "survivor_results",

@@ -13,8 +13,10 @@ the chunks — so teardown only has to reap whatever is still alive.
 The fork happens while the coordinator is still single-threaded: after
 the server socket listens and the space is enumerated, before the
 evaluation service's dispatch thread and the ``serve_forever`` thread
-start.  Where ``fork`` is unavailable, or the calling process already
-runs threads of its own, the same worker body runs under ``spawn``.
+start.  A forked worker reuses the coordinator's enumerated columns.
+Where ``fork`` is unavailable, or the calling process already runs
+threads of its own, the same worker body runs under ``spawn`` and
+enumerates the space itself.
 
 For tests that want the protocol without process start-up,
 ``spawn="thread"`` runs each worker loop in a daemon thread over real
@@ -105,10 +107,13 @@ def run_fabric(
             method = _start_method()
             ctx = multiprocessing.get_context(method)
             listener = server.socket if method == "fork" else None
+            # A forked child inherits the enumerated columns; a spawned one
+            # would receive them pickled, so it enumerates instead.
+            cols = server.coordinator.cols if method == "fork" else None
             for i in range(workers):
                 proc = ctx.Process(
                     target=_local_worker,
-                    args=(url, f"local-{i}", worker_env or {}, listener),
+                    args=(url, f"local-{i}", worker_env or {}, listener, cols),
                     name=f"fabric-worker-{i}", daemon=True,
                 )
                 proc.start()
@@ -166,13 +171,16 @@ def _start_method() -> str:
 
 
 def _local_worker(url: str, name: str, env: dict[str, str],
-                  listener: socket.socket | None) -> None:
+                  listener: socket.socket | None, cols=None) -> None:
     """Body of one local worker process: what ``repro fabric --join`` runs.
 
     ``listener`` is the coordinator's listening socket, inherited by fork;
     the worker only ever connects to it, so its copy is closed first.
+    ``cols`` are the coordinator's candidate columns, inherited by fork,
+    so the worker skips enumeration (it still checks the run key and the
+    candidate count on registering).
     """
     if listener is not None:
         listener.close()
     os.environ.update(env)
-    FabricWorker(url, name=name).run()
+    FabricWorker(url, name=name, columns=cols).run()

@@ -183,8 +183,8 @@ class FabricCoordinator:
         self.key = fabric_run_key(llm, system, batch, self.options,
                                   top_k=self.top_k)
 
-        self._cols = candidate_columns(llm, system, batch, self.options)
-        self.total = int(self._cols["t"].shape[0])
+        self.cols = candidate_columns(llm, system, batch, self.options)
+        self.total = int(self.cols["t"].shape[0])
         self.journal, bounds, restored = open_chunk_journal(
             self.total, chunk_step(self.total, self.expected_workers),
             checkpoint=checkpoint, key=self.key, resume=resume,
@@ -227,7 +227,7 @@ class FabricCoordinator:
     def _absorb(self, index: int, result: tuple, *, worker: str | None) -> None:
         """Merge one chunk result into the top-k and stitch its trace spans."""
         self._results[index] = result
-        self._merge.extend(result[3])
+        self._merge.extend((e[0], e[1], e) for e in result[3])
         if self.tracer is not None and result[-1]:
             label = f"worker {worker}" if worker else "worker"
             self.tracer.add_events(result[-1], label=label)
@@ -285,7 +285,7 @@ class FabricCoordinator:
             )
             t0 = perf_counter()
             result = _evaluate_chunk(_chunk_task(
-                self.llm, self.system, self._cols, state.index, state.start,
+                self.llm, self.system, self.cols, state.index, state.start,
                 state.stop, self.top_k,
                 floor_rate=self._gossip_floor_locked(),
                 instrument=self.instrument,
@@ -522,10 +522,11 @@ class FabricCoordinator:
         """The merged :class:`SearchResult`, bit-identical to ``search()``.
 
         Waits for completion, then assembles the result with ``search()``'s
-        own ``_search_result``: the winners are re-priced through the scalar
-        engine, so the ``PerformanceResult`` objects (not just the rates)
-        match the single-process answer exactly.  ``truncated`` means chunks were
-        skipped; their ranges are in ``stats.skipped``.
+        own ``_search_result``: winners evaluated inline keep their result
+        and winners decoded from the wire or the journal are priced through
+        the scalar engine, so the ``PerformanceResult`` objects (not just
+        the rates) match the single-process answer exactly.  ``truncated``
+        means chunks were skipped; their ranges are in ``stats.skipped``.
         """
         if not self.wait(timeout=timeout):
             raise TimeoutError("fabric sweep did not complete in time")
@@ -535,7 +536,7 @@ class FabricCoordinator:
         )
         run = ChunkRun(
             results=[r for _, r in sorted(self._results.items())],
-            top=self._merge.entries(),
+            top=[e for _rate, _gidx, e in self._merge.entries()],
             workers=max(len(self._workers), 1),
             tolerant=True,
             retries=self._retries,

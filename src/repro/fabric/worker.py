@@ -5,10 +5,12 @@ transport (same retry/backoff machinery the query CLI uses):
 
 1. ``POST /fabric/register`` → worker id, the problem spec, the
    coordinator's ``trace_id``;
-2. re-enumerate the candidate space locally (enumeration is deterministic,
-   so global indices agree with the coordinator by construction) and
-   verify the content key matches — a worker pointed at the wrong cluster
-   refuses instead of polluting the merge;
+2. verify the content key matches — a worker pointed at the wrong cluster
+   refuses instead of polluting the merge — and re-enumerate the candidate
+   space locally (enumeration is deterministic, so global indices agree
+   with the coordinator by construction).  A worker forked from the
+   coordinator is handed the coordinator's columns instead and only
+   checks their count;
 3. loop ``POST /chunk/lease`` → evaluate the ``[start, stop)`` slice with
    the search's own chunk evaluator → ``POST /chunk/result`` (the chunk's
    checkpoint-journal record plus ``events`` and ``elapsed_s``) until the
@@ -60,7 +62,11 @@ class FabricWorker:
         *,
         name: str | None = None,
         client: ServiceClient | None = None,
+        columns: dict | None = None,
     ):
+        """``columns`` are the space's candidate columns when the caller
+        already holds them (a worker forked from the coordinator); without
+        them :meth:`register` enumerates the space."""
         self.client = client if client is not None else ServiceClient(base_url)
         self.name = name or f"worker-{os.getpid()}"
         self.worker_id: str | None = None
@@ -70,7 +76,7 @@ class FabricWorker:
         self.chunks_done = 0
         self._llm = None
         self._system = None
-        self._cols = None
+        self._cols = columns
         self._top_k = 0
         self._poll_s = 0.02
 
@@ -96,9 +102,10 @@ class FabricWorker:
                 f"{reply['key'][:12]}…, local enumeration gives {key[:12]}… "
                 "(engine or spec version skew between nodes?)"
             )
-        self._cols = candidate_columns(
-            self._llm, self._system, int(problem["batch"]), options
-        )
+        if self._cols is None:
+            self._cols = candidate_columns(
+                self._llm, self._system, int(problem["batch"]), options
+            )
         total = int(self._cols["t"].shape[0])
         if total != int(problem["total"]):
             raise RuntimeError(

@@ -52,7 +52,47 @@ def system_to_dict(system: System) -> dict[str, Any]:
     return out
 
 
+def _check_number(value: Any, what: str, *, zero_ok: bool = False,
+                  unit: str = "") -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite number above 0
+    (at least 0 with ``zero_ok``)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value)
+            and (value >= 0 if zero_ok else value > 0)):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ValueError(f"{what} must be finite and {bound}{unit}, got {value!r}")
+
+
+def check_system(system: System) -> System:
+    """Return ``system`` once its magnitudes are usable, else raise.
+
+    Peak flops, every memory bandwidth and network bandwidth and latency,
+    and the tier-1 capacity must be finite and > 0; a tier-2 capacity
+    must be finite and >= 0.  The one check behind every system spec
+    (:func:`system_from_dict`, and so a JSON file, the service and the
+    fabric wire, and the shorthand of :func:`system_from_spec`), so a
+    NaN or infinite field is a ``ValueError`` (an HTTP 400, an
+    ``error: …`` exit), never a silently priced system.
+    """
+    name = system.name
+    proc = system.processor
+    _check_number(proc.matrix_flops, f"{name}: processor matrix_flops")
+    _check_number(proc.vector_flops, f"{name}: processor vector_flops")
+    _check_number(system.mem1.capacity, f"{name}: mem1 capacity")
+    _check_number(system.mem1.bandwidth, f"{name}: mem1 bandwidth")
+    if system.mem2 is not None:
+        _check_number(system.mem2.capacity, f"{name}: mem2 capacity",
+                      zero_ok=True)
+        _check_number(system.mem2.bandwidth, f"{name}: mem2 bandwidth")
+    for net in system.networks:
+        _check_number(net.bandwidth, f"{name}: network {net.name} bandwidth")
+        _check_number(net.latency, f"{name}: network {net.name} latency")
+    return system
+
+
 def system_from_dict(data: dict[str, Any]) -> System:
+    """Build a :class:`System` from its dict form; raises ``ValueError``
+    on a field :func:`check_system` rejects."""
     proc_d = data["processor"]
     processor = Processor(
         name=proc_d["name"],
@@ -61,14 +101,14 @@ def system_from_dict(data: dict[str, Any]) -> System:
         matrix_efficiency=curve_from_dict(proc_d["matrix_efficiency"]),
         vector_efficiency=curve_from_dict(proc_d["vector_efficiency"]),
     )
-    return System(
+    return check_system(System(
         name=data["name"],
         num_procs=data["num_procs"],
         processor=processor,
         mem1=_tier_from_dict(data["mem1"]),
         networks=tuple(_net_from_dict(n) for n in data["networks"]),
         mem2=_tier_from_dict(data["mem2"]) if "mem2" in data else None,
-    )
+    ))
 
 
 def _tier_to_dict(tier: MemoryTier) -> dict[str, Any]:
@@ -150,9 +190,10 @@ def system_from_spec(spec: str | dict) -> System:
 
     The shorthand is the CLI's ``<kind>:<n>[:<hbm_gib>[:<ddr_gib>]]`` form,
     e.g. ``a100:4096`` or ``h100:512:80:512``.  Raises :class:`ValueError`
-    on an unknown kind, a non-finite or non-positive HBM size, or a
-    non-finite or negative DDR size, so HTTP callers get a 400, not a
-    process exit.
+    on an unknown kind, a non-finite or non-positive HBM size, a
+    non-finite or negative DDR size, or (any form) a system
+    :func:`check_system` rejects, so HTTP callers get a 400, not a process
+    exit.
     """
     if isinstance(spec, dict):
         return system_from_dict(spec)
@@ -186,13 +227,7 @@ def system_from_spec(spec: str | dict) -> System:
         ddr = float(parts[3]) if len(parts) > 3 else 0.0
     except ValueError:
         raise ValueError(f"malformed system spec {spec!r}") from None
-    if not (math.isfinite(hbm) and hbm > 0):
-        raise ValueError(
-            f"system spec {spec!r}: HBM must be finite and > 0 GiB, got {hbm}"
-        )
-    if not (math.isfinite(ddr) and ddr >= 0):
-        raise ValueError(
-            f"system spec {spec!r}: DDR must be finite and >= 0 GiB, got {ddr}"
-        )
+    _check_number(hbm, f"system spec {spec!r}: HBM", unit=" GiB")
+    _check_number(ddr, f"system spec {spec!r}: DDR", zero_ok=True, unit=" GiB")
     offload = ddr5_offload(ddr) if ddr > 0 else None
-    return factory(n, hbm_gib=hbm, offload=offload)
+    return check_system(factory(n, hbm_gib=hbm, offload=offload))

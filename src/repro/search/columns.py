@@ -18,7 +18,9 @@ distinct prefixes as a small prefix table, and each candidate is a pair
 (prefix row, option row): every column is one contiguous gather from one
 of the two tables by that row's index.  The Python-level work scales with
 the number of *distinct* prefixes; per candidate there are only the
-gathers.
+gathers.  The columns keep that pairing (their product form), so the
+engine can key validity, profile groups and memory buckets on the two
+small tables too.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ import math
 import numpy as np
 
 from ..engine.batch import (
-    COLUMN_NAMES,
+    PREFIX_NAMES,
     RECOMPUTE_NAMES,
     TP_MODE_NAMES,
     TP_OVERLAP_NAMES,
+    ProductColumns,
+    ProductForm,
 )
 from ..execution.strategy import divisors, factorizations
 from ..hardware.system import System
@@ -94,7 +98,7 @@ def candidate_columns(
     system: System,
     batch: int,
     opts,
-) -> dict[str, np.ndarray]:
+) -> ProductColumns:
     """Every candidate of the option space, as int64 columns.
 
     Row ``i`` of the returned columns is candidate ``i`` of
@@ -104,6 +108,13 @@ def candidate_columns(
     replicated exactly, so a batch built from these columns evaluates the
     identical candidate stream.  ``opts`` must be a resolved
     :class:`~repro.search.execution_search.SearchOptions`.
+
+    The columns come back as a
+    :class:`~repro.engine.batch.ProductColumns`: a dict of columns
+    carrying its :class:`~repro.engine.batch.ProductForm` (prefix table,
+    option table, each prefix's option list and each row's pair), which
+    :meth:`~repro.engine.batch.EvalBatch.from_columns` keys the stages
+    on.  ``ProductColumns.rows(lo, hi)`` slices both together.
     """
     combo = _combo_table(opts)
     all_rows = np.arange(combo["sp"].shape[0], dtype=np.intp)
@@ -113,6 +124,7 @@ def candidate_columns(
     # rows every one of its prefixes pairs with.
     prefix: dict[str, list[int]] = {"t": [], "p": [], "d": [], "m": [], "v": []}
     widths: list[int] = []  # option rows per prefix row
+    prefix_list: list[int] = []  # per prefix row: 0 = every option row, 1 = no seq-par
     option_l: list[np.ndarray] = []
     n = system.num_procs
     for t, p, d in factorizations(n):
@@ -152,13 +164,11 @@ def candidate_columns(
         prefix["m"] += [m for m in microbatches for _v in interleavings]
         prefix["v"] += interleavings * len(microbatches)
         widths += [k] * n_mv
+        prefix_list += [0 if sp_ok else 1] * n_mv
         option_l.append(np.tile(rows, n_mv))
 
-    if not widths:
-        zero = np.zeros(0, dtype=np.int64)
-        return {name: zero.copy() for name in COLUMN_NAMES}
     prefix_idx = np.repeat(np.arange(len(widths), dtype=np.intp), widths)
-    option_idx = np.concatenate(option_l)
+    option_idx = np.concatenate([np.empty(0, dtype=np.intp)] + option_l)
     total = prefix_idx.shape[0]
 
     # Every column is a C-contiguous row of one (columns, n) block,
@@ -166,19 +176,35 @@ def candidate_columns(
     # glibc's dynamic mmap/trim thresholds above a search's working set,
     # so the next search reuses the heap's pages instead of faulting them
     # in again.
-    names = ("t", "p", "d", "batch", "m", "v", "tpm", "training") + _COMBO_NAMES
+    names = PREFIX_NAMES + _COMBO_NAMES
     cols = dict(zip(names, np.empty((len(names), total), dtype=np.int64)))
     # Indices are in range by construction; "clip" lets take write ``out``
     # without buffering.
-    for name, values in prefix.items():
-        np.take(np.asarray(values, dtype=np.int64), prefix_idx,
-                out=cols[name], mode="clip")
+    table = {name: np.asarray(values, dtype=np.int64)
+             for name, values in prefix.items()}
+    n_prefix = len(widths)
+    for name, value in (("batch", int(batch)), ("tpm", _TPM_1D),
+                        ("training", int(bool(opts.training)))):
+        table[name] = np.full(n_prefix, value, dtype=np.int64)
+        cols[name].fill(value)
+    for name in ("t", "p", "d", "m", "v"):
+        np.take(table[name], prefix_idx, out=cols[name], mode="clip")
     for name in _COMBO_NAMES:
         np.take(combo[name], option_idx, out=cols[name], mode="clip")
-    cols["batch"].fill(int(batch))
-    cols["tpm"].fill(_TPM_1D)
-    cols["training"].fill(int(bool(opts.training)))
-    return cols
+    start = np.zeros(n_prefix + 1, dtype=np.int64)
+    np.cumsum(np.asarray(widths, dtype=np.int64), out=start[1:])
+    product = ProductForm(
+        prefix={name: table[name] for name in PREFIX_NAMES},
+        options=combo,
+        lists=(all_rows, nosp_rows),
+        prefix_list=np.asarray(prefix_list, dtype=np.int64),
+        start=start,
+        prefix_idx=prefix_idx,
+        option_idx=option_idx,
+        lo=0,
+        hi=total,
+    )
+    return ProductColumns(cols, product)
 
 
 __all__ = ["candidate_columns"]

@@ -322,7 +322,10 @@ def evaluate_rows(
     bound_prune: bool = True,
     floor_rate: float = 0.0,
     metrics: MetricsRegistry | None = None,
-) -> tuple[int, int, list[tuple[float, int, ExecutionStrategy]], np.ndarray | None]:
+) -> tuple[
+    int, int, list[tuple[float, int, ExecutionStrategy, PerformanceResult]],
+    np.ndarray | None,
+]:
     """Evaluate one row range of the candidate columns as a columnar batch.
 
     ``rows`` holds the candidate columns of the range (a slice of
@@ -332,11 +335,14 @@ def evaluate_rows(
     * ``feasible`` counts memory-feasible candidates — bound-pruned ones
       included, since the comm and assembly stages never reject — or, with
       a ``constraint``, the survivors the predicate accepts;
-    * ``top`` holds at most ``top_k`` ``(rate, global_index, strategy)``
-      entries, best first by ``(-rate, global_index)``.  Ties at the k-th
-      rate keep the earliest candidates in the batch's *stream* order
-      (``np.lexsort((stream_rank, -rate))``); only these winners are
-      materialized, via :meth:`~repro.engine.batch.EvalBatch.strategy_at`;
+    * ``top`` holds at most ``top_k`` ``(rate, global_index, strategy,
+      result)`` entries, best first by ``(-rate, global_index)``.  Ties at
+      the k-th rate keep the earliest candidates in the batch's *stream*
+      order (profile group, then input row); only these winners are
+      materialized, the strategy via
+      :meth:`~repro.engine.batch.EvalBatch.strategy_at` and the
+      :class:`~repro.core.results.PerformanceResult` from the survivor
+      columns (:func:`~repro.engine.batch.survivor_results`);
     * ``rates`` is the surviving rate column in stream order when
       ``keep_rates`` is set, else ``None``.
 
@@ -364,25 +370,51 @@ def evaluate_rows(
             metrics.inc(M_COMM_CACHE_HITS, cc1[0] - cc0[0])
             metrics.inc(M_COMM_CACHE_MISSES, cc1[1] - cc0[1])
     feasible = eb.n_s + eb.n_pruned
-    row, rate = eb.inp_s, eb.rate_s
+    pos = np.arange(eb.n_s)
     if constraint is not None and eb.n_s:
         passed = np.fromiter(
             (bool(constraint(res)) for res in engine_batch.survivor_results(eb)),
             dtype=bool, count=eb.n_s,
         )
-        row, rate = row[passed], rate[passed]
-        feasible = int(row.shape[0])
-    rank = eb.stream_rank[row]
-    top: list[tuple[float, int, ExecutionStrategy]] = []
+        pos = pos[passed]
+        feasible = int(pos.shape[0])
+    row, rate = eb.inp_s[pos], eb.rate_s[pos]
+    # Survivors are in input order, so stream order is a stable sort by
+    # profile group.
+    order = (engine_batch.group_order(eb.gid_s[pos], eb.n_groups)
+             if pos.size else pos)
+    top: list[tuple[float, int, ExecutionStrategy, PerformanceResult]] = []
     if top_k > 0 and row.size:
-        keep = np.lexsort((rank, -rate))[:top_k]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        keep = _best_positions(rate, rank, top_k)
         keep = keep[np.lexsort((row[keep], -rate[keep]))]
+        results = engine_batch.survivor_results(eb, pos[keep])
         top = [
-            (float(rate[i]), offset + int(row[i]), eb.strategy_at(int(row[i])))
-            for i in keep.tolist()
+            (float(rate[i]), offset + int(row[i]), eb.strategy_at(int(row[i])),
+             res)
+            for i, res in zip(keep.tolist(), results)
         ]
-    rates = rate[np.argsort(rank, kind="stable")] if keep_rates else None
+    rates = rate[order] if keep_rates else None
     return eb.n, int(feasible), top, rates
+
+
+def _best_positions(rate: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+    """``np.lexsort((rank, -rate))[:k]``, sorting only the contenders.
+
+    The ``k`` best entries by ``(-rate, rank)`` all have a rate at or above
+    the k-th best rate, so only those entries are sorted; the positions and
+    their order are the full sort's.  (A NaN k-th rate, which the engine
+    never produces, falls back to the full sort.)
+    """
+    neg = -rate
+    if neg.shape[0] > k:
+        kth = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(kth):
+            contenders = np.flatnonzero(neg <= kth)
+            order = np.lexsort((rank[contenders], neg[contenders]))
+            return contenders[order[:k]]
+    return np.lexsort((rank, neg))[:k]
 
 
 def _evaluate_chunk(
@@ -394,7 +426,7 @@ def _evaluate_chunk(
     int,
     int,
     np.ndarray | None,
-    list[tuple[float, int, ExecutionStrategy]],
+    list[tuple[float, int, ExecutionStrategy, PerformanceResult | None]],
     dict | None,
     list[dict] | None,
 ]:
@@ -437,7 +469,7 @@ def _evaluate_chunk(
 def _chunk_task(
     llm: LLMConfig,
     system: System,
-    cols: dict[str, np.ndarray],
+    cols: engine_batch.ProductColumns,
     index: int,
     lo: int,
     hi: int,
@@ -453,11 +485,12 @@ def _chunk_task(
 ) -> tuple:
     """The :func:`_evaluate_chunk` argument for chunk ``index``, rows ``[lo, hi)``.
 
-    ``cols`` holds the whole space's candidate columns; the chunk carries
-    only its slice.  ``search()``, fabric workers and the fabric's serial
-    fallback all build their chunks here.
+    ``cols`` holds the whole space's candidate columns
+    (:func:`~repro.search.columns.candidate_columns`); the chunk carries
+    only its slice, product form included.  ``search()``, fabric workers
+    and the fabric's serial fallback all build their chunks here.
     """
-    rows = {name: arr[lo:hi] for name, arr in cols.items()}
+    rows = cols.rows(lo, hi)
     return (llm, system, rows, lo, top_k, keep_rates, constraint, bound_prune,
             floor_rate, instrument, index, injector, trace_id)
 
@@ -467,15 +500,14 @@ def _chunk_payload(result: tuple) -> dict:
     the fabric wire's one chunk encoding.
 
     Top-k entries store the rate, global index and strategy, not the full
-    :class:`PerformanceResult` — the search re-evaluates the handful of
-    winners through the deterministic engine, keeping the record small
-    and schema-stable.
+    :class:`PerformanceResult` — a decoded winner is re-priced through the
+    deterministic engine, keeping the record small and schema-stable.
     """
     n, feasible, rates, top, snapshot, _events = result
     return {
         "n": n,
         "feasible": feasible,
-        "top": [[rate, gidx, strat.to_dict()] for rate, gidx, strat in top],
+        "top": [[rate, gidx, strat.to_dict()] for rate, gidx, strat, _res in top],
         "rates": rates.tolist() if rates is not None else None,
         "snapshot": snapshot,
     }
@@ -484,7 +516,8 @@ def _chunk_payload(result: tuple) -> dict:
 def _chunk_from_payload(payload: dict) -> tuple:
     """Reconstruct a chunk result tuple from its record.
 
-    Records journaled before ``rates`` existed decode with ``rates=None``.
+    Records journaled before ``rates`` existed decode with ``rates=None``;
+    top-k entries decode without their result (``None``).
     """
     rates = payload.get("rates")
     return (
@@ -492,7 +525,7 @@ def _chunk_from_payload(payload: dict) -> tuple:
         int(payload["feasible"]),
         np.asarray(rates, dtype=float) if rates is not None else None,
         [
-            (float(rate), int(gidx), ExecutionStrategy.from_dict(strat))
+            (float(rate), int(gidx), ExecutionStrategy.from_dict(strat), None)
             for rate, gidx, strat in payload["top"]
         ],
         payload.get("snapshot"),
@@ -512,17 +545,22 @@ def _search_result(
     """Assemble a :class:`SearchResult` from a chunked sweep's record.
 
     Counts and ``sample_rates`` are summed over ``run.results`` in chunk
-    order, the ``run.top`` winners are re-priced through the scalar
-    :func:`~repro.engine.evaluate` (so every returned
-    :class:`PerformanceResult` is the oracle's) and, with ``with_stats``,
-    a :class:`~repro.obs.SweepStats` merges the chunks' metric snapshots.
+    order and, with ``with_stats``, a :class:`~repro.obs.SweepStats`
+    merges the chunks' metric snapshots.  The ``run.top`` winners keep the
+    :class:`PerformanceResult` their chunk built from its survivor columns
+    (bit-identical to :func:`~repro.engine.evaluate`'s); only winners
+    decoded from a checkpoint journal or the fabric wire, which arrive
+    without one, are priced through ``evaluate()``.
     ``truncated`` is the caller's meaning of a partial answer: a deadline
     for ``search()``, skipped chunks for the fabric.
     """
     results = run.results
     num_eval = sum(r[0] for r in results)
     num_feasible = sum(r[1] for r in results)
-    top = [(strat, evaluate(llm, system, strat)) for _, _, strat in run.top]
+    top = [
+        (strat, res if res is not None else evaluate(llm, system, strat))
+        for _, _, strat, res in run.top
+    ]
     rates = np.concatenate(
         [np.empty(0)] + [r[2] for r in results if r[2] is not None]
     )
@@ -580,9 +618,10 @@ def search(
 
     The space is enumerated as NumPy columns and evaluated as row ranges of
     the columnar engine (see :func:`evaluate_rows`); the result's ``top``
-    is ranked by ``(-rate, enumeration index)`` and its winners are
-    re-priced through the scalar :func:`~repro.engine.evaluate`, so every
-    returned :class:`PerformanceResult` is the oracle's.
+    is ranked by ``(-rate, enumeration index)``, and each winner's
+    :class:`PerformanceResult` is built from the survivor columns,
+    bit-identical to the scalar :func:`~repro.engine.evaluate`'s (a
+    winner restored from a checkpoint journal is priced by ``evaluate()``).
 
     Args:
         llm, system, batch: the fixed problem.

@@ -100,9 +100,12 @@ class _KernelTables:
                 old_table.pop(old_key, None)
                 if not old_table and self._tables.get(old_hw) is old_table:
                     del self._tables[old_hw]
+            if not table:
+                # First entry: register the table (hashing the hardware
+                # key once per table, not once per store).
+                self._tables.setdefault(hw, table)
             table[key] = value
             self._order.append((hw, table, key))
-            self._tables.setdefault(hw, table)
         return value
 
     def entries(self) -> int:

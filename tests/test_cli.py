@@ -159,6 +159,26 @@ def test_hostile_system_shorthand_is_an_error_exit(spec, message):
     assert message in str(exc.value.code)
 
 
+@pytest.mark.parametrize("tier, field, value, message", [
+    ("mem1", "capacity", float("inf"), "mem1 capacity must be finite and > 0"),
+    ("mem1", "bandwidth", float("nan"), "mem1 bandwidth must be finite"),
+    ("mem2", "capacity", float("inf"), "mem2 capacity must be finite and >= 0"),
+])
+def test_hostile_system_file_is_an_error_exit(tmp_path, tier, field, value,
+                                               message):
+    from repro.hardware import a100_system, ddr5_offload
+    from repro.io import system_to_dict
+
+    spec = system_to_dict(a100_system(8, offload=ddr5_offload(512)))
+    spec[tier][field] = value
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "tiny-test", str(path), "--batch", "16"])
+    assert str(exc.value.code).startswith("error: ")
+    assert message in str(exc.value.code)
+
+
 def test_bad_options_preset_exits():
     with pytest.raises(SystemExit):
         main(["search", "gpt3-175b", "a100:16", "--options", "bogus"])

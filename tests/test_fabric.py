@@ -539,6 +539,46 @@ def test_run_fabric_process_cluster_is_bit_identical():
     assert result.stats is not None and result.stats.workers == 2
 
 
+def test_forked_workers_reuse_the_coordinators_columns(monkeypatch, tmp_path):
+    """A forked worker is handed the enumerated columns and never
+    enumerates; the coordinator enumerated once, before the fork."""
+    import repro.fabric.worker as worker_mod
+
+    if _start_method() != "fork":
+        pytest.skip("fork start method unavailable here")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("forked fabric worker enumerated the space")
+
+    monkeypatch.setattr(worker_mod, "candidate_columns", refuse)
+    ref = reference()
+    events_path = tmp_path / "events.jsonl"
+    with EventJournal(events_path, source="fabric") as events:
+        result = run_fabric(LLM, SYS, BATCH, small_options(), workers=2,
+                            top_k=5, spawn="process", events=events,
+                            timeout=120)
+    kinds = [e["kind"] for e in read_events(events_path)]
+    assert kinds.count("worker.join") == 2
+    assert "worker.dead" not in kinds
+    assert "chunk.serial_fallback" not in kinds
+    assert result.top == ref.top
+
+
+def test_http_worker_with_handed_columns_checks_the_total():
+    """Handed columns still face the coordinator's candidate count."""
+    server = make_fabric_server(LLM, SYS, BATCH, small_options(), top_k=5)
+    _serve(server)
+    try:
+        url = f"http://127.0.0.1:{server.port}"
+        short = {name: col[:-1] for name, col in space().items()}
+        with pytest.raises(RuntimeError, match="enumeration disagrees"):
+            FabricWorker(url, name="short", columns=short).register()
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.service.stop(drain=False)
+
+
 def test_run_fabric_spawns_workers_when_the_caller_runs_threads():
     """A caller's live thread could hold a lock across a fork, so the local
     workers boot their own interpreters instead; the answer is the same."""

@@ -481,6 +481,27 @@ def test_http_error_mapping(http_server):
         with pytest.raises(RequestFailed) as exc:
             client.evaluate("gpt3-175b", system, STRATEGY)
         assert exc.value.status == 400, system
+    # Full-object specs face the same check as the shorthand.
+    from repro.hardware import a100_system, ddr5_offload
+    from repro.io import system_to_dict
+
+    for path, value in (
+        (("mem1", "capacity"), float("inf")),
+        (("mem1", "bandwidth"), float("nan")),
+        (("processor", "matrix_flops"), float("inf")),
+        (("networks", 0, "latency"), float("nan")),
+        (("networks", 1, "bandwidth"), float("-inf")),
+        (("mem2", "capacity"), float("inf")),
+        (("mem2", "capacity"), -1.0),
+    ):
+        system = system_to_dict(a100_system(8, offload=ddr5_offload(512)))
+        node = system
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(RequestFailed) as exc:
+            client.evaluate("gpt3-175b", system, STRATEGY)
+        assert exc.value.status == 400, (path, value)
 
 
 def test_http_oversized_body_closes_keepalive_connection(http_server):
