@@ -57,7 +57,12 @@ from .viz import table
 
 
 def _parse_llm(spec: str) -> LLMConfig:
-    return llm_from_spec(spec)
+    """Resolve an LLM preset name or JSON file; bad input is an error exit."""
+    try:
+        return llm_from_spec(spec)
+    except (KeyError, TypeError, ValueError) as err:
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        raise SystemExit(f"error: {message}")
 
 
 def _parse_system(spec: str) -> System:

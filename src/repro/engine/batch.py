@@ -24,12 +24,16 @@ mapped over the list.  Three disciplines make that hold:
   — adding ``+0.0`` is a bit-exact identity for every non-negative IEEE-754
   value, so masked-out lanes keep the exact partial sums the scalar early
   returns would have produced;
-* the comm kernels (:func:`~repro.engine.stages.tp_exposure`,
-  :func:`~repro.engine.stages.pp_p2p_time`, ...) and the profile's
+* the cached comm kernels (:func:`~repro.engine.stages.pp_p2p_time`,
+  :func:`~repro.engine.stages.dp_collectives`,
+  :func:`~repro.engine.stages.optim_step_time`) and the profile's
   non-basic-IEEE pieces (efficiency-curve ``log10``, memory small-access
   ``log2`` ramp, collective times) are *not* vectorized: they are called
   once per distinct argument with Python scalars, so they return exactly
-  the floats the scalar pipeline computes.
+  the floats the scalar pipeline computes.  The TP exposure is basic
+  arithmetic and branches, so it runs lane-wise
+  (:func:`tp_exposure_columns`), each branch a ``np.where`` on the
+  scalar's own test.
 
 Candidates are factorized into profile groups and memory buckets (numbered
 in first-seen order), every group's block profile is computed in one
@@ -116,12 +120,11 @@ from .bounds import (  # noqa: E402
 from .context import EvalContext  # noqa: E402
 from .stages import (  # noqa: E402
     OFFLOAD_WORKING_BLOCKS,
-    TPTimes,
+    TP_OVERLAP_WINDOW,
     dp_collectives,
     infeasible_result,
     optim_step_time,
     pp_p2p_time,
-    tp_exposure,
 )
 
 _M_VALIDATE = stage_metric("validate")
@@ -136,6 +139,7 @@ _M_ASSEMBLE = stage_metric("assemble")
 RECOMPUTE_NAMES = ("none", "attn_only", "full")
 TP_OVERLAP_NAMES = ("none", "pipe", "ring")
 TP_MODE_NAMES = ("1d", "2d")
+_N_TPO = len(TP_OVERLAP_NAMES)
 _RECOMPUTE_CODES = {name: i for i, name in enumerate(RECOMPUTE_NAMES)}
 _TP_OVERLAP_CODES = {name: i for i, name in enumerate(TP_OVERLAP_NAMES)}
 _TP_MODE_CODES = {name: i for i, name in enumerate(TP_MODE_NAMES)}
@@ -346,22 +350,6 @@ class ProductColumns(dict):
         )
 
 
-def _call_distinct(fn, cols: Sequence[np.ndarray]) -> np.ndarray:
-    """``fn(*row)`` once per distinct row of ``cols``, gathered back per row.
-
-    Rows are keyed with :func:`_factorize`, float columns by their bit
-    patterns, so two rows share a call only when every argument is the
-    same float (``±0.0`` merely costs one extra call).  Each call receives
-    the Python scalars of the row's first occurrence — what a per-row loop
-    would pass — so a deterministic kernel yields the same float64 values
-    (one column, or one per element of a tuple result).
-    """
-    keys = [c.view(np.int64) if c.dtype == np.float64 else c for c in cols]
-    ids, firsts = _factorize(keys)
-    rows = zip(*(c[firsts].tolist() for c in cols))
-    return np.array([fn(*row) for row in rows], dtype=np.float64)[ids]
-
-
 class EvalBatch:
     """Struct-of-arrays state for one columnar evaluation.
 
@@ -396,6 +384,11 @@ class EvalBatch:
         self.bounds: np.ndarray | None = None
         self._rejected_cache: dict[int, PerformanceResult] = {}
         self._stream: dict[str, np.ndarray] = {}
+        # Per-batch comm tables, built on first use (see _cell_table,
+        # _kernel_classes, _optim_column).
+        self._cells: dict[str, np.ndarray] | None = None
+        self._kernel_keys: dict | None = None
+        self._optim_b: np.ndarray | None = None
 
     @classmethod
     def from_strategies(
@@ -1136,7 +1129,34 @@ def _product_buckets(eb: EvalBatch, lay: _Layout) -> tuple[np.ndarray, np.ndarra
     bid += local.ravel()[lay.per_prefix(lay.cls * n_o)[lay.pidx_v] + lay.oidx_v]
     block = np.repeat(np.arange(nb.shape[0]), nb)
     at = np.arange(block.shape[0], dtype=np.int64) - boff[block]
+    # Each bucket's class and number within it, for bucket_modes.
+    eb._bucket_class = (lay.cls[block], at, local)
     return bid, lay.vbase[block] + firsts[lay.cls[block], at]
+
+
+def bucket_modes(eb: EvalBatch) -> np.ndarray:
+    """Which ``tp_overlap`` modes each memory bucket's candidates use.
+
+    One ``uint8`` per bucket, bit ``m`` set when a candidate has overlap
+    code ``m``.  A product-form batch reads it off its (class x option)
+    table -- a bucket's candidates are the valid option rows of its class
+    that carry its number -- so it costs a few scatters per class and one
+    gather per bucket; any other batch scatters its valid rows.
+    """
+    if eb.product is None:
+        modes = np.zeros(eb.n_buckets, dtype=np.uint8)
+        tpo = _valid_col(eb, "tpo")
+        for m in range(_N_TPO):
+            modes[eb.bid[tpo == m]] |= 1 << m
+        return modes
+    cls, at, local = eb._bucket_class
+    tpo = eb.product.options["tpo"]
+    width = int(at.max(initial=0)) + 1
+    modes = np.zeros((local.shape[0], width), dtype=np.uint8)
+    for c, v in enumerate(eb._layout.vopts):
+        for m in range(_N_TPO):
+            modes[c, local[c, v[tpo[v] == m]]] |= 1 << m
+    return modes.ravel()[cls * width + at]
 
 
 def batch_profile(eb: EvalBatch) -> EvalBatch:
@@ -1155,6 +1175,7 @@ def batch_profile(eb: EvalBatch) -> EvalBatch:
     eb.vidx = vidx
     eb.n_valid = int(vidx.shape[0])
     eb._stream = {}
+    eb._cells = None
     if eb.product is not None:
         eb._layout = _layout(eb)
         gid, gfirst = _product_groups(eb, eb._layout)
@@ -1196,6 +1217,7 @@ def batch_memory(eb: EvalBatch) -> EvalBatch:
             [gid] + [_valid_col(eb, name) for name in _BUCKET_KEYS]
         )
     eb.bid, eb.bfirst = bid, bfirst
+    eb._kernel_keys = eb._optim_b = None
     n_b = int(bfirst.shape[0])
     eb.n_buckets = n_b
     rep = _input_rows(eb, bfirst)
@@ -1320,51 +1342,218 @@ def batch_prune(eb: EvalBatch, threshold: float | None) -> EvalBatch:
 # ---------------------------------------------------------------------------
 
 
-def _tp_exposures(
-    eb: EvalBatch, g: np.ndarray, t: np.ndarray, tpo: np.ndarray
-) -> np.ndarray:
-    """:func:`tp_exposure`'s six floats per (profile group, t, tp_overlap) row.
+# Window fractions of the overlap modes, in TP_OVERLAP_NAMES code order.
+_TP_WINDOW = np.array([TP_OVERLAP_WINDOW[name] for name in TP_OVERLAP_NAMES])
+# tp_exposure's six outputs, in its return order.
+TP_EXPOSURE_NAMES = ("tp_fw_exp", "tp_fw_tax", "tp_bw_exp", "tp_bw_tax",
+                     "tp_rc_exp", "tp_rc_tax")
 
-    The kernel is keyed on the group's :class:`TPTimes` read from
-    ``eb.gprof`` — the tuple the scalar path builds from its profile — and
-    runs once per distinct key.
+
+def exposed_and_tax_columns(comm, window, pu, has_net):
+    """Lane-wise :func:`~repro.engine.stages.exposed_and_tax`.
+
+    ``has_net`` marks the lanes that have a network (the scalar's ``net is
+    not None``) and ``pu`` is that network's ``processor_usage``.  Each
+    branch is a ``np.where`` on the scalar's own test, and Python's
+    ``max(a, b)`` -- ``a`` unless ``b > a`` -- is mirrored the same way, so
+    NaN, infinite and signed-zero lanes get the scalar's floats too.
     """
-    return _call_distinct(
-        lambda t_i, tpo_i, *times: tp_exposure(
-            eb.system, t_i, TP_OVERLAP_NAMES[tpo_i], TPTimes(*times)
-        ),
-        [t, tpo] + [eb.gprof[name][g] for name in TPTimes._fields],
+    small = np.logical_not(has_net) | (comm <= 0)
+    with np.errstate(all="ignore"):
+        exposed = comm - window
+        exposed = np.where(exposed > 0.0, exposed, 0.0)
+        tax = np.where(pu > 0, (comm - exposed) * pu / (1.0 - pu), 0.0)
+    return (
+        np.where(small, np.where(0.0 > comm, 0.0, comm), exposed),
+        np.where(small, 0.0, tax),
     )
 
 
-def _optim_times(eb: EvalBatch, idx: np.ndarray) -> np.ndarray:
-    """:func:`optim_step_time` for training buckets ``idx``.
+def tp_exposure_columns(system: System, t, tpo, prof) -> tuple[np.ndarray, ...]:
+    """Lane-wise :func:`~repro.engine.stages.tp_exposure`.
 
-    Arguments are :func:`~repro.engine.stages.stage_comm`'s expressions
-    evaluated lane-wise in the same operation order, so each kernel call
-    sees the scalar path's floats; one call per distinct triple.
+    ``t`` and ``tpo`` (overlap codes) are int arrays and ``prof`` maps the
+    block profile's ``fw_time``/``bw_time``/``recompute_time`` and
+    ``tp_*_comm`` fields to float arrays, all of one shape.  Returns the
+    six :data:`TP_EXPOSURE_NAMES` columns, each the scalar's float per
+    lane: ``t == 1`` has no network, and ``processor_usage`` is read once
+    per distinct ``t``.
     """
-    b, gprof = eb.b, eb.gprof
-    g = b["group"][idx]
-    opt_bytes = b["opt_bytes"][idx]
-    traffic = 2.0 * opt_bytes + b["bp"][idx] * (
-        gprof["weight_grad_bytes"][g] + gprof["weight_bytes"][g]
-    ) / b["opt_shard"][idx]
-    use2 = (b["o_off"][idx] != 0) & (eb.system.mem2 is not None)
-    return _call_distinct(
-        partial(optim_step_time, eb.system), [opt_bytes, traffic, use2]
+    has_net = t > 1
+    pu = _per_value(
+        lambda x: system.network_for_span(x).processor_usage if x > 1 else 0.0,
+        t,
     )
+    win = _TP_WINDOW[tpo]
+    out: list[np.ndarray] = []
+    for comm, time in (("tp_fw_comm", "fw_time"), ("tp_bw_comm", "bw_time"),
+                       ("tp_recompute_comm", "recompute_time")):
+        with np.errstate(all="ignore"):
+            window = win * prof[time]
+        out += exposed_and_tax_columns(prof[comm], window, pu, has_net)
+    return tuple(out)
+
+
+def _cell_table(eb: EvalBatch) -> dict[str, np.ndarray]:
+    """Per-block figures per (profile group, overlap mode, training) cell.
+
+    Computed once per batch on every cell, as arrays indexed by ``(gid *
+    _N_TPO + tpo) * 2 + training``, each entry in the scalar stages'
+    operation order: the six :data:`TP_EXPOSURE_NAMES` columns of
+    lane-wise :func:`tp_exposure` (independent of training); ``f`` and
+    ``b``, the forward and backward block times with TP exposure and tax
+    that ``stage_comm`` scales by ``bpstage``; and the per-block factors
+    ``stage_assemble`` scales by ``M * bpstage`` -- ``fw``, ``bw``, ``rc``
+    (compute), ``exp``/``tax`` (exposed TP time and its tax), ``tpc``
+    (TP traffic) and ``flops`` (useful FLOPs).  Terms the scalar adds
+    only with training are ``0.0`` in a cell without it.
+    """
+    tab = eb._cells
+    if tab is not None:
+        return tab
+    n_g = eb.n_groups
+    g = np.repeat(np.arange(n_g), _N_TPO)
+    t = eb.cols["t"][_input_rows(eb, eb.gfirst)][g]
+    prof = {name: eb.gprof[name][g] for name in _PROF_FIELDS}
+    tpo = np.tile(np.arange(_N_TPO), n_g)
+    tp = dict(zip(TP_EXPOSURE_NAMES, tp_exposure_columns(eb.system, t, tpo, prof)))
+
+    def cells(without, with_tr) -> np.ndarray:
+        out = np.empty((n_g * _N_TPO, 2))
+        out[:, 0] = without
+        out[:, 1] = with_tr
+        return out.ravel()
+
+    tab = {name: np.repeat(col, 2) for name, col in tp.items()}
+    tab["f"] = np.repeat(prof["fw_time"] + tp["tp_fw_exp"] + tp["tp_fw_tax"], 2)
+    tab["b"] = cells(0.0, prof["bw_time"] + prof["recompute_time"]
+                     + tp["tp_bw_exp"] + tp["tp_bw_tax"]
+                     + tp["tp_rc_exp"] + tp["tp_rc_tax"])
+    tab["fw"] = np.repeat(prof["fw_time"], 2)
+    tab["bw"] = cells(0.0, prof["bw_time"])
+    tab["rc"] = cells(0.0, prof["recompute_time"])
+    for name in ("exp", "tax"):
+        fw, bw, rc = (tp[f"tp_{x}_{name}"] for x in ("fw", "bw", "rc"))
+        tab[name] = cells(fw + 0.0, fw + (bw + rc))
+    tab["tpc"] = cells(prof["tp_fw_comm"] + 0.0, prof["tp_fw_comm"]
+                       + (prof["tp_bw_comm"] + prof["tp_recompute_comm"]))
+    tab["flops"] = cells(prof["flops_fw"] + 0.0,
+                         prof["flops_fw"] + prof["flops_bw"])
+    eb._cells = tab
+    return tab
+
+
+def _call_keyed(fn, code: np.ndarray, args) -> list[np.ndarray]:
+    """``fn`` once per distinct ``code``, its outputs gathered back per lane.
+
+    ``code`` holds one non-negative int per lane and must fix ``fn``'s
+    arguments exactly.  Each distinct code takes the Python scalars that
+    ``args(lanes)`` (argument columns over the given lanes) yields for one
+    of its lanes, and ``fn`` runs once per distinct argument tuple among
+    those (two codes may yield equal floats), so a deterministic kernel
+    returns every lane the float a per-lane call would, and a cached one
+    misses once per tuple and never hits.  Returns one contiguous float64
+    column per output of ``fn`` (one for a float result).
+    """
+    card = int(code.max()) + 1
+    if card > max(4 * code.shape[0], 1 << 16):
+        _, code = np.unique(code, return_inverse=True)
+        code = code.ravel()
+        card = int(code.max()) + 1
+    lane = np.empty(card, dtype=np.int64)
+    lane[code] = np.arange(code.shape[0])
+    seen = np.zeros(card, dtype=bool)
+    seen[code] = True
+    keys = np.flatnonzero(seen)
+    rows = list(zip(*(col.tolist() for col in args(lane[keys]))))
+    out: dict = {}
+    for row in rows:
+        if row not in out:
+            out[row] = fn(*row)
+    vals = np.array([out[row] for row in rows], dtype=np.float64)
+    table = np.empty((vals.size // max(keys.shape[0], 1), card))
+    table[:, keys] = vals.reshape(keys.shape[0], -1).T
+    return [col[code] for col in table]
+
+
+def _kernel_classes(eb: EvalBatch) -> dict[str, np.ndarray]:
+    """Per-group class ids keying the pp/dp/optim kernels, and ``p1``.
+
+    A kernel's arguments are fixed by a few of its group's columns and by
+    the bucket's ``p``, which fixes ``bpstage`` and, with ``t``, ``d =
+    procs / (t p)``.  So each kernel is keyed on ``(class[group] * p1 + p)``
+    and its flags, where ``class`` numbers the distinct values of those
+    group columns: ``(t, m)`` for :func:`pp_p2p_time`, ``(t,
+    weight_grad_bytes)`` for :func:`dp_collectives` and ``(t,
+    optimizer_bytes, weight_grad_bytes, weight_bytes)`` for
+    :func:`optim_step_time` (floats by bit pattern, on the small group
+    table).  Computed once per batch.
+    """
+    keys = eb._kernel_keys
+    if keys is not None:
+        return keys
+    rows = _input_rows(eb, eb.gfirst)
+    t, gp = eb.cols["t"][rows], eb.gprof
+
+    def bits(*names: str) -> list[np.ndarray]:
+        return [gp[name].view(np.int64) for name in names]
+
+    keys = {
+        "pp": _factorize([t, eb.cols["m"][rows]])[0],
+        "dp": _factorize([t] + bits("weight_grad_bytes"))[0],
+        "opt": _factorize([t] + bits("optimizer_bytes", "weight_grad_bytes",
+                                     "weight_bytes"))[0],
+        "p1": int(eb.b["p"].max(initial=0)) + 1,
+    }
+    eb._kernel_keys = keys
+    return keys
+
+
+def _optim_column(eb: EvalBatch) -> np.ndarray:
+    """:func:`optim_step_time` per bucket, computed once per batch.
+
+    Filled for feasible training buckets, ``0.0`` elsewhere.  Buckets are
+    keyed on ``(group class, p, sharding, tier)`` and the kernel runs once
+    per distinct argument tuple among the keys (:func:`_call_keyed`), on
+    :func:`~repro.engine.stages.stage_comm`'s expressions evaluated in the
+    same operation order, so each call sees the scalar path's floats.
+    """
+    col = eb._optim_b
+    if col is not None:
+        return col
+    b, gprof, system = eb.b, eb.gprof, eb.system
+    col = np.zeros(eb.n_buckets, dtype=np.float64)
+    idx = np.flatnonzero(b["ok"] & (b["training"] != 0))
+    if idx.size:
+        keys = _kernel_classes(eb)
+        use2 = (b["o_off"][idx] != 0) & (system.mem2 is not None)
+        code = (keys["opt"][b["group"][idx]] * keys["p1"] + b["p"][idx]) * 2
+        code = (code + (b["osh"][idx] != 0)) * 2 + use2
+
+        def args(lanes: np.ndarray) -> tuple[np.ndarray, ...]:
+            i = idx[lanes]
+            g = b["group"][i]
+            opt_bytes = b["opt_bytes"][i]
+            traffic = 2.0 * opt_bytes + b["bp"][i] * (
+                gprof["weight_grad_bytes"][g] + gprof["weight_bytes"][g]
+            ) / b["opt_shard"][i]
+            return opt_bytes, traffic, use2[lanes]
+
+        col[idx] = _call_keyed(partial(optim_step_time, system), code, args)[0]
+    eb._optim_b = col
+    return col
 
 
 def batch_comm(eb: EvalBatch) -> EvalBatch:
     """Price communication for every survivor, vectorized per component.
 
-    Each cached comm kernel runs once per *distinct argument tuple* among
-    the survivors (:func:`_call_distinct`): :func:`tp_exposure` per
-    ``(t, tp_overlap, TPTimes)``, :func:`pp_p2p_time` per
-    ``(t, p, m, pp_rs_ag)`` with ``p > 1``, :func:`dp_collectives` per
-    ``(t, p, d, grad_bytes, sharding)`` and :func:`optim_step_time` per
-    ``(opt_bytes, traffic, tier)``.  Every kernel is deterministic in its
+    The TP exposure is array arithmetic on a per-batch (profile group x
+    overlap mode) table (:func:`_cell_table`).  Each cached kernel runs once
+    per distinct key of small integer columns (:func:`_kernel_classes`):
+    :func:`pp_p2p_time` per ``(t, m)`` class, ``p`` and ``pp_rs_ag`` with
+    ``p > 1``, :func:`dp_collectives` per ``(t, weight_grad_bytes)``
+    class, ``p`` and sharding, and :func:`optim_step_time` once per batch
+    (:func:`_optim_column`).  Every kernel is deterministic in its
     arguments and receives the scalar path's Python values, so
     deduplicating the calls changes no value; outputs are gathered onto
     survivor lanes and all per-candidate arithmetic runs elementwise,
@@ -1385,132 +1574,138 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
     gid_s = eb.gid[sidx]
     bid_s = eb.bid[sidx]
     eb.gid_s, eb.bid_s = gid_s, bid_s
-    tpo_s = c["tpo"][inp_s]
-    dpo_s = c["dpo"][inp_s] != 0
-    rs_ag_s = c["rs_ag"][inp_s]
-    surv_b = np.zeros(eb.n_buckets, dtype=bool)
-    surv_b[bid_s] = True
-    eb.surv_b = surv_b
-
-    def gps(field: str) -> np.ndarray:
-        return eb.gprof[field][gid_s]
-
     p_s = b["p"][bid_s]
-    d_s = b["d"][bid_s]
     v_s = b["v"][bid_s]
     M_s = b["M"][bid_s]
     bp_s = b["bp"][bid_s]
     tr_s = (b["training"] != 0)[bid_s]
-    v_f = v_s.astype(np.float64)
 
     # ---- per-block TP communication exposure (per group x overlap cell) -----
-    cell_ids, cell_first = _factorize([gid_s, tpo_s])
-    tp6 = _tp_exposures(
-        eb, gid_s[cell_first], b["t"][bid_s[cell_first]], tpo_s[cell_first]
-    )[cell_ids]
-    tp_fw_exp, tp_fw_tax = tp6[:, 0], tp6[:, 1]
-    tp_bw_exp, tp_bw_tax = tp6[:, 2], tp6[:, 3]
-    tp_rc_exp, tp_rc_tax = tp6[:, 4], tp6[:, 5]
+    tab = _cell_table(eb)
+    cell = (gid_s * _N_TPO + c["tpo"][inp_s]) * 2 + tr_s
+    eb.cell_s = cell
+    tp = {name: tab[name][cell] for name in TP_EXPOSURE_NAMES}
 
     # ---- per-microbatch stage times ------------------------------------------
-    t_f_mb = bp_s * (gps("fw_time") + tp_fw_exp + tp_fw_tax)
-    t_b_mb = np.where(
-        tr_s,
-        bp_s
-        * (
-            gps("bw_time")
-            + gps("recompute_time")
-            + tp_bw_exp
-            + tp_bw_tax
-            + tp_rc_exp
-            + tp_rc_tax
-        ),
-        0.0,
-    )
+    t_f_mb = bp_s * tab["f"][cell]
+    t_b_mb = bp_s * tab["b"][cell]
 
-    # ---- pipeline point-to-point (per distinct (t, p, m, rs_ag), p > 1) -----
-    p2p = np.zeros(n_s, dtype=np.float64)
+    # ---- pipeline point-to-point (per (t, m) class, p and rs_ag; p > 1) -----
+    keys = _kernel_classes(eb)
     pmask = p_s > 1
-    if np.any(pmask):
-        sub = np.flatnonzero(pmask)
-        p2p[sub] = _call_distinct(
-            lambda t, p, m, rs_ag: pp_p2p_time(
+    every = bool(pmask.all())
+    sub = slice(None) if every else np.flatnonzero(pmask)
+    p2p = np.zeros(n_s, dtype=np.float64)
+    bd = bid_s[sub]
+    if bd.size:
+        rs_ag = c["rs_ag"][inp_s[sub]] != 0
+        code = (keys["pp"][b["group"][bd]] * keys["p1"] + b["p"][bd]) * 2 + rs_ag
+        p2p[sub] = _call_keyed(
+            lambda t, p, m, rs: pp_p2p_time(
                 system, t, p,
-                m * llm.seq_size * llm.hidden * llm.bytes_per_element,
-                bool(rs_ag),
+                m * llm.seq_size * llm.hidden * llm.bytes_per_element, rs,
             ),
-            [b["t"][bid_s[sub]], p_s[sub], b["m"][bid_s[sub]], rs_ag_s[sub]],
-        )
+            code,
+            lambda lanes: (b["t"][bd[lanes]], b["p"][bd[lanes]],
+                           b["m"][bd[lanes]], rs_ag[lanes]),
+        )[0]
     crossings = v_s * np.where(tr_s, 2, 1)
-    pp_total = np.where(pmask, (M_s * crossings) * p2p, 0.0)
+    pp_total = (M_s * crossings) * p2p
     with np.errstate(divide="ignore", invalid="ignore"):
-        chunk_f = t_f_mb / v_f
-        chunk_b = np.where(tr_s, t_b_mb / v_f, 0.0)
+        chunk_f = t_f_mb / v_s
+        chunk_b = np.where(tr_s, t_b_mb / v_s, 0.0)
     Mv = M_s * v_s
     pp_exposed = Mv * np.maximum(0.0, p2p - chunk_f)
     pp_exposed = pp_exposed + np.where(tr_s, Mv * np.maximum(0.0, p2p - chunk_b), 0.0)
     pp_exposed = pp_exposed + (p_s - 1) * p2p
-    pp_exposed = np.where(pmask, pp_exposed, 0.0)
 
     # ---- pipeline bubble ------------------------------------------------------
-    pp_bubble = np.where(pmask, (p_s - 1) * ((t_f_mb + t_b_mb) / v_f), 0.0)
+    pp_bubble = (p_s - 1) * ((t_f_mb + t_b_mb) / v_s)
+    if not every:
+        pp_total = np.where(pmask, pp_total, 0.0)
+        pp_exposed = np.where(pmask, pp_exposed, 0.0)
+        pp_bubble = np.where(pmask, pp_bubble, 0.0)
 
-    # ---- data-parallel gradient communication (per surviving bucket) ---------
-    dmask = tr_s & (d_s > 1)
-    dp_b = np.zeros((eb.n_buckets, 4), dtype=np.float64)
-    dpb = np.flatnonzero(surv_b & (b["training"] != 0) & (b["d"] > 1))
-    if dpb.size:
+    # ---- data-parallel gradient communication (training, d > 1) -------------
+    # The collectives are priced per surviving bucket, the exposure per row.
+    dp_total = np.zeros(n_s, dtype=np.float64)
+    dp_exposed = np.zeros(n_s, dtype=np.float64)
+    dp_tax = np.zeros(n_s, dtype=np.float64)
+    has_dp = (b["training"] != 0) & (b["d"] > 1)
+    dmask = has_dp[bid_s]
+    dsub = np.flatnonzero(dmask)
+    if dsub.size:
+        bd = bid_s[dsub]
+        hit = np.zeros(eb.n_buckets, dtype=bool)
+        hit[bd] = True
+        sb = np.flatnonzero(hit)
+        sharded = b["osh"][sb] != 0
+        code = (keys["dp"][b["group"][sb]] * keys["p1"] + b["p"][sb]) * 2 + sharded
 
         def dp_kernel(t, p, d, grad_bytes, sharded):
             rs, ag, tot = dp_collectives(system, t, p, d, grad_bytes, sharded)
             dp_net = system.network_for_span(min(system.num_procs, t * p * d))
             return rs, ag, tot, dp_net.processor_usage
 
-        grad_bytes_b = (
-            b["bp"][dpb] * eb.gprof["weight_grad_bytes"][b["group"][dpb]]
-        )
-        dp_b[dpb] = _call_distinct(
-            dp_kernel,
-            [b["t"][dpb], b["p"][dpb], b["d"][dpb], grad_bytes_b,
-             b["osh"][dpb] != 0],
-        )
-    rs_s, ag_s, tot_s, pu_s = dp_b[bid_s].T
-    blocks = bp_s * v_s
-    blocks_f = blocks.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        win_bw = np.where(blocks > 1, t_b_mb * (blocks_f - 1.0) / blocks_f, 0.0)
-        exp_rs = np.maximum(0.0, rs_s - win_bw)
-        tax_rs = (rs_s - exp_rs) * pu_s / (1.0 - pu_s)
-        dp_exp_ov = np.maximum(rs_s / blocks_f, exp_rs)
-        win_fw = np.where(blocks > 1, t_f_mb * (blocks_f - 1.0) / blocks_f, 0.0)
-        exp_ag = np.maximum(0.0, ag_s - win_fw)
-        tax_ag = (ag_s - exp_ag) * pu_s / (1.0 - pu_s)
-        has_ag = ag_s > 0
-        dp_exp_ov = dp_exp_ov + np.where(
-            has_ag, np.maximum(ag_s / blocks_f, exp_ag), 0.0
-        )
-    tax_total = tax_rs + np.where(has_ag, tax_ag, 0.0)
-    overlapped = dpo_s & (bp_s > 0)
-    dp_exposed = np.where(dmask, np.where(overlapped, dp_exp_ov, tot_s), 0.0)
-    dp_tax = np.where(dmask & overlapped, tax_total, 0.0)
-    dp_total = np.where(dmask, tot_s, 0.0)
+        def dp_args(lanes: np.ndarray) -> tuple[np.ndarray, ...]:
+            i = sb[lanes]
+            grad_bytes = b["bp"][i] * eb.gprof["weight_grad_bytes"][b["group"][i]]
+            return b["t"][i], b["p"][i], b["d"][i], grad_bytes, sharded[lanes]
 
-    # ---- optimizer step (per surviving training bucket) ----------------------
-    opt_time_b = np.zeros(eb.n_buckets, dtype=np.float64)
-    trb = np.flatnonzero(surv_b & (b["training"] != 0))
-    if trb.size:
-        opt_time_b[trb] = _optim_times(eb, trb)
-    optim_time = np.where(tr_s, opt_time_b[bid_s], 0.0)
+        rs_b, ag_b, tot_b, pu_b = (np.empty(eb.n_buckets) for _ in range(4))
+        rs_b[sb], ag_b[sb], tot_b[sb], pu_b[sb] = _call_keyed(
+            dp_kernel, code, dp_args
+        )
+        tot = tot_b[bd]
+        dp_total[dsub] = tot
+        dp_exposed[dsub] = tot
+        # Overlapped exchanges hide behind the last microbatch's passes.
+        rows = np.flatnonzero(
+            (dmask & (c["dpo"][inp_s] != 0)) & (b["bp"] > 0)[bid_s]
+        )
+        if rows.size:
+            br = bid_s[rows]
+            rs, ag, pu = rs_b[br], ag_b[br], pu_b[br]
+            blocks = bp_s[rows] * v_s[rows]
+            blocks_f = blocks.astype(np.float64)
+            many = blocks > 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                win_bw = np.where(many, t_b_mb[rows] * (blocks_f - 1.0) / blocks_f, 0.0)
+                exp_rs, tax = exposed_and_tax_columns(rs, win_bw, pu, True)
+                exposed = np.maximum(rs / blocks_f, exp_rs)
+                has_ag = ag > 0
+                if has_ag.any():
+                    win_fw = np.where(
+                        many, t_f_mb[rows] * (blocks_f - 1.0) / blocks_f, 0.0
+                    )
+                    exp_ag, tax_ag = exposed_and_tax_columns(ag, win_fw, pu, True)
+                    exposed = exposed + np.where(
+                        has_ag, np.maximum(ag / blocks_f, exp_ag), 0.0
+                    )
+                    tax = tax + np.where(has_ag, tax_ag, 0.0)
+            dp_exposed[rows] = exposed
+            dp_tax[rows] = tax
+
+    # ---- optimizer step (once per batch, per training bucket) ----------------
+    optim_time = _optim_column(eb)[bid_s]
 
     # ---- offload traffic, bandwidth requirement, exposure --------------------
-    w_off_s = (b["w_off"] != 0)[bid_s]
-    a_off_s = (b["a_off"] != 0)[bid_s]
-    o_off_s = (b["o_off"] != 0)[bid_s]
-    off_mask = (w_off_s | a_off_s | o_off_s) & (system.mem2 is not None)
     offload_total = np.zeros(n_s, dtype=np.float64)
     offload_exposed = np.zeros(n_s, dtype=np.float64)
     required_bw = np.zeros(n_s, dtype=np.float64)
-    if np.any(off_mask):
+    off_mask = (
+        ((b["w_off"] | b["a_off"] | b["o_off"]) != 0)[bid_s]
+        if system.mem2 is not None else None
+    )
+    if off_mask is not None and off_mask.any():
+        w_off_s = (b["w_off"] != 0)[bid_s]
+        a_off_s = (b["a_off"] != 0)[bid_s]
+        o_off_s = (b["o_off"] != 0)[bid_s]
+
+        def gps(field: str) -> np.ndarray:
+            return eb.gprof[field][gid_s]
+
+        tp_fw_exp, tp_bw_exp, tp_rc_exp = tp["tp_fw_exp"], tp["tp_bw_exp"], tp["tp_rc_exp"]
         mem2_bw = system.mem2.effective_bandwidth(float("inf"))
         stash_s = gps("stash_bytes")
         wbytes_s = gps("weight_bytes")
@@ -1545,9 +1740,8 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
         offload_exposed = np.where(off_mask, offload_exposed, 0.0)
         required_bw = np.where(off_mask, required_bw, 0.0)
 
+    cm.update(tp)
     cm.update(
-        tp_fw_exp=tp_fw_exp, tp_fw_tax=tp_fw_tax, tp_bw_exp=tp_bw_exp,
-        tp_bw_tax=tp_bw_tax, tp_rc_exp=tp_rc_exp, tp_rc_tax=tp_rc_tax,
         t_f_mb=t_f_mb, t_b_mb=t_b_mb, pp_total=pp_total, pp_exposed=pp_exposed,
         pp_bubble=pp_bubble, dp_total=dp_total, dp_exposed=dp_exposed,
         dp_tax=dp_tax, optim_time=optim_time, offload_total=offload_total,
@@ -1562,43 +1756,33 @@ def batch_comm(eb: EvalBatch) -> EvalBatch:
 
 
 def batch_assemble(eb: EvalBatch) -> EvalBatch:
-    """Fold comm/plan columns into per-survivor time-breakdown columns."""
+    """Fold comm/plan columns into per-survivor time-breakdown columns.
+
+    Per-block factors are gathered from the batch's cell table
+    (:func:`_cell_table`) at the cells the comm stage keyed its rows on.
+    """
     asm: dict[str, np.ndarray] = {}
     eb.asm = asm
     n_s = eb.n_s
     eb.rate_s = np.empty(0, dtype=np.float64)
     if n_s == 0:
         return eb
-    b, cm = eb.b, eb.cm
-    gid_s, bid_s = eb.gid_s, eb.bid_s
-
-    def gps(field: str) -> np.ndarray:
-        return eb.gprof[field][gid_s]
-
+    b, cm, bid_s, cell = eb.b, eb.cm, eb.bid_s, eb.cell_s
+    tab = _cell_table(eb)
     M_s = b["M"][bid_s]
-    bp_s = b["bp"][bid_s]
-    tr_s = (b["training"] != 0)[bid_s]
-    Mb = M_s * bp_s
+    Mb = M_s * b["bp"][bid_s]
 
-    asm["fw_pass"] = Mb * gps("fw_time")
-    asm["bw_pass"] = np.where(tr_s, Mb * gps("bw_time"), 0.0)
-    asm["fw_recompute"] = np.where(tr_s, Mb * gps("recompute_time"), 0.0)
+    asm["fw_pass"] = Mb * tab["fw"][cell]
+    asm["bw_pass"] = Mb * tab["bw"][cell]
+    asm["fw_recompute"] = Mb * tab["rc"][cell]
     asm["optim_step"] = cm["optim_time"]
     asm["pp_bubble"] = cm["pp_bubble"]
-    asm["tp_comm_exposed"] = Mb * (
-        cm["tp_fw_exp"] + np.where(tr_s, cm["tp_bw_exp"] + cm["tp_rc_exp"], 0.0)
-    )
+    asm["tp_comm_exposed"] = Mb * tab["exp"][cell]
     asm["pp_comm_exposed"] = cm["pp_exposed"]
     asm["dp_comm_exposed"] = cm["dp_exposed"]
     asm["offload_exposed"] = cm["offload_exposed"]
-    asm["overlap_tax"] = (
-        Mb * (cm["tp_fw_tax"] + np.where(tr_s, cm["tp_bw_tax"] + cm["tp_rc_tax"], 0.0))
-        + cm["dp_tax"]
-    )
-    asm["tp_comm_total"] = Mb * (
-        gps("tp_fw_comm")
-        + np.where(tr_s, gps("tp_bw_comm") + gps("tp_recompute_comm"), 0.0)
-    )
+    asm["overlap_tax"] = Mb * tab["tax"][cell] + cm["dp_tax"]
+    asm["tp_comm_total"] = Mb * tab["tpc"][cell]
     asm["pp_comm_total"] = cm["pp_total"]
     asm["dp_comm_total"] = cm["dp_total"]
     asm["offload_total"] = cm["offload_total"]
@@ -1619,8 +1803,8 @@ def batch_assemble(eb: EvalBatch) -> EvalBatch:
     asm["batch_time"] = batch_time
 
     useful_flops = (
-        (gps("flops_fw") + np.where(tr_s, gps("flops_bw"), 0.0))
-        * b["t"][bid_s] * eb.llm.num_blocks * M_s * b["d"][bid_s]
+        tab["flops"][cell] * b["t"][bid_s] * eb.llm.num_blocks * M_s
+        * b["d"][bid_s]
     )
     peak = eb.system.processor.matrix_flops * eb.system.num_procs
     positive = batch_time > 0
@@ -1761,7 +1945,8 @@ def batch_adaptive(
             t_asm += perf_counter() - t0
         tiles += 1
         if eb.n_s:
-            parts.append((eb.sidx, eb.inp_s, eb.gid_s, eb.bid_s, eb.rate_s))
+            parts.append((eb.sidx, eb.inp_s, eb.gid_s, eb.bid_s, eb.cell_s,
+                          eb.rate_s))
             cm_parts.append(eb.cm)
             asm_parts.append(eb.asm)
             if k > 0:
@@ -1793,7 +1978,8 @@ def batch_adaptive(
         eb.inp_s = np.concatenate([p[1] for p in parts])[order_s]
         eb.gid_s = np.concatenate([p[2] for p in parts])[order_s]
         eb.bid_s = np.concatenate([p[3] for p in parts])[order_s]
-        eb.rate_s = np.concatenate([p[4] for p in parts])[order_s]
+        eb.cell_s = np.concatenate([p[4] for p in parts])[order_s]
+        eb.rate_s = np.concatenate([p[5] for p in parts])[order_s]
         eb.n_s = int(eb.sidx.shape[0])
         eb.cm = {
             key: np.concatenate([part[key] for part in cm_parts])[order_s]
@@ -1803,9 +1989,6 @@ def batch_adaptive(
             key: np.concatenate([part[key] for part in asm_parts])[order_s]
             for key in asm_parts[0]
         }
-        surv_b = np.zeros(eb.n_buckets, dtype=bool)
-        surv_b[eb.bid_s] = True
-        eb.surv_b = surv_b
     else:
         eb.sidx = np.empty(0, dtype=np.int64)
         eb.inp_s = np.empty(0, dtype=np.int64)
@@ -1813,7 +1996,6 @@ def batch_adaptive(
         eb.cm = {}
         eb.asm = {}
         eb.rate_s = np.empty(0, dtype=np.float64)
-        eb.surv_b = np.zeros(eb.n_buckets, dtype=bool)
     if timed:
         metrics.observe(_M_COMM, t_comm)
         metrics.observe(_M_ASSEMBLE, t_asm)

@@ -5,9 +5,9 @@ cannot possibly beat the current top-k.  This module computes an analytic
 **lower bound** on a candidate's batch time using only what the feasibility
 fast path already produced — the block profile (whose per-layer times are
 themselves roofline maxima of FLOPs/throughput and bytes/bandwidth) and the
-memory plan — plus the cached TP-exposure kernel, which reads nothing
-else.  A search can thus discard hopeless candidates *before* the
-PP/DP/offload comm and assembly work runs.
+memory plan — plus the TP exposure, which reads nothing else.  A search
+can thus discard hopeless candidates *before* the PP/DP/offload comm and
+assembly work runs.
 
 The bound is provably ``<= TimeBreakdown.batch_time`` **in float
 arithmetic**, not just in exact math: its first six components reproduce
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .context import EvalContext
-from .stages import TPTimes, optim_step_time, tp_exposure
+from .stages import optim_step_time, tp_exposure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .batch import EvalBatch
@@ -58,10 +58,10 @@ def roofline_lower_bound(ctx: EvalContext) -> float:
     * the TP part of the overlap tax — at most ``overlap_tax``, which adds
       the (non-negative) DP tax.
 
-    The TP figures come from the cached
-    :func:`~repro.engine.stages.tp_exposure` for the candidate's own
-    ``tp_overlap``, the call ``stage_comm`` makes.  Exposed PP/DP
-    communication and offload stalls are bounded below by zero.
+    The TP figures come from :func:`~repro.engine.stages.tp_exposure` for
+    the candidate's own ``tp_overlap``, the call ``stage_comm`` makes.
+    Exposed PP/DP communication and offload stalls are bounded below by
+    zero.
 
     Requires a context that completed the fast path feasibly (``prof`` and
     ``mem`` set, ``error`` None).
@@ -70,7 +70,7 @@ def roofline_lower_bound(ctx: EvalContext) -> float:
     M, bpstage, v, p = ctx.M, ctx.bpstage, ctx.v, ctx.p
     training = ctx.training
     fw_exp, fw_tax, bw_exp, bw_tax, rc_exp, rc_tax = tp_exposure(
-        ctx.system, ctx.t, ctx.strategy.tp_overlap, TPTimes.of(prof)
+        ctx.system, ctx.t, ctx.strategy.tp_overlap, prof
     )
     lb = M * bpstage * prof.fw_time
     if training:
@@ -114,70 +114,54 @@ def batch_lower_bounds(eb: "EvalBatch") -> np.ndarray:
     ``batch_memory``.  Buckets are not keyed on ``tp_overlap``, so a
     bucket's candidates may differ in the TP terms: its bound is the
     minimum of :func:`roofline_lower_bound` over the overlap modes present
-    among its candidates.  That is bit-equal to the minimum of those
-    candidates' scalar bounds, since every term mirrors the scalar
-    expression structure and summation order.  Capacity-rejected buckets
-    get ``+inf`` and invoke no kernel.
+    among its candidates (:func:`~repro.engine.batch.bucket_modes`).  That
+    is bit-equal to the minimum of those candidates' scalar bounds, since
+    every term mirrors the scalar expression structure and summation
+    order.  Capacity-rejected buckets get ``+inf``.
 
-    :func:`tp_exposure` runs once per distinct (group, mode) key and
-    :func:`optim_step_time` once per distinct ``(opt_bytes, traffic, tier)``;
-    both are cached, so the comm stage then hits the same entries.
+    The TP terms are gathered from the batch's (group x overlap mode)
+    table of lane-wise :func:`tp_exposure` (``_cell_table``), and the
+    optimizer step from its per-bucket :func:`optim_step_time` column
+    (``_optim_column``), which the comm stage then reuses.
     """
     # Imported here: repro.engine.batch imports this module at load time.
-    from .batch import (
-        TP_OVERLAP_NAMES,
-        _factorize,
-        _input_rows,
-        _optim_times,
-        _tp_exposures,
-    )
+    from .batch import _N_TPO, _cell_table, _optim_column, bucket_modes
 
     b = eb.b
-    n_b = eb.n_buckets
+    lb = np.full(eb.n_buckets, np.inf)
+    fb = np.flatnonzero(b["ok"])
+    if fb.size == 0:
+        return lb
+    g = b["group"][fb]
+    bp, p, v = b["bp"][fb], b["p"][fb], b["v"][fb]
+    Mb = b["M"][fb] * bp
+    tab = _cell_table(eb)
+    cell0 = g * (2 * _N_TPO) + (b["training"][fb] != 0)  # mode 0's cell
+    base = Mb * tab["fw"][cell0]
+    base = base + Mb * tab["bw"][cell0]
+    base = base + Mb * tab["rc"][cell0]
+    base = base + _optim_column(eb)[fb]
 
-    def gp(field: str) -> np.ndarray:
-        return eb.gprof[field][b["group"]]
+    modes = bucket_modes(eb)[fb]
+    for mode in range(_N_TPO):
+        sel = np.flatnonzero(modes & (1 << mode))
+        if sel.size == 0:
+            continue
+        every = sel.size == fb.size
 
-    Mb = b["M"] * b["bp"]
-    tr = b["training"] != 0
-    fw = gp("fw_time")
-    bw = gp("bw_time")
-    rc = gp("recompute_time")
-    base = Mb * fw
-    base = base + np.where(tr, Mb * bw, 0.0)
-    base = base + np.where(tr, Mb * rc, 0.0)
-    opt_t = np.zeros(n_b, dtype=np.float64)
-    idx = np.flatnonzero(b["ok"] & tr)
-    if idx.size:
-        opt_t[idx] = _optim_times(eb, idx)
-    base = base + opt_t
+        def pick(x: np.ndarray) -> np.ndarray:
+            return x if every else x[sel]
 
-    # Overlap modes present per feasible bucket (a bucket is feasible or
-    # rejected as a whole, so these are its feasible candidates' modes).
-    fv = eb.feasible_v
-    present = np.zeros((n_b, len(TP_OVERLAP_NAMES)), dtype=bool)
-    present[eb.bid[fv], eb.cols["tpo"][_input_rows(eb, fv)]] = True
-    lb = np.full(n_b, np.inf)
-    for mode in np.flatnonzero(present.any(axis=0)):
-        rows = np.flatnonzero(present[:, mode])
-        g = b["group"][rows]
-        gi, gfirst = _factorize([g])
-        tp = _tp_exposures(
-            eb, g[gfirst], b["t"][rows[gfirst]], np.full(gfirst.shape[0], mode)
-        )[gi]
-        fw_exp, fw_tax, bw_exp, bw_tax, rc_exp, rc_tax = tp.T
-        r_tr, r_Mb, bp, p = tr[rows], Mb[rows], b["bp"][rows], b["p"][rows]
-        t_f = bp * (fw[rows] + fw_exp + fw_tax)
-        t_b = np.where(
-            r_tr,
-            bp * (bw[rows] + rc[rows] + bw_exp + bw_tax + rc_exp + rc_tax),
-            0.0,
+        cell = pick(cell0) + 2 * mode
+        r_bp, r_p, r_Mb = pick(bp), pick(p), pick(Mb)
+        t_f = r_bp * tab["f"][cell]
+        t_b = r_bp * tab["b"][cell]
+        m_lb = pick(base) + np.where(
+            r_p > 1, (r_p - 1) * ((t_f + t_b) / pick(v)), 0.0
         )
-        m_lb = base[rows] + np.where(
-            p > 1, (p - 1) * ((t_f + t_b) / b["v"][rows]), 0.0
-        )
-        m_lb = m_lb + r_Mb * (fw_exp + np.where(r_tr, bw_exp + rc_exp, 0.0))
-        m_lb = m_lb + r_Mb * (fw_tax + np.where(r_tr, bw_tax + rc_tax, 0.0))
+        m_lb = m_lb + r_Mb * tab["exp"][cell]
+        m_lb = m_lb + r_Mb * tab["tax"][cell]
+        rows = pick(fb)
         lb[rows] = np.minimum(lb[rows], m_lb)
     return lb
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import NamedTuple
 
 from ..core.results import (
     MemoryBreakdown,
@@ -241,47 +240,26 @@ def exposed_and_tax(
 
 
 # -- cross-candidate comm memoization -----------------------------------------
-# The expensive sub-computations of stage_comm are pure functions of a small
-# key: the (hashable, frozen) System plus a handful of exact scalars.  Sweeps
-# over batch/microbatch/overlap knobs repeat identical collective timings
-# thousands of times, and the service's micro-batches repeat them across
-# requests, so each kernel is wrapped in a bounded per-process lru_cache (the
-# same pattern as profile_block).  Results are bit-identical to inline
-# computation: every input that affects the value is part of the key and the
-# arithmetic inside is unchanged.  The per-call group/bucket memos in
-# stage_comm sit in front of these caches, so a batched sweep pays the key
-# hash once per group/bucket, not once per candidate.
+# The collective and optimizer kernels of stage_comm are pure functions of a
+# small key: the (hashable, frozen) System plus a handful of exact scalars.
+# Sweeps over batch/microbatch/overlap knobs repeat identical collective
+# timings thousands of times, and the service's micro-batches repeat them
+# across requests, so each of those kernels is wrapped in a bounded
+# per-process lru_cache (the same pattern as profile_block).  Results are
+# bit-identical to inline computation: every input that affects the value is
+# part of the key and the arithmetic inside is unchanged.
+# tp_exposure is not cached: it is three exposed_and_tax calls, cheaper than
+# hashing its key, and the columnar engine prices it as array arithmetic.
 
 _COMM_CACHE_SIZE = 65536
 
 
-class TPTimes(NamedTuple):
-    """The block-profile figures :func:`tp_exposure` reads, as its cache key.
+def tp_exposure(system, t: int, tp_overlap: str, prof):
+    """Exposed time + overlap tax of the fw/bw/recompute TP collectives.
 
-    Both pipelines key the kernel on this tuple: the scalar one builds it
-    from a :class:`~repro.engine.profile.BlockProfile`, the columnar one
-    from its per-group profile columns, so either path hits the other's
-    cache entries.
+    ``prof`` is anything with the block profile's ``fw_time``, ``bw_time``,
+    ``recompute_time`` and ``tp_*_comm`` fields.
     """
-
-    fw_time: float
-    bw_time: float
-    recompute_time: float
-    tp_fw_comm: float
-    tp_bw_comm: float
-    tp_recompute_comm: float
-
-    @classmethod
-    def of(cls, prof) -> "TPTimes":
-        return cls(
-            prof.fw_time, prof.bw_time, prof.recompute_time,
-            prof.tp_fw_comm, prof.tp_bw_comm, prof.tp_recompute_comm,
-        )
-
-
-@lru_cache(maxsize=_COMM_CACHE_SIZE)
-def tp_exposure(system, t: int, tp_overlap: str, prof: TPTimes):
-    """Exposed time + overlap tax of the fw/bw/recompute TP collectives."""
     tp_net = system.network_for_span(t) if t > 1 else None
     win_frac = TP_OVERLAP_WINDOW[tp_overlap]
     tp_fw_exp, tp_fw_tax = exposed_and_tax(
@@ -341,7 +319,7 @@ def optim_step_time(
     return max(compute_t, traffic / opt_mem.effective_bandwidth(traffic))
 
 
-_COMM_CACHED = (tp_exposure, pp_p2p_time, dp_collectives, optim_step_time)
+_COMM_CACHED = (pp_p2p_time, dp_collectives, optim_step_time)
 
 
 def comm_cache_stats() -> tuple[int, int]:
@@ -359,22 +337,12 @@ def clear_comm_caches() -> None:
         fn.cache_clear()
 
 
-def stage_comm(
-    ctx: EvalContext,
-    group_memo: dict | None = None,
-    bucket_memo: dict | None = None,
-) -> EvalContext:
+def stage_comm(ctx: EvalContext) -> EvalContext:
     """Price every communication/overlap component and the optimizer step.
 
-    ``group_memo`` / ``bucket_memo`` are optional caches owned by the batched
-    evaluator (:func:`repro.engine.iter_evaluate`): several comm components
-    are constant across every candidate of a profile group (TP exposure, per
-    overlap mode) or of a memory bucket (optimizer step, DP collective and PP
-    p2p times), so their exact values are computed once and reused —
-    bit-identical, since the inputs are identical.  Beneath the per-call
-    memos sit the process-global kernel caches (:func:`tp_exposure`,
-    :func:`pp_p2p_time`, :func:`dp_collectives`, :func:`optim_step_time`),
-    which also serve single-candidate evaluation and persist across calls.
+    The PP, DP and optimizer kernels go through the process-global caches
+    (:func:`pp_p2p_time`, :func:`dp_collectives`, :func:`optim_step_time`),
+    which persist across calls and are shared with the columnar engine.
     """
     if ctx.error is not None:
         return ctx
@@ -383,12 +351,9 @@ def stage_comm(
     bpstage, e, b, training = ctx.bpstage, ctx.e, ctx.b, ctx.training
 
     # ---- per-block TP communication exposure --------------------------------
-    tp_hit = group_memo.get(strategy.tp_overlap) if group_memo is not None else None
-    if tp_hit is None:
-        tp_hit = tp_exposure(system, t, strategy.tp_overlap, TPTimes.of(prof))
-        if group_memo is not None:
-            group_memo[strategy.tp_overlap] = tp_hit
-    tp_fw_exp, tp_fw_tax, tp_bw_exp, tp_bw_tax, tp_rc_exp, tp_rc_tax = tp_hit
+    tp_fw_exp, tp_fw_tax, tp_bw_exp, tp_bw_tax, tp_rc_exp, tp_rc_tax = (
+        tp_exposure(system, t, strategy.tp_overlap, prof)
+    )
 
     # ---- per-microbatch stage times ------------------------------------------
     t_f_mb = bpstage * (prof.fw_time + tp_fw_exp + tp_fw_tax)
@@ -411,18 +376,8 @@ def stage_comm(
     # crossings of the prologue/epilogue are serial and always exposed.
     pp_total = pp_exposed = 0.0
     if p > 1:
-        p2p_hit = (
-            bucket_memo.get(("pp", strategy.pp_rs_ag))
-            if bucket_memo is not None
-            else None
-        )
-        if p2p_hit is None:
-            full_act = b * llm.seq_size * llm.hidden * e
-            p2p = pp_p2p_time(system, t, p, full_act, strategy.pp_rs_ag)
-            if bucket_memo is not None:
-                bucket_memo[("pp", strategy.pp_rs_ag)] = p2p
-        else:
-            p2p = p2p_hit
+        full_act = b * llm.seq_size * llm.hidden * e
+        p2p = pp_p2p_time(system, t, p, full_act, strategy.pp_rs_ag)
         crossings = v * (2 if training else 1)  # fw (+ bw) per chunk boundary
         pp_total = M * crossings * p2p
         chunk_f = t_f_mb / v
@@ -443,16 +398,10 @@ def stage_comm(
     dp_total = dp_exposed = dp_tax = 0.0
     if training and d > 1:
         dp_net = system.network_for_span(min(system.num_procs, t * p * d))
-        dp_hit = bucket_memo.get("dp") if bucket_memo is not None else None
-        if dp_hit is None:
-            grad_bytes = bpstage * prof.weight_grad_bytes
-            rs, ag, dp_total = dp_collectives(
-                system, t, p, d, grad_bytes, strategy.optimizer_sharding
-            )
-            if bucket_memo is not None:
-                bucket_memo["dp"] = (rs, ag, dp_total)
-        else:
-            rs, ag, dp_total = dp_hit
+        grad_bytes = bpstage * prof.weight_grad_bytes
+        rs, ag, dp_total = dp_collectives(
+            system, t, p, d, grad_bytes, strategy.optimizer_sharding
+        )
         if strategy.dp_overlap and bpstage > 0:
             # The gradient reduction overlaps layer-wise with the last
             # microbatch's backward pass (Fig. 2b); the final block's
@@ -476,20 +425,14 @@ def stage_comm(
     optim_time = 0.0
     opt_bytes = ctx.mem.opt_bytes
     if training:
-        opt_hit = bucket_memo.get("opt") if bucket_memo is not None else None
-        if opt_hit is None:
-            traffic = (
-                2.0 * opt_bytes
-                + bpstage
-                * (prof.weight_grad_bytes + prof.weight_bytes)
-                / ctx.mem.opt_shard
-            )
-            use_mem2 = bool(strategy.optimizer_offload and system.mem2 is not None)
-            optim_time = optim_step_time(system, opt_bytes, traffic, use_mem2)
-            if bucket_memo is not None:
-                bucket_memo["opt"] = optim_time
-        else:
-            optim_time = opt_hit
+        traffic = (
+            2.0 * opt_bytes
+            + bpstage
+            * (prof.weight_grad_bytes + prof.weight_bytes)
+            / ctx.mem.opt_shard
+        )
+        use_mem2 = bool(strategy.optimizer_offload and system.mem2 is not None)
+        optim_time = optim_step_time(system, opt_bytes, traffic, use_mem2)
 
     # ---- offload traffic, bandwidth requirement, exposure -------------------------
     offload_total = offload_exposed = 0.0

@@ -11,6 +11,7 @@ computation — e.g. ~15% of cores for NCCL over NVLink, ~2% for InfiniBand).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 COLLECTIVE_OPS = ("all_reduce", "reduce_scatter", "all_gather", "broadcast", "p2p")
@@ -78,8 +79,6 @@ class Network:
 
     def message_bandwidth(self, message_bytes: float) -> float:
         """Achieved bandwidth for one per-step message of ``message_bytes``."""
-        import math
-
         if message_bytes <= 0:
             return self.effective_bandwidth
         if message_bytes >= self.small_message_bytes:
@@ -111,7 +110,7 @@ class Network:
         if nbytes == 0:
             return 0.0
 
-        override = dict(self.op_handling).get(op)
+        override = dict(self.op_handling).get(op) if self.op_handling else None
         if override is not None and op != "p2p":
             from . import collectives as _alg
 

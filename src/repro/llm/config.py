@@ -9,8 +9,17 @@ footprint analyzed by the performance model.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterator
+
+# Shape hyperparameters that must be integers >= 1.
+_SHAPE_FIELDS = ("hidden", "attn_heads", "seq_size", "num_blocks",
+                 "feedforward", "vocab_size")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -40,17 +49,24 @@ class LLMConfig:
     bits_per_element: int = 16
 
     def __post_init__(self) -> None:
-        if self.hidden <= 0 or self.attn_heads <= 0:
-            raise ValueError(f"{self.name}: hidden and attn_heads must be positive")
-        if self.seq_size <= 0 or self.num_blocks <= 0:
-            raise ValueError(f"{self.name}: seq_size and num_blocks must be positive")
+        # Every path that builds a config (presets, from_dict, JSON files,
+        # service bodies) passes through here: shape fields are integers
+        # >= 1, never bools, floats or infinities.
+        if _is_int(self.feedforward) and self.feedforward == 0:
+            object.__setattr__(self, "feedforward", 4 * self.hidden)
+        for field in _SHAPE_FIELDS:
+            value = getattr(self, field)
+            if not _is_int(value):
+                raise ValueError(
+                    f"{self.name}: {field} must be an integer, got {value!r}"
+                )
+            if value < 1:
+                raise ValueError(f"{self.name}: {field} must be >= 1, got {value}")
         if self.hidden % self.attn_heads != 0:
             raise ValueError(
                 f"{self.name}: hidden ({self.hidden}) must be divisible by "
                 f"attn_heads ({self.attn_heads})"
             )
-        if self.feedforward == 0:
-            object.__setattr__(self, "feedforward", 4 * self.hidden)
         if self.bits_per_element not in (8, 16, 32):
             raise ValueError(f"{self.name}: unsupported precision {self.bits_per_element}")
 

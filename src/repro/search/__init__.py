@@ -30,7 +30,6 @@ from .faults import (
     SupervisionReport,
     run_supervised,
 )
-from .tco import PowerModel, TCOReport, tco_report
 from .system_search import (
     ScalingCurve,
     ScalingPoint,
@@ -54,9 +53,7 @@ __all__ = [
     "ScalingPoint",
     "SearchOptions",
     "SearchResult",
-    "PowerModel",
     "SystemDesign",
-    "TCOReport",
     "all_designs",
     "best_at_size",
     "budget_table",
@@ -67,5 +64,4 @@ __all__ = [
     "run_supervised",
     "scaling_sweep",
     "search",
-    "tco_report",
 ]

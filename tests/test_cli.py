@@ -179,6 +179,32 @@ def test_hostile_system_file_is_an_error_exit(tmp_path, tier, field, value,
     assert message in str(exc.value.code)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("num_blocks", 8.5, "num_blocks must be an integer, got 8.5"),
+    ("attn_heads", True, "attn_heads must be an integer, got True"),
+    ("seq_size", float("inf"), "seq_size must be an integer, got inf"),
+    ("vocab_size", -5, "vocab_size must be >= 1, got -5"),
+    ("feedforward", -4, "feedforward must be >= 1, got -4"),
+])
+def test_hostile_llm_file_is_an_error_exit(tmp_path, field, value, message):
+    from repro.llm import get_preset
+
+    spec = get_preset("tiny-test").to_dict()
+    spec[field] = value
+    path = tmp_path / "llm.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["search", str(path), "a100:8", "--batch", "16"])
+    assert str(exc.value.code).startswith("error: ")
+    assert message in str(exc.value.code)
+
+
+def test_unknown_llm_preset_is_an_error_exit():
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "no-such-model", "a100:8", "--batch", "16"])
+    assert str(exc.value.code).startswith("error: unknown LLM preset")
+
+
 def test_bad_options_preset_exits():
     with pytest.raises(SystemExit):
         main(["search", "gpt3-175b", "a100:16", "--options", "bogus"])

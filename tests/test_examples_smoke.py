@@ -1,6 +1,6 @@
 """Smoke tests: every shipped example script runs end-to-end.
 
-The slower studies (budget, TCO, cliffs) are exercised with reduced scope via
+The slower studies (budget, cliffs) are exercised with reduced scope via
 environment-independent subprocess runs of the fast examples, plus import
 checks for all of them — a broken import or API drift in any example fails
 here.

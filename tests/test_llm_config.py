@@ -59,6 +59,18 @@ def test_positive_hyperparameters_required(field):
         LLMConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_blocks", 8.5), ("attn_heads", True), ("seq_size", float("inf")),
+    ("hidden", "512"), ("vocab_size", -5), ("feedforward", -4),
+    ("feedforward", 0.0),
+])
+def test_shape_fields_must_be_integers_at_least_one(field, value):
+    kwargs = dict(name="bad", hidden=512, attn_heads=8, seq_size=128, num_blocks=2)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        LLMConfig(**kwargs)
+
+
 def test_unsupported_precision_rejected():
     with pytest.raises(ValueError, match="precision"):
         LLMConfig(

@@ -502,6 +502,21 @@ def test_http_error_mapping(http_server):
         with pytest.raises(RequestFailed) as exc:
             client.evaluate("gpt3-175b", system, STRATEGY)
         assert exc.value.status == 400, (path, value)
+    # So do LLM shape fields that are not integers >= 1.
+    from repro.llm import get_preset
+
+    for field, value in (
+        ("num_blocks", 8.5),
+        ("attn_heads", True),
+        ("seq_size", float("inf")),
+        ("vocab_size", -5),
+        ("feedforward", -4),
+    ):
+        llm = get_preset("tiny-test").to_dict()
+        llm[field] = value
+        with pytest.raises(RequestFailed) as exc:
+            client.evaluate(llm, "a100:64", STRATEGY)
+        assert exc.value.status == 400, (field, value)
 
 
 def test_http_oversized_body_closes_keepalive_connection(http_server):
