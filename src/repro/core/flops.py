@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..arith import pmax
 from ..hardware.memory import MemoryTier
 from ..hardware.processor import Processor
 from ..llm.layers import Layer
@@ -29,6 +30,14 @@ class OpTime:
         return self.compute >= self.memory
 
 
+def roofline(compute, memory) -> OpTime:
+    """An op whose compute and memory access overlap: the longer one binds.
+
+    ``compute`` and ``memory`` may be float64 columns (one lane per op).
+    """
+    return OpTime(total=pmax(compute, memory), compute=compute, memory=memory)
+
+
 def op_time(
     processor: Processor,
     mem: MemoryTier,
@@ -37,9 +46,7 @@ def op_time(
     engine: str,
 ) -> OpTime:
     """Roofline time of one op: ``max(compute_time, memory_time)``."""
-    compute = processor.compute_time(engine, flops)
-    memory = mem.access_time(traffic)
-    return OpTime(total=max(compute, memory), compute=compute, memory=memory)
+    return roofline(processor.compute_time(engine, flops), mem.access_time(traffic))
 
 
 def layer_fw_time(processor: Processor, mem: MemoryTier, layer: Layer) -> OpTime:

@@ -114,6 +114,7 @@ class EvalContext:
     prof: BlockProfile | None = None
     mem: MemoryPlan | None = None
     comm: CommExposure | None = None
+    fac: dict | None = None  # per-block factors (stages.block_factors)
     result: object | None = None  # PerformanceResult once assembled
 
 

@@ -8,8 +8,9 @@ sweep, for every *candidate* that shares the same block-level parameters.
 (:func:`repro.engine.evaluate_many`) can group candidates and profile each
 distinct block once.
 
-This module is the canonical home of the profiler; ``repro.core.model``
-re-exports it under its historical ``_profile_block`` name.
+:func:`block_base` and :func:`profile_from_base` are the profile's
+formulas; the scalar :func:`profile_block` and the columnar engine's
+``profile_columns`` both compute through them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from functools import lru_cache
 from ..core.flops import layer_bw_time, layer_fw_time
 from ..execution.strategy import ExecutionStrategy
 from ..hardware.system import System
-from ..llm.blocks import build_block
+from ..arith import select, total
+from ..llm.blocks import build_block, stash_bytes
 from ..llm.config import LLMConfig
 
 
@@ -77,9 +79,8 @@ class _BlockBase:
     on the build key alone means the three recompute modes of one sharding
     share a single :func:`~repro.llm.blocks.build_block` and one per-layer
     timing sweep (a ~3x cut in profile work across a full search space).
-    ``layer_fw_totals`` keeps each layer's forward time in layer order, so
-    per-mode recompute sums replay the exact float accumulation the fused
-    loop used to produce — profiles stay bit-identical.
+    ``attn_fw_time`` is the running sum of the attention-core layers'
+    forward times, which selective recompute replays.
     """
 
     block: object
@@ -87,8 +88,7 @@ class _BlockBase:
     bw_time: float
     fw_hbm_idle: float
     bw_hbm_idle: float
-    layer_fw_totals: tuple[float, ...]
-    layer_attn_only: tuple[bool, ...]
+    attn_fw_time: float
     tp_fw_comm: float
     tp_bw_comm: float
     flops_fw: float
@@ -96,8 +96,67 @@ class _BlockBase:
     weight_bytes: float
     weight_grad_bytes: float
     optimizer_bytes: float
-    input_bytes: float
     act_grad_bytes: float
+
+
+def block_base(block, fw, bw, tp_fw_comm, tp_bw_comm) -> _BlockBase:
+    """A block's :class:`_BlockBase` from its layers' roofline times.
+
+    ``fw``/``bw`` hold each layer's forward/backward
+    :class:`~repro.core.flops.OpTime`, in layer order; the times add up as
+    running sums in that order.  Every argument may hold columns (one lane
+    per block key), as the columnar profile passes them.
+    """
+    fw_time = bw_time = fw_idle = bw_idle = attn_time = 0.0
+    for layer, f, b in zip(block.layers, fw, bw):
+        fw_time = fw_time + f.total
+        bw_time = bw_time + b.total
+        fw_idle = fw_idle + (f.total - f.memory)
+        bw_idle = bw_idle + (b.total - b.memory)
+        if layer.attn_only:
+            attn_time = attn_time + f.total
+    return _BlockBase(
+        block=block,
+        fw_time=fw_time,
+        bw_time=bw_time,
+        fw_hbm_idle=fw_idle,
+        bw_hbm_idle=bw_idle,
+        attn_fw_time=attn_time,
+        tp_fw_comm=tp_fw_comm,
+        tp_bw_comm=tp_bw_comm,
+        flops_fw=block.flops_fw(),
+        flops_bw=block.flops_bw(),
+        weight_bytes=block.weight_bytes(),
+        weight_grad_bytes=block.weight_grad_bytes(),
+        optimizer_bytes=block.optimizer_bytes(),
+        act_grad_bytes=2.0 * block.max_output_bytes(),
+    )
+
+
+def profile_from_base(base: _BlockBase, full, attn) -> BlockProfile:
+    """The profile of ``base`` under full (``full``) or attention-only
+    (``attn``) recompute; the flags may be columns."""
+    return BlockProfile(
+        fw_time=base.fw_time,
+        bw_time=base.bw_time,
+        recompute_time=select(full, base.fw_time, select(attn, base.attn_fw_time, 0.0)),
+        fw_hbm_idle=base.fw_hbm_idle,
+        bw_hbm_idle=base.bw_hbm_idle,
+        flops_fw=base.flops_fw,
+        flops_bw=base.flops_bw,
+        weight_bytes=base.weight_bytes,
+        weight_grad_bytes=base.weight_grad_bytes,
+        optimizer_bytes=base.optimizer_bytes,
+        stash_bytes=stash_bytes(base.block, full, attn),
+        input_bytes=base.block.input_bytes,
+        act_grad_bytes=base.act_grad_bytes,
+        tp_fw_comm=base.tp_fw_comm,
+        tp_bw_comm=base.tp_bw_comm,
+        # Full recompute replays the forward pass communication as well;
+        # the attention core contains no TP boundary, so selective
+        # recompute adds none.
+        tp_recompute_comm=select(full, base.tp_fw_comm, 0.0),
+    )
 
 
 @lru_cache(maxsize=262144)
@@ -134,47 +193,20 @@ def _block_base(
         tp_mode=tp_mode,
     )
     proc, hbm = system.processor, system.mem1
-
-    fw_time = bw_time = 0.0
-    fw_idle = bw_idle = 0.0
-    fw_totals: list[float] = []
-    attn_only: list[bool] = []
-    for layer in block.layers:
-        f, b = _layer_times(proc, hbm, layer)
-        fw_time += f.total
-        bw_time += b.total
-        fw_idle += f.total - f.memory
-        bw_idle += b.total - b.memory
-        fw_totals.append(f.total)
-        attn_only.append(layer.attn_only)
-
+    times = [_layer_times(proc, hbm, layer) for layer in block.layers]
     tp_net = system.network_for_span(tensor_par) if tensor_par > 1 else None
 
     def comm_time(events) -> float:
         if tp_net is None:
             return 0.0
-        return sum(
+        return total([
             tp_net.collective_time(ev.op, ev.nbytes, ev.group or tensor_par)
             for ev in events
-        )
+        ])
 
-    return _BlockBase(
-        block=block,
-        fw_time=fw_time,
-        bw_time=bw_time,
-        fw_hbm_idle=fw_idle,
-        bw_hbm_idle=bw_idle,
-        layer_fw_totals=tuple(fw_totals),
-        layer_attn_only=tuple(attn_only),
-        tp_fw_comm=comm_time(block.tp_comm_fw),
-        tp_bw_comm=comm_time(block.tp_comm_bw),
-        flops_fw=block.flops_fw(),
-        flops_bw=block.flops_bw(),
-        weight_bytes=block.weight_bytes(),
-        weight_grad_bytes=block.weight_grad_bytes(),
-        optimizer_bytes=block.optimizer_bytes(),
-        input_bytes=block.input_bytes,
-        act_grad_bytes=2.0 * block.max_output_bytes(),
+    return block_base(
+        block, [f for f, _ in times], [b for _, b in times],
+        comm_time(block.tp_comm_fw), comm_time(block.tp_comm_bw),
     )
 
 
@@ -191,40 +223,13 @@ def profile_block(
     tp_mode: str = "1d",
 ) -> BlockProfile:
     """Profile one sharded transformer block on one processor."""
+    if recompute not in ("none", "attn_only", "full"):
+        raise ValueError(f"unknown recompute mode {recompute!r}")
     base = _block_base(
         llm, system, microbatch, tensor_par, seq_par, fused, tp_redo_sp,
         tp_mode,
     )
-
-    # Replayed-forward sum in layer order: bit-identical to accumulating
-    # inside the original fused per-layer loop.
-    recompute_time = 0.0
-    for f_total, is_attn in zip(base.layer_fw_totals, base.layer_attn_only):
-        if recompute == "full" or (recompute == "attn_only" and is_attn):
-            recompute_time += f_total
-
-    # Full recompute replays the forward pass communication as well; the
-    # attention core contains no TP boundary, so selective recompute adds none.
-    tp_recompute = base.tp_fw_comm if recompute == "full" else 0.0
-
-    return BlockProfile(
-        fw_time=base.fw_time,
-        bw_time=base.bw_time,
-        recompute_time=recompute_time,
-        fw_hbm_idle=base.fw_hbm_idle,
-        bw_hbm_idle=base.bw_hbm_idle,
-        flops_fw=base.flops_fw,
-        flops_bw=base.flops_bw,
-        weight_bytes=base.weight_bytes,
-        weight_grad_bytes=base.weight_grad_bytes,
-        optimizer_bytes=base.optimizer_bytes,
-        stash_bytes=base.block.stash_bytes(recompute),
-        input_bytes=base.input_bytes,
-        act_grad_bytes=base.act_grad_bytes,
-        tp_fw_comm=base.tp_fw_comm,
-        tp_bw_comm=base.tp_bw_comm,
-        tp_recompute_comm=tp_recompute,
-    )
+    return profile_from_base(base, recompute == "full", recompute == "attn_only")
 
 
 def clear_caches() -> None:
