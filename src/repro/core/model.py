@@ -4,10 +4,7 @@ Given the three specifications — LLM, system, execution strategy — a single
 call to :func:`calculate` returns the full time and resource estimation.  The
 implementation lives in :mod:`repro.engine`, which decomposes the calculation
 into five composable stages (validate → profile → memory plan → comm
-exposure → time assembly); this module keeps the historical entry point and
-the internal names older code imports (``_profile_block``,
-``_in_flight_microbatches``, ...) pointing at the staged engine, so outputs
-stay numerically identical to the original monolith.
+exposure → time assembly); this module keeps the historical entry point.
 
 Sweep-shaped callers should prefer the engine's batched API
 (:func:`repro.engine.evaluate_many`) or the feasibility fast path
@@ -16,31 +13,11 @@ Sweep-shaped callers should prefer the engine's batched API
 
 from __future__ import annotations
 
-import os
-
 from ..engine.api import evaluate
-from ..engine.profile import BlockProfile, profile_block
-from ..engine.stages import (
-    OFFLOAD_WORKING_BLOCKS as _OFFLOAD_WORKING_BLOCKS,  # noqa: F401
-    TP_OVERLAP_WINDOW as _TP_OVERLAP_WINDOW,  # noqa: F401
-    exposed_and_tax,
-    in_flight_microbatches,
-)
 from ..execution.strategy import ExecutionStrategy
 from ..hardware.system import System
 from ..llm.config import LLMConfig
 from .results import PerformanceResult
-
-# Historical internal names; the canonical definitions moved to repro.engine.
-_BlockProfile = BlockProfile
-_profile_block = profile_block
-_exposed_and_tax = exposed_and_tax
-_in_flight_microbatches = in_flight_microbatches
-
-# When REPRO_DEBUG_CHECK is set, every calculate() output is run through the
-# internal-consistency checker (repro.core.consistency) before returning —
-# a tripwire for development; off by default for search throughput.
-_DEBUG_CHECK = bool(os.environ.get("REPRO_DEBUG_CHECK"))
 
 
 def calculate(
@@ -50,11 +27,8 @@ def calculate(
 
     Returns an infeasible :class:`PerformanceResult` (never raises) when the
     strategy violates a constraint or exceeds a memory capacity, so search
-    engines can sweep the space without exception handling.
+    engines can sweep the space without exception handling.  With
+    ``REPRO_DEBUG_CHECK`` set, every assembled result is run through the
+    internal-consistency checker (:mod:`repro.engine.stages`).
     """
-    result = evaluate(llm, system, strategy)
-    if _DEBUG_CHECK and result.feasible:
-        from .consistency import assert_consistent
-
-        assert_consistent(result)
-    return result
+    return evaluate(llm, system, strategy)

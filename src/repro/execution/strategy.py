@@ -13,7 +13,7 @@ are enforced by :meth:`ExecutionStrategy.validate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 from ..hardware.system import System
@@ -21,6 +21,12 @@ from ..llm.config import LLMConfig
 
 RECOMPUTE_MODES = ("none", "attn_only", "full")
 TP_OVERLAP_MODES = ("none", "pipe", "ring")
+TP_MODES = ("1d", "2d")
+
+_INT_FIELDS = ("tensor_par", "pipeline_par", "data_par", "batch", "microbatch",
+               "pp_interleaving")
+_MODE_FIELDS = (("recompute", RECOMPUTE_MODES), ("tp_overlap", TP_OVERLAP_MODES),
+                ("tp_mode", TP_MODES))
 
 
 class StrategyError(ValueError):
@@ -81,6 +87,27 @@ class ExecutionStrategy:
     activation_offload: bool = False
     optimizer_offload: bool = False
     training: bool = True
+
+    def __post_init__(self) -> None:
+        """Reject ill-typed fields: the one boundary every strategy passes.
+
+        Counts must be ints (not bools or floats), switches bools and modes
+        known names; a well-typed strategy that cannot run is left to
+        :meth:`validate`, which reports it as infeasible.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _INT_FIELDS:
+                if type(value) is not int:
+                    raise StrategyError(f"{f.name} must be an integer, got {value!r}")
+            elif f.type == "bool" and type(value) is not bool:
+                raise StrategyError(f"{f.name} must be true or false, got {value!r}")
+        for name, known in _MODE_FIELDS:
+            if getattr(self, name) not in known:
+                raise StrategyError(
+                    f"unknown {name} {getattr(self, name)!r}; expected one of "
+                    + ", ".join(known)
+                )
 
     # -- derived quantities ---------------------------------------------------
 
@@ -144,12 +171,6 @@ class ExecutionStrategy:
             )
         if v > 1 and p == 1:
             raise StrategyError("interleaving requires pipeline parallelism (p > 1)")
-        if self.recompute not in RECOMPUTE_MODES:
-            raise StrategyError(f"unknown recompute mode {self.recompute!r}")
-        if self.tp_overlap not in TP_OVERLAP_MODES:
-            raise StrategyError(f"unknown tp_overlap mode {self.tp_overlap!r}")
-        if self.tp_mode not in ("1d", "2d"):
-            raise StrategyError(f"unknown tp_mode {self.tp_mode!r}")
         if self.tp_mode == "2d":
             if self.seq_par:
                 raise StrategyError("tp_mode='2d' cannot combine with seq_par")

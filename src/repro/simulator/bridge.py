@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.model import _profile_block
+from ..engine.profile import profile_block
 from ..execution.strategy import ExecutionStrategy
 from ..hardware.system import System
 from ..llm.config import LLMConfig
@@ -45,7 +45,7 @@ def strategy_pipeline_params(
         ValueError: when the strategy is structurally invalid for the system.
     """
     strategy.validate(llm, system)
-    prof = _profile_block(
+    prof = profile_block(
         llm,
         system,
         strategy.microbatch,

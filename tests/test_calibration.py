@@ -9,7 +9,7 @@ from repro.analysis.calibration import (
     calibrate,
 )
 from repro.core import calculate
-from repro.core import model as _model
+from repro.engine import profile_block
 from repro.execution import ExecutionStrategy
 from repro.hardware import a100_system
 from repro.llm import LLMConfig
@@ -30,11 +30,11 @@ def synthetic_runs(plateau, hbm_eff, strategies):
     """Generate 'measured' times from a system with known knobs."""
     runs = []
     for s in strategies:
-        _model._profile_block.cache_clear()
+        profile_block.cache_clear()
         sys_ = _apply_knobs(SYS, plateau, hbm_eff)
         t = calculate(LLM, sys_, s).batch_time
         runs.append(MeasuredRun(llm=LLM, system=SYS, strategy=s, measured_time=t))
-    _model._profile_block.cache_clear()
+    profile_block.cache_clear()
     return runs
 
 

@@ -98,9 +98,9 @@ def test_sweep_of_real_configurations_all_consistent():
 
 def test_debug_check_env_flag(monkeypatch):
     """REPRO_DEBUG_CHECK wires the checker into every calculate() call."""
-    import repro.core.model as M
+    import repro.engine.stages as stages
 
-    monkeypatch.setattr(M, "_DEBUG_CHECK", True)
+    monkeypatch.setattr(stages, "_DEBUG_CHECK", True)
     res = calculate(
         LLM, BIG,
         ExecutionStrategy(tensor_par=2, pipeline_par=2, data_par=2, batch=8,

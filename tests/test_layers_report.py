@@ -34,10 +34,10 @@ def test_gemms_dominate_time():
 
 
 def test_layer_times_sum_to_block_profile():
-    from repro.core.model import _profile_block
+    from repro.engine import profile_block
 
     profiles = profile_layers(LLM, SYS, strat())
-    prof = _profile_block(LLM, SYS, 1, 8, False, False, False, "none", "1d")
+    prof = profile_block(LLM, SYS, 1, 8, False, False, False, "none", "1d")
     assert sum(p.fw_time for p in profiles) == pytest.approx(prof.fw_time)
     assert sum(p.bw_time for p in profiles) == pytest.approx(prof.bw_time)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import calculate
-from repro.core.model import _in_flight_microbatches
+from repro.engine import in_flight_microbatches
 from repro.execution import ExecutionStrategy
 from repro.hardware import a100_system, ddr5_offload
 from repro.llm import LLMConfig
@@ -22,26 +22,26 @@ def run(system=BIG, llm=LLM, **kw):
 # ---- in-flight microbatch accounting ------------------------------------------
 
 def test_in_flight_single_stage_is_one():
-    assert _in_flight_microbatches(M=16, p=1, v=1, one_f_one_b=True) == 1.0
-    assert _in_flight_microbatches(M=16, p=1, v=4, one_f_one_b=False) == 1.0
+    assert in_flight_microbatches(M=16, p=1, v=1, one_f_one_b=True) == 1.0
+    assert in_flight_microbatches(M=16, p=1, v=4, one_f_one_b=False) == 1.0
 
 
 def test_in_flight_1f1b_caps_at_pipeline_depth():
-    assert _in_flight_microbatches(M=64, p=8, v=1, one_f_one_b=True) == 8.0
+    assert in_flight_microbatches(M=64, p=8, v=1, one_f_one_b=True) == 8.0
 
 
 def test_in_flight_fewer_microbatches_than_stages():
-    assert _in_flight_microbatches(M=4, p=8, v=1, one_f_one_b=True) == 4.0
+    assert in_flight_microbatches(M=4, p=8, v=1, one_f_one_b=True) == 4.0
 
 
 def test_in_flight_gpipe_holds_everything():
-    assert _in_flight_microbatches(M=64, p=8, v=1, one_f_one_b=False) == 64.0
+    assert in_flight_microbatches(M=64, p=8, v=1, one_f_one_b=False) == 64.0
 
 
 def test_in_flight_interleaving_adds_partial_set():
-    v2 = _in_flight_microbatches(M=64, p=8, v=2, one_f_one_b=True)
+    v2 = in_flight_microbatches(M=64, p=8, v=2, one_f_one_b=True)
     assert v2 == pytest.approx(8 + 7 / 2)
-    v4 = _in_flight_microbatches(M=64, p=8, v=4, one_f_one_b=True)
+    v4 = in_flight_microbatches(M=64, p=8, v=4, one_f_one_b=True)
     assert 8.0 < v4 < v2
 
 

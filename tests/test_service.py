@@ -292,6 +292,44 @@ def test_bad_requests_are_rejected():
         service.stop()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("microbatch", "x"),  # once a 500: '<' between str and int
+    ("batch", 1e300),  # once priced as feasible
+    ("training", "no"),  # once priced as a training run
+    ("tensor_par", True),
+    ("seq_par", 1),
+    ("recompute", "sometimes"),
+    ("tp_mode", "3d"),
+])
+def test_ill_typed_strategy_fields_are_bad_requests(field, value):
+    from repro.execution.presets import megatron_baseline
+
+    service = make_service()
+    try:
+        strategy = megatron_baseline(8, 1, 1, 16).to_dict()
+        strategy[field] = value
+        body = {"llm": "tiny-test", "system": "a100:8", "strategy": strategy}
+        with pytest.raises(BadRequest, match=field):
+            service.evaluate_payload(body)
+    finally:
+        service.stop()
+
+
+def test_well_typed_impossible_strategy_is_infeasible():
+    from repro.execution.presets import megatron_baseline
+
+    service = make_service()
+    try:
+        strategy = megatron_baseline(8, 1, 1, 16).to_dict()
+        strategy.update(batch=10**6 + 1, microbatch=-3)
+        out = service.evaluate_payload(
+            {"llm": "tiny-test", "system": "a100:8", "strategy": strategy})
+        assert out["result"]["feasible"] is False
+        assert "microbatch" in out["result"]["infeasibility"]
+    finally:
+        service.stop()
+
+
 class FailingEngine:
     """An ``evaluate_many`` stand-in that always explodes."""
 

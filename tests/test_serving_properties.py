@@ -5,7 +5,7 @@ conservation, and percentile ordering — the properties docs/SERVING.md
 promises — on fixed-length and on uniform-length traffic.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.system import h100_system
@@ -21,12 +21,12 @@ rates = st.floats(min_value=0.5, max_value=200.0,
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
-def _serve(rate, seed, n=30):
+def _serve(rate, seed, n=30, max_batch=None):
     wl = ServeWorkload(
         arrival_rate=rate, prompt=LengthDist.uniform(32, 96),
         output=LengthDist.uniform(8, 24), num_requests=n, seed=seed,
     )
-    return simulate_serve(TINY_TEST, SYS, STRAT, wl)
+    return simulate_serve(TINY_TEST, SYS, STRAT, wl, max_batch=max_batch)
 
 
 def _serve_fixed(rate, seed):
@@ -79,13 +79,23 @@ def test_serve_percentiles_ordered(rate, seed):
 
 @settings(max_examples=10, deadline=None)
 @given(rate=st.floats(min_value=1.0, max_value=50.0), seed=seeds)
+@example(rate=41.0, seed=0)
 def test_serve_ttft_monotone_in_rate(rate, seed):
-    """Scaling every interarrival gap down never improves p95 TTFT.
+    """Scaling every interarrival gap down never improves TTFT, one request
+    at a time per replica.
 
     The workload sampler reuses the same exponential draws across rates,
-    so the faster run sees the same requests, closer together — each
-    request's wait can only grow.
+    so the faster run sees the same requests, closer together.  With a
+    batch cap of one, a replica is a FIFO single server whose service
+    times do not depend on arrivals: each request starts at the later of
+    its arrival and its predecessor's finish (Lindley's recursion), so
+    every wait, and every TTFT percentile, can only grow.  Continuous
+    batching admits only at step boundaries, which compressed arrivals
+    move: there a request's TTFT can fall by part of a step (at rate 41,
+    seed 0, p95 goes from 7.5409e-05 s to 7.5231e-05 s), so the property
+    is not stated for it (docs/SERVING.md).
     """
-    slow = _serve(rate, seed)
-    fast = _serve(rate * 4.0, seed)
-    assert fast.ttft_p95 >= slow.ttft_p95 * (1.0 - 1e-9)
+    slow = _serve(rate, seed, max_batch=1)
+    fast = _serve(rate * 4.0, seed, max_batch=1)
+    for q in ("ttft_p50", "ttft_p95", "ttft_p99"):
+        assert getattr(fast, q) >= getattr(slow, q) * (1.0 - 1e-9), q
