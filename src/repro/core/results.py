@@ -10,7 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from ..arith import select
 from ..units import human_bytes, human_time
+
+
+def sample_rate(batch, batch_time):
+    """Samples per second of ``batch_time`` (``0.0`` for no time); takes
+    floats or columns."""
+    busy = batch_time > 0
+    return select(busy, batch / select(busy, batch_time, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -148,9 +156,7 @@ class PerformanceResult:
     @property
     def sample_rate(self) -> float:
         """Samples processed per second of training."""
-        if not self.feasible or self.batch_time == 0:
-            return 0.0
-        return self.batch / self.batch_time
+        return sample_rate(self.batch, self.batch_time) if self.feasible else 0.0
 
     def summary(self) -> str:
         """Multi-line human-readable report (the Fig. 3-style output)."""
